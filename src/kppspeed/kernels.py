@@ -1,274 +1,151 @@
-"""Hot numeric kernels with a numba fast path and a scipy fallback.
+"""LAPACK kernels for the tridiagonal systems of Crank-Nicolson stepping.
 
-The dominating inner loop of the whole package is the one-period
-Crank-Nicolson sweep over cyclic tridiagonal systems (1D periodic cell),
-executed inside power iterations inside golden-section searches.  The numba
-path fuses the whole period into one jitted call; the fallback drives
-``scipy.linalg.solve_banded`` plus a Sherman-Morrison correction for the
-periodic corner entries.
+The inner loop of the package is the one-period Crank-Nicolson sweep over
+cyclic tridiagonal systems (1D periodic cell), run inside power iterations
+inside ray searches.  Each left-hand matrix is factored once with LAPACK
+``dgttrf`` (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999) and the
+periodic corners enter through a Sherman-Morrison correction, so that one
+solve is one ``dgttrs`` call, one dot product and one axpy.  Right-hand sides
+are applied with BLAS ``dgbmv``.  Plain (Dirichlet) tridiagonal systems are
+solved by ``dgtsv``.
 
-Backend selection: the environment variable ``KPPSPEED_BACKEND`` may be set
-to ``numba``, ``numpy`` or ``auto`` (default).  ``set_backend`` switches at
-runtime, e.g. for benchmarking both paths in one process.
+Band convention for an n x n cyclic tridiagonal matrix M:
+  M[i, i] = d[i],  M[i, i-1] = dl[i] (dl[0] unused),  M[i, i+1] = du[i]
+  (du[n-1] unused),  M[0, n-1] = c0,  M[n-1, 0] = c1.
+
+Non-finite bands raise ValueError and singular systems raise LinAlgError.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
-__all__ = ["set_backend", "active_backend", "cn_period", "tridiag_solve",
-           "cyclic_solve", "HAS_NUMBA"]
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via KPPSPEED_BACKEND=numpy
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+__all__ = ["CyclicFactor", "band_storage", "cyclic_matvec", "cn_period",
+           "tridiag_solve", "cyclic_solve"]
 
 
-_backend = os.environ.get("KPPSPEED_BACKEND", "auto").strip().lower()
-if _backend not in ("auto", "numba", "numpy"):
-    raise ValueError(f"KPPSPEED_BACKEND must be auto|numba|numpy, got {_backend!r}")
-if _backend == "numba" and not HAS_NUMBA:
-    raise ImportError("KPPSPEED_BACKEND=numba but numba is not importable")
+def _require_finite(what: str, *arrays) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} must not contain infs or NaNs")
 
 
-def set_backend(name: str) -> None:
-    global _backend
-    name = name.strip().lower()
-    if name not in ("auto", "numba", "numpy"):
-        raise ValueError("backend must be auto|numba|numpy")
-    if name == "numba" and not HAS_NUMBA:
-        raise ImportError("numba backend requested but numba is not importable")
-    _backend = name
+def band_storage(dl, d, du) -> np.ndarray:
+    """LAPACK band storage (..., 3, n) of bands (..., n), stacked over leading
+    axes; each (3, n) matrix is Fortran-ordered, as dgbmv takes it."""
+    ab = np.zeros(d.shape + (3,))
+    ab[..., 1:, 0] = du[..., :-1]
+    ab[..., 1] = d
+    ab[..., :-1, 2] = dl[..., 1:]
+    return np.swapaxes(ab, -1, -2)
 
 
-def active_backend() -> str:
-    if _backend == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return _backend
-
-
-# --- numba kernels -----------------------------------------------------------
-#
-# Band convention for an n x n cyclic tridiagonal matrix M:
-#   M[i, i]   = d[i]
-#   M[i, i-1] = dl[i]   (i = 1..n-1;  dl[0] unused)
-#   M[i, i+1] = du[i]   (i = 0..n-2;  du[n-1] unused)
-#   M[0, n-1] = c0,  M[n-1, 0] = c1
-
-
-@njit(cache=True)
-def _thomas2(dl, d, du, b1, b2):
-    """Two simultaneous tridiagonal solves sharing one elimination sweep."""
-    n = d.shape[0]
-    cp = np.empty(n)
-    x1 = np.empty(n)
-    x2 = np.empty(n)
-    beta = d[0]
-    cp[0] = du[0] / beta
-    x1[0] = b1[0] / beta
-    x2[0] = b2[0] / beta
-    for i in range(1, n):
-        beta = d[i] - dl[i] * cp[i - 1]
-        cp[i] = du[i] / beta if i < n - 1 else 0.0
-        x1[i] = (b1[i] - dl[i] * x1[i - 1]) / beta
-        x2[i] = (b2[i] - dl[i] * x2[i - 1]) / beta
-    for i in range(n - 2, -1, -1):
-        x1[i] -= cp[i] * x1[i + 1]
-        x2[i] -= cp[i] * x2[i + 1]
-    return x1, x2
-
-
-@njit(cache=True)
-def _cyclic_solve(dl, d, du, c0, c1, b):
-    """Sherman-Morrison solve of the cyclic tridiagonal system M x = b."""
-    n = d.shape[0]
-    gamma = -d[0]
-    dd = d.copy()
-    dd[0] = d[0] - gamma
-    dd[n - 1] = d[n - 1] - c0 * c1 / gamma
-    u = np.zeros(n)
-    u[0] = gamma
-    u[n - 1] = c1
-    y, z = _thomas2(dl, dd, du, b, u)
-    vy = y[0] + (c0 / gamma) * y[n - 1]
-    vz = z[0] + (c0 / gamma) * z[n - 1]
-    fact = vy / (1.0 + vz)
-    return y - fact * z
-
-
-@njit(cache=True)
-def _transpose_bands(dl, d, du, c0, c1):
-    n = d.shape[0]
-    dlT = np.empty(n)
-    duT = np.empty(n)
-    dlT[0] = 0.0
-    duT[n - 1] = 0.0
-    for i in range(1, n):
-        dlT[i] = du[i - 1]
-    for i in range(n - 1):
-        duT[i] = dl[i + 1]
-    return dlT, d, duT, c1, c0
-
-
-@njit(cache=True)
-def _cyclic_matvec(dl, d, du, c0, c1, v):
-    n = d.shape[0]
-    out = np.empty(n)
-    out[0] = d[0] * v[0] + du[0] * v[1] + c0 * v[n - 1]
-    for i in range(1, n - 1):
-        out[i] = dl[i] * v[i - 1] + d[i] * v[i] + du[i] * v[i + 1]
-    out[n - 1] = dl[n - 1] * v[n - 2] + d[n - 1] * v[n - 1] + c1 * v[0]
-    return out
-
-
-@njit(cache=True)
-def _cn_period_numba(ll, ld, lu, lc0, lc1, rl, rd, ru, rc0, rc1, v0, transpose):
-    """One period of Crank-Nicolson over cyclic tridiagonal level matrices.
-
-    Forward:     v_{m+1} = L_{m+1}^{-1} (R_m v_m),        m = 0..n_t-1
-    Transposed:  w_m     = R_m^T (L_{m+1}^{-T} w_{m+1}),  m = n_t-1..0
-    Returns all n_t+1 levels (transposed fills them from the top down).
-    """
-    n_levels = ld.shape[0]
-    n_t = n_levels - 1
-    n = ld.shape[1]
-    levels = np.empty((n_levels, n))
-    if not transpose:
-        levels[0, :] = v0
-        for m in range(n_t):
-            w = _cyclic_matvec(rl[m], rd[m], ru[m], rc0[m], rc1[m], levels[m])
-            levels[m + 1, :] = _cyclic_solve(ll[m + 1], ld[m + 1], lu[m + 1],
-                                             lc0[m + 1], lc1[m + 1], w)
-    else:
-        levels[n_t, :] = v0
-        for mm in range(n_t):
-            m = n_t - 1 - mm
-            a, b, c, d, e = _transpose_bands(ll[m + 1], ld[m + 1], lu[m + 1],
-                                             lc0[m + 1], lc1[m + 1])
-            z = _cyclic_solve(a, b, c, d, e, levels[m + 1])
-            a, b, c, d, e = _transpose_bands(rl[m], rd[m], ru[m], rc0[m], rc1[m])
-            levels[m, :] = _cyclic_matvec(a, b, c, d, e, z)
-    return levels
-
-
-# --- scipy fallback ----------------------------------------------------------
-
-
-def _cyclic_solve_np(dl, d, du, c0, c1, b):
-    n = d.shape[0]
-    gamma = -d[0]
-    dd = d.copy()
-    dd[0] = d[0] - gamma
-    dd[n - 1] = d[n - 1] - c0 * c1 / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = du[:-1]
-    ab[1, :] = dd
-    ab[2, :-1] = dl[1:]
-    rhs = np.zeros((n, 2))
-    rhs[:, 0] = b
-    rhs[0, 1] = gamma
-    rhs[n - 1, 1] = c1
-    sol = solve_banded((1, 1), ab, rhs)
-    y, z = sol[:, 0], sol[:, 1]
-    fact = (y[0] + (c0 / gamma) * y[n - 1]) / (1.0 + z[0] + (c0 / gamma) * z[n - 1])
-    return y - fact * z
-
-
-def _cyclic_matvec_np(dl, d, du, c0, c1, v):
-    out = d * v
-    out[:-1] += du[:-1] * v[1:]
-    out[1:] += dl[1:] * v[:-1]
+def cyclic_matvec(ab, c0: float, c1: float, v, trans: str = "N") -> np.ndarray:
+    """M @ v (trans='T': M.T @ v) for band storage ``ab`` and corners c0, c1."""
+    n = v.shape[0]
+    out = dgbmv(n, n, 1, 1, 1.0, ab, v, trans=int(trans == "T"))
+    if trans == "T":
+        c0, c1 = c1, c0
     out[0] += c0 * v[-1]
     out[-1] += c1 * v[0]
     return out
 
 
-def _transpose_bands_np(dl, d, du, c0, c1):
-    dlT = np.zeros_like(dl)
-    duT = np.zeros_like(du)
-    dlT[1:] = du[:-1]
-    duT[:-1] = dl[1:]
-    return dlT, d, duT, c1, c0
+class CyclicFactor:
+    """Factors of a cyclic tridiagonal matrix M for solves with M or M^T.
+
+    Sherman-Morrison: M = T + u v^T with u = gamma e_0 + c1 e_{n-1} and
+    v = e_0 + (c0/gamma) e_{n-1}, where T is tridiagonal with d[0] - gamma and
+    d[n-1] - c0 c1/gamma on its diagonal.  T is factored once by dgttrf; then
+    M^{-1} b = y - (v.y) z with y = T^{-1} b and z = T^{-1} u / (1 + v.T^{-1} u),
+    and M^{-T} b is the same with T^T and u, v swapped.  The correction vector
+    z of each orientation is computed on its first solve.
+    """
+
+    def __init__(self, dl, d, du, c0: float, c1: float):
+        d = np.array(d, dtype=float)
+        gamma = -d[0] if d[0] != 0.0 else -1.0
+        d[0] -= gamma
+        d[-1] -= c0 * c1 / gamma
+        # a non-finite d[0], c0 or c1 leaves d[0] or d[-1] non-finite
+        _require_finite("cyclic tridiagonal bands", dl[1:], d, du[:-1])
+        *self._lu, info = dgttrf(dl[1:], d, du[:-1])
+        if info != 0:
+            raise LinAlgError("singular matrix")
+        self._n = d.shape[0]
+        # orientation -> (u, v) as their entries at indices 0 and n-1
+        self._uv = {"N": ((gamma, c1), (1.0, c0 / gamma)),
+                    "T": ((1.0, c0 / gamma), (gamma, c1))}
+        self._z: dict[str, np.ndarray] = {}
+
+    def _tridiag(self, b, trans: str) -> np.ndarray:
+        y, info = dgttrs(*self._lu, b, trans=trans)
+        if info != 0:
+            raise ValueError(f"illegal argument {-info} to dgttrs")
+        return y
+
+    def _correction(self, trans: str) -> np.ndarray:
+        (u0, u1), (v0, v1) = self._uv[trans]
+        u = np.zeros(self._n)
+        u[0], u[-1] = u0, u1
+        z = self._tridiag(u, trans)
+        denom = 1.0 + v0 * z[0] + v1 * z[-1]
+        if denom == 0.0 or not np.isfinite(denom):
+            raise LinAlgError("singular matrix")
+        return z / denom
+
+    def solve(self, b, trans: str = "N") -> np.ndarray:
+        """M^{-1} b (trans='T': M^{-T} b)."""
+        z = self._z.get(trans)
+        if z is None:
+            z = self._z[trans] = self._correction(trans)
+        y = self._tridiag(b, trans)
+        v0, v1 = self._uv[trans][1]
+        y -= (v0 * y[0] + v1 * y[-1]) * z
+        return y
 
 
-def _cn_period_np(ll, ld, lu, lc0, lc1, rl, rd, ru, rc0, rc1, v0, transpose):
-    n_levels, n = ld.shape
-    n_t = n_levels - 1
-    levels = np.empty((n_levels, n))
+def cn_period(lhs, rhs, v0, transpose: bool = False) -> np.ndarray:
+    """Run one Crank-Nicolson period; returns all time levels (n_t+1, n).
+
+    ``lhs[m]`` is the CyclicFactor of the left-hand matrix of level m and
+    ``rhs[m]`` the (band storage, c0, c1) of the right-hand matrix, for
+    m = 0..n_t (lhs[0] is not used).
+
+      forward:     v_{m+1} = L_{m+1}^{-1} (R_m v_m),        m = 0..n_t-1
+      transposed:  w_m     = R_m^T (L_{m+1}^{-T} w_{m+1}),  m = n_t-1..0
+    """
+    v0 = np.asarray(v0, dtype=float)
+    n_t = len(lhs) - 1
+    levels = np.empty((n_t + 1, v0.shape[0]))
     if not transpose:
         levels[0] = v0
         for m in range(n_t):
-            w = _cyclic_matvec_np(rl[m], rd[m], ru[m], rc0[m], rc1[m], levels[m])
-            levels[m + 1] = _cyclic_solve_np(ll[m + 1], ld[m + 1], lu[m + 1],
-                                             lc0[m + 1], lc1[m + 1], w)
+            levels[m + 1] = lhs[m + 1].solve(cyclic_matvec(*rhs[m], levels[m]))
     else:
         levels[n_t] = v0
         for m in range(n_t - 1, -1, -1):
-            bands = _transpose_bands_np(ll[m + 1], ld[m + 1], lu[m + 1], lc0[m + 1], lc1[m + 1])
-            z = _cyclic_solve_np(*bands, levels[m + 1])
-            bands = _transpose_bands_np(rl[m], rd[m], ru[m], rc0[m], rc1[m])
-            levels[m] = _cyclic_matvec_np(*bands, z)
+            z = lhs[m + 1].solve(levels[m + 1], trans="T")
+            levels[m] = cyclic_matvec(*rhs[m], z, trans="T")
+    _require_finite("Crank-Nicolson levels", levels)
     return levels
 
 
-def cn_period(lhs_bands, rhs_bands, v0, transpose=False):
-    """Run one Crank-Nicolson period; returns all time levels (n_t+1, n).
-
-    ``lhs_bands``/``rhs_bands`` are tuples (dl, d, du, c0, c1) of per-level
-    arrays with shapes (n_t+1, n) for the bands and (n_t+1,) for the corners.
-    """
-    args = (*lhs_bands, *rhs_bands, np.asarray(v0, dtype=float), bool(transpose))
-    if active_backend() == "numba":
-        return _cn_period_numba(*args)
-    return _cn_period_np(*args)
-
-
-# --- plain (Dirichlet) tridiagonal solve for the Cauchy simulator ------------
-
-
-@njit(cache=True)
-def _tridiag_numba(dl, d, du, b):
-    n = d.shape[0]
-    cp = np.empty(n)
-    x = np.empty(n)
-    beta = d[0]
-    cp[0] = du[0] / beta
-    x[0] = b[0] / beta
-    for i in range(1, n):
-        beta = d[i] - dl[i] * cp[i - 1]
-        cp[i] = du[i] / beta if i < n - 1 else 0.0
-        x[i] = (b[i] - dl[i] * x[i - 1]) / beta
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
+def tridiag_solve(dl, d, du, b) -> np.ndarray:
+    """Solve the (non-cyclic) tridiagonal system with bands (dl, d, du)."""
+    _require_finite("tridiagonal system", dl[1:], d, du[:-1], b)
+    *_, x, info = dgtsv(dl[1:], d, du[:-1], b)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to dgtsv")
     return x
 
 
-def tridiag_solve(dl, d, du, b):
-    """Solve the (non-cyclic) tridiagonal system with bands (dl, d, du)."""
-    if active_backend() == "numba":
-        return _tridiag_numba(dl, d, du, b)
-    ab = np.zeros((3, d.shape[0]))
-    ab[0, 1:] = du[:-1]
-    ab[1, :] = d
-    ab[2, :-1] = dl[1:]
-    return solve_banded((1, 1), ab, b)
-
-
-def cyclic_solve(dl, d, du, c0, c1, b):
+def cyclic_solve(dl, d, du, c0, c1, b) -> np.ndarray:
     """Solve the cyclic tridiagonal system (corners c0 = M[0,-1], c1 = M[-1,0])."""
-    if active_backend() == "numba":
-        return _cyclic_solve(dl, d, du, c0, c1, b)
-    return _cyclic_solve_np(dl, d, du, c0, c1, b)
+    _require_finite("right-hand side", b)
+    return CyclicFactor(dl, d, du, c0, c1).solve(b)

@@ -22,8 +22,8 @@ Time stepping over one period is Crank-Nicolson,
 
     (I - dt/2 E_{m+1}) phi^{m+1} = (I + dt/2 E_m) phi^m,
 
-with the per-level systems solved by prefactored direct sparse solvers (1D:
-fused cyclic-tridiagonal kernels, see :mod:`kppspeed.kernels`).
+with the per-level systems solved by prefactored direct solvers (1D: LAPACK
+cyclic-tridiagonal factors, see :mod:`kppspeed.kernels`; 2D: sparse LU).
 """
 
 from __future__ import annotations
@@ -146,19 +146,12 @@ class _CoefficientSampler:
                 terms.append((self.lam[j], expr.differentiate(xvars[d])))
         return terms
 
-    def arrays_batch(self, times: np.ndarray) -> list[dict]:
-        """Per-level stencil arrays, evaluated in one vectorized pass."""
+    def arrays_batch(self, times: np.ndarray) -> dict:
+        """Stencil arrays of all time levels, stacked on a leading axis and
+        evaluated in one vectorized pass."""
         N = self.grid.dimension
         t_col = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
-        stacked = self._arrays_impl(t_col, batch=True)
-        out = []
-        for m in range(len(times)):
-            d = {"a_faces": [a[m] for a in stacked["a_faces"]],
-                 "a12": None if stacked["a12"] is None else stacked["a12"][m],
-                 "b": [b[m] for b in stacked["b"]],
-                 "c0": stacked["c0"][m]}
-            out.append(d)
-        return out
+        return self._arrays_impl(t_col, batch=True)
 
     def arrays(self, t: float) -> dict:
         return self._arrays_impl(float(t), batch=False)
@@ -210,40 +203,44 @@ class _CoefficientSampler:
 
 
 def _bands_1d(arrs, grid: Grid, adjoint: bool):
-    """Cyclic tridiagonal bands (dl, d, du, c0, c1) of the 1D action."""
-    af = arrs["a_faces"][0].reshape(-1)  # af[i] = face between i and i+1
-    b = arrs["b"][0].reshape(-1)
-    c0v = arrs["c0"].reshape(-1)
+    """Cyclic tridiagonal bands (dl, d, du, c0, c1) of the 1D action.
+
+    Arrays stacked over time levels on a leading axis give bands and corners
+    stacked the same way.
+    """
+    af = arrs["a_faces"][0]  # af[..., i] = face between i and i+1
+    b = arrs["b"][0]
+    c0v = arrs["c0"]
     h = grid.h[0]
-    n = grid.n_space[0]
-    afm = np.roll(af, 1)  # af[i-1]
+    afm = np.roll(af, 1, axis=-1)  # af[..., i-1]
     h2 = h * h
     diag = -(af + afm) / h2 + c0v
     if not adjoint:
         dl = afm / h2 - b / (2 * h)
         du = af / h2 + b / (2 * h)
-        corner0 = afm[0] / h2 - b[0] / (2 * h)       # row 0, col n-1
-        corner1 = af[n - 1] / h2 + b[n - 1] / (2 * h)  # row n-1, col 0
+        corner0 = afm[..., 0] / h2 - b[..., 0] / (2 * h)     # row 0, col n-1
+        corner1 = af[..., -1] / h2 + b[..., -1] / (2 * h)    # row n-1, col 0
     else:
-        bm = np.roll(b, 1)
-        bp = np.roll(b, -1)
+        bm = np.roll(b, 1, axis=-1)
+        bp = np.roll(b, -1, axis=-1)
         dl = afm / h2 + bm / (2 * h)
         du = af / h2 - bp / (2 * h)
-        corner0 = afm[0] / h2 + b[n - 1] / (2 * h)
-        corner1 = af[n - 1] / h2 - b[0] / (2 * h)
-    dl = dl.copy()
-    du = du.copy()
-    dl[0] = 0.0
-    du[n - 1] = 0.0
-    return dl, diag, du, float(corner0), float(corner1)
+        corner0 = afm[..., 0] / h2 + b[..., -1] / (2 * h)
+        corner1 = af[..., -1] / h2 - b[..., 0] / (2 * h)
+    dl[..., 0] = 0.0
+    du[..., -1] = 0.0
+    return dl, diag, du, corner0, corner1
 
 
 def _bands_to_csr(bands, n):
     dl, d, du, c0, c1 = bands
-    M = sp.diags_array([dl[1:], d, du[:-1]], offsets=[-1, 0, 1], format="lil")
-    M[0, n - 1] += c0
-    M[n - 1, 0] += c1
-    return M.tocsr()
+    i = np.arange(n)
+    rows = np.concatenate([i[1:], i, i[:-1], [0, n - 1]])
+    cols = np.concatenate([i[:-1], i, i[1:], [n - 1, 0]])
+    data = np.concatenate([dl[1:], d, du[:-1], [c0, c1]])
+    M = sp.csr_array((data, (rows, cols)), shape=(n, n))
+    M.eliminate_zeros()
+    return M
 
 
 def _matrix_2d(arrs, grid: Grid):
@@ -334,8 +331,8 @@ class ActionFamily:
     """E_lam sampled at the Crank-Nicolson time levels of one period.
 
     Provides the monodromy (one-period) map and its exact transpose.  1D
-    periods run through the fused cyclic-tridiagonal kernels; the general
-    path drives prefactored sparse LU solves per level.
+    periods run through the prefactored cyclic-tridiagonal kernels; the
+    general path drives prefactored sparse LU solves per level.
     """
 
     def __init__(self, coeffs: CoefficientSet, lam, grid: Grid):
@@ -346,7 +343,7 @@ class ActionFamily:
         self.time_independent = coeffs.time_independent
         n_levels = 1 if self.time_independent else grid.n_t
         times = np.arange(n_levels) * grid.dt
-        self._level_arrays = self.sampler.arrays_batch(times)
+        self._stacked = self.sampler.arrays_batch(times)
         self._matrices: dict[int, sp.csr_array] = {}
         self._is_1d = grid.dimension == 1
         if self._is_1d:
@@ -359,12 +356,17 @@ class ActionFamily:
         return 0 if self.time_independent else m % self.grid.n_t
 
     def arrays(self, m: int) -> dict:
-        return self._level_arrays[self._level(m)]
+        """Stencil arrays of time level m."""
+        lev, s = self._level(m), self._stacked
+        return {"a_faces": [a[lev] for a in s["a_faces"]],
+                "a12": None if s["a12"] is None else s["a12"][lev],
+                "b": [b[lev] for b in s["b"]],
+                "c0": s["c0"][lev]}
 
     def matrix(self, m: int) -> sp.csr_array:
         lev = self._level(m)
         if lev not in self._matrices:
-            arrs = self._level_arrays[lev]
+            arrs = self.arrays(lev)
             if self._is_1d:
                 M = _bands_to_csr(_bands_1d(arrs, self.grid, False), self.grid.n_space[0])
             else:
@@ -376,30 +378,30 @@ class ActionFamily:
         return LinearAction(self.matrix(m), self.grid, self.lam, False,
                             self._level(m) * self.grid.dt)
 
-    # -- 1D fused path
+    # -- 1D path
 
     def _build_bands(self):
-        grid = self.grid
-        n, n_t = grid.n_space[0], grid.n_t
-        half = 0.5 * grid.dt
-        shape = (n_t + 1, n)
-        el, ed, eu = np.empty(shape), np.empty(shape), np.empty(shape)
-        ec0, ec1 = np.empty(n_t + 1), np.empty(n_t + 1)
-        for m in range(n_t + 1):
-            el[m], ed[m], eu[m], ec0[m], ec1[m] = _bands_1d(self.arrays(m), grid, False)
-        self._action_bands = (el, ed, eu, ec0, ec1)
-        self._lhs = (-half * el, 1.0 - half * ed, -half * eu, -half * ec0, -half * ec1)
-        self._rhs = (half * el, 1.0 + half * ed, half * eu, half * ec0, half * ec1)
+        """Band storage of E and of the right-hand matrices, and the factored
+        left-hand matrices, once per distinct level (one if time-independent)."""
+        half = 0.5 * self.grid.dt
+        el, ed, eu, ec0, ec1 = _bands_1d(self._stacked, self.grid, False)
+        self._action_bands = list(zip(kernels.band_storage(el, ed, eu),
+                                      ec0.tolist(), ec1.tolist()))
+        lhs = [kernels.CyclicFactor(*bands) for bands in zip(
+            -half * el, 1.0 - half * ed, -half * eu, (-half * ec0).tolist(),
+            (-half * ec1).tolist())]
+        rhs = list(zip(kernels.band_storage(half * el, 1.0 + half * ed, half * eu),
+                       (half * ec0).tolist(), (half * ec1).tolist()))
+        levels = [self._level(m) for m in range(self.grid.n_t + 1)]
+        self._lhs = [lhs[lev] for lev in levels]
+        self._rhs = [rhs[lev] for lev in levels]
 
     def apply_action(self, m: int, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """E_lam(t_m) @ v (adjoint: E^T @ v), without forming a sparse matrix in 1D."""
         if self._is_1d:
-            el, ed, eu, ec0, ec1 = self._action_bands
-            lev = self._level(m)
-            bands = (el[lev], ed[lev], eu[lev], ec0[lev], ec1[lev])
-            if adjoint:
-                bands = kernels._transpose_bands_np(*bands)
-            return kernels._cyclic_matvec_np(*bands, v.astype(float, copy=True))
+            return kernels.cyclic_matvec(*self._action_bands[self._level(m)],
+                                         np.asarray(v, dtype=float),
+                                         trans="T" if adjoint else "N")
         M = self.matrix(m)
         return (M.T @ v) if adjoint else (M @ v)
 

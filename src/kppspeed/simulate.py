@@ -156,7 +156,8 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
         raise SimulationError("initial data must vanish at the far boundaries")
     cap = max(1.0, float(np.max(u)))
 
-    time_dep = not coeffs.time_independent
+    # the bands depend on A and q only; mu enters through the reaction steps
+    bands_time_dep = not (coeffs.A.time_independent and coeffs.q.time_independent)
     bands = _linear_bands(coeffs, x, h, 0.0, periodic)
 
     n_steps = int(round(t_end / dt))
@@ -175,7 +176,7 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
     for step in range(n_steps):
         t = step * dt
         u = _logistic_half(u, mu_at(t + 0.25 * dt), 0.5 * dt)
-        if time_dep:
+        if bands_time_dep:
             bands_new = _linear_bands(coeffs, x, h, t + dt, periodic)
         else:
             bands_new = bands

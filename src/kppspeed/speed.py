@@ -92,6 +92,14 @@ def _check_unimodal(profile, rel_tol=1e-9):
         raise UnimodalityError("ray profile has multiple rising stretches")
 
 
+def _check_minimum(profile, c_star: float) -> None:
+    """The reported speed must be the least objective value the search saw."""
+    s_low, v_low = min(profile, key=lambda p: p[1])
+    if v_low < c_star - 1e-8:
+        raise SpeedError(f"search returned {c_star!r}, above the value {v_low!r} "
+                         f"sampled at s={s_low:.6g}")
+
+
 def _golden_min(g: Callable[[float], float], a: float, b: float, tol: float):
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
@@ -216,7 +224,7 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
     s_star, c_star = _bracket_and_minimize(g, s_init, s_min, s_max, tol)
     profile = obj.ray_profile(e)
     _check_unimodal(profile)
-    assert all(v >= c_star - 1e-8 for _, v in profile)
+    _check_minimum(profile, c_star)
 
     xi_star = e
     diagnostics = {"k0": k0_res.k_extrapolated, "c_star_ray": c_star}
@@ -242,8 +250,10 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
 
     lam_star = -s_star * xi_star
     res = obj.result_for(s_star, xi_star)
-    assert abs(c_star - res.k_extrapolated / float(np.dot(lam_star, e))) <= 1e-12 * max(
-        1.0, abs(c_star))
+    c_of_k = res.k_extrapolated / float(np.dot(lam_star, e))
+    if abs(c_star - c_of_k) > 1e-12 * max(1.0, abs(c_star)):
+        raise SpeedError(f"speed {c_star!r} disagrees with k_lam/(lam.e) = {c_of_k!r} "
+                         "at the minimizer")
     return SpeedResult(c_star, lam_star, e, sorted(profile), "ray-search",
                        eigen=res, records=obj.records, diagnostics=diagnostics)
 
@@ -399,7 +409,7 @@ def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
     s_star, c_star = _bracket_and_minimize(g, s_init, s_min, s_max, tol)
     profile = sorted((s, v) for s, (v, _) in cache.items())
     _check_unimodal(profile)
-    assert all(v >= c_star - 1e-8 for _, v in profile)
+    _check_minimum(profile, c_star)
     return SpeedResult(c_star, -s_star * e, e, profile, "shear-reduced",
                        eigen=cache[round(s_star, 14)][1], records=records,
                        diagnostics={"k0": k0.k})

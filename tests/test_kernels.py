@@ -1,0 +1,145 @@
+import numpy as np
+import pytest
+from numpy.linalg import LinAlgError
+
+from kppspeed.kernels import (
+    CyclicFactor,
+    band_storage,
+    cn_period,
+    cyclic_matvec,
+    cyclic_solve,
+    tridiag_solve,
+)
+
+
+def random_cyclic(rng, n):
+    """Bands of a random nonsymmetric, diagonally dominant cyclic tridiagonal matrix."""
+    dl, du = rng.uniform(-1.0, 1.0, (2, n))
+    d = rng.uniform(2.5, 4.0, n) * rng.choice([-1.0, 1.0], n)
+    dl[0] = du[-1] = 0.0
+    c0, c1 = rng.uniform(-1.0, 1.0, 2)
+    return dl, d, du, float(c0), float(c1)
+
+
+def dense(dl, d, du, c0=0.0, c1=0.0):
+    n = d.size
+    M = np.diag(d) + np.diag(dl[1:], -1) + np.diag(du[:-1], 1)
+    M[0, n - 1] += c0
+    M[n - 1, 0] += c1
+    return M
+
+
+@pytest.mark.parametrize("n", [3, 8, 65])
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_cyclic_factor_solve_matches_dense(n, trans):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        bands = random_cyclic(rng, n)
+        M = dense(*bands)
+        b = rng.standard_normal(n)
+        b_in = b.copy()
+        x = CyclicFactor(*bands).solve(b, trans=trans)
+        ref = np.linalg.solve(M if trans == "N" else M.T, b)
+        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(b, b_in)
+
+
+def test_cyclic_factor_with_zero_leading_diagonal():
+    rng = np.random.default_rng(1)
+    dl, d, du, c0, c1 = random_cyclic(rng, 8)
+    d[0] = 0.0
+    M = dense(dl, d, du, c0, c1)
+    b = rng.standard_normal(8)
+    np.testing.assert_allclose(cyclic_solve(dl, d, du, c0, c1, b),
+                               np.linalg.solve(M, b), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_cyclic_matvec_matches_dense(trans):
+    rng = np.random.default_rng(2)
+    dl, d, du, c0, c1 = random_cyclic(rng, 9)
+    M = dense(dl, d, du, c0, c1)
+    v = rng.standard_normal(9)
+    out = cyclic_matvec(band_storage(dl, d, du), c0, c1, v, trans=trans)
+    np.testing.assert_allclose(out, (M if trans == "N" else M.T) @ v, rtol=1e-14, atol=1e-14)
+
+
+def test_cn_period_matches_dense_stepping():
+    rng = np.random.default_rng(3)
+    n, n_t = 7, 4
+    lhs_bands = [random_cyclic(rng, n) for _ in range(n_t + 1)]
+    rhs_bands = [random_cyclic(rng, n) for _ in range(n_t + 1)]
+    lhs = [CyclicFactor(*b) for b in lhs_bands]
+    rhs = [(band_storage(*b[:3]), b[3], b[4]) for b in rhs_bands]
+    L = [dense(*b) for b in lhs_bands]
+    R = [dense(*b) for b in rhs_bands]
+    v0 = rng.standard_normal(n)
+    ref = v0
+    for m in range(n_t):
+        ref = np.linalg.solve(L[m + 1], R[m] @ ref)
+    levels = cn_period(lhs, rhs, v0)
+    assert levels.shape == (n_t + 1, n)
+    np.testing.assert_allclose(levels[n_t], ref, rtol=1e-12, atol=1e-12)
+    ref = v0
+    for m in range(n_t - 1, -1, -1):
+        ref = R[m].T @ np.linalg.solve(L[m + 1].T, ref)
+    np.testing.assert_allclose(cn_period(lhs, rhs, v0, transpose=True)[0], ref,
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_tridiag_solve_matches_dense():
+    rng = np.random.default_rng(4)
+    dl, d, du, _, _ = random_cyclic(rng, 40)
+    b = rng.standard_normal(40)
+    np.testing.assert_allclose(tridiag_solve(dl, d, du, b),
+                               np.linalg.solve(dense(dl, d, du), b), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["dl", "d", "du", "c0", "c1"])
+def test_non_finite_bands_raise(bad):
+    rng = np.random.default_rng(5)
+    dl, d, du, c0, c1 = random_cyclic(rng, 8)
+    if bad == "c0":
+        c0 = np.inf
+    elif bad == "c1":
+        c1 = np.nan
+    else:
+        {"dl": dl, "d": d, "du": du}[bad][3] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        CyclicFactor(dl, d, du, c0, c1)
+    if bad in ("dl", "d", "du"):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            tridiag_solve(dl, d, du, np.ones(8))
+
+
+def test_non_finite_right_hand_side_and_levels_raise():
+    rng = np.random.default_rng(6)
+    dl, d, du, c0, c1 = random_cyclic(rng, 8)
+    b = np.ones(8)
+    b[2] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        tridiag_solve(dl, d, du, b)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cyclic_solve(dl, d, du, c0, c1, b)
+    lhs = [CyclicFactor(dl, d, du, c0, c1)] * 3
+    rhs = [(band_storage(dl, d, du), c0, c1)] * 3
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cn_period(lhs, rhs, b)
+
+
+def test_singular_matrices_raise():
+    # rows 0 and 2 of [[1, 0, 1], [0, 1, 0], [1, 0, 1]] are equal: the
+    # tridiagonal part factors, and the corner correction is singular
+    zeros = np.zeros(3)
+    with pytest.raises(LinAlgError):
+        cyclic_solve(zeros, np.ones(3), zeros, 1.0, 1.0, np.ones(3))
+    # a zero row in the tridiagonal part
+    n = 6
+    ones = np.ones(n)
+    d = 2.0 * ones
+    d[3] = 0.0
+    zeros = np.zeros(n)
+    with pytest.raises(LinAlgError):
+        CyclicFactor(zeros, d, zeros, 0.5, 0.5)
+    with pytest.raises(LinAlgError):
+        tridiag_solve(zeros, d, zeros, ones)

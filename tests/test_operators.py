@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from kppspeed import kernels
 from kppspeed.fields import CellGeometry, CoefficientSet, NonEllipticError
 from kppspeed.operators import (
     ActionFamily,
@@ -206,24 +205,6 @@ def test_transpose_period_map_is_adjoint_of_forward():
     Pu = fam.step_period(u)
     PTw = fam.step_period(w, transpose=True)
     assert abs(np.dot(Pu, w) - np.dot(u, PTw)) <= 1e-11 * np.linalg.norm(u) * np.linalg.norm(w)
-
-
-def test_backends_agree():
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba not available")
-    coeffs = make_coeffs(A="1 + 0.5*cos(2*pi*x)", q="0.3*sin(2*pi*x)",
-                         mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)")
-    grid = build_grid(GEO1, 64, 32)
-    rng = np.random.default_rng(7)
-    v = smooth_positive(grid, rng)
-    try:
-        kernels.set_backend("numba")
-        a = ActionFamily(coeffs, [0.5], grid).step_period(v)
-        kernels.set_backend("numpy")
-        b = ActionFamily(coeffs, [0.5], grid).step_period(v)
-    finally:
-        kernels.set_backend("auto")
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_non_elliptic_rejected():

@@ -4,6 +4,7 @@ import pytest
 from kppspeed.fields import CoefficientSet, PeriodicField
 from kppspeed.operators import build_grid
 from kppspeed.eigen import principal_eigenvalue
+from kppspeed import speed
 from kppspeed.speed import (
     NoSpreadingError,
     SpeedError,
@@ -90,6 +91,17 @@ def test_unimodality_guard():
     _check_unimodal([(0.5, 3.0), (1.0, 2.0), (2.0, 2.5), (4.0, 3.5)])
     with pytest.raises(UnimodalityError):
         _check_unimodal([(0.5, 3.0), (1.0, 2.0), (2.0, 2.5), (4.0, 2.2)])
+
+
+def test_search_returning_a_non_minimum_raises(monkeypatch):
+    def not_the_minimum(g, s_init, s_min, s_max, tol):
+        samples = [(s, g(s)) for s in (0.5, 1.0, 2.0)]
+        return max(samples, key=lambda p: p[1])
+
+    monkeypatch.setattr(speed, "_bracket_and_minimize", not_the_minimum)
+    cs = coeffs()
+    with pytest.raises(SpeedError, match="above the value"):
+        spreading_speed(cs, [1.0], build_grid(cs.geometry, 32))
 
 
 def test_2d_ray_and_refinement_match_on_isotropic_medium():
