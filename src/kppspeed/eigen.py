@@ -15,6 +15,11 @@ positive periodic eigenfunction of  L_lam psi = d_t psi - E_lam psi = k psi:
   its positive fixed direction u; with k = -(1/T) ln rho the tilted levels
   psi(t_m) = e^{k t_m} u(t_m) close periodically and solve the eigenproblem.
 
+Both routes, and their adjoints, share one power-iteration loop
+(`_power_iterate`): the max-normalization, the relative-increment stopping
+test and the convergence error live there, and a route supplies only its
+step and its eigenvalue estimate.
+
 Both routes report k as the eigenfunction-weighted average of the pointwise
 ratios (L_lam psi)/psi, a convex combination of the sandwich ratios, so the
 certified bounds  min (L psi/psi) <= k <= max (L psi/psi)  hold by
@@ -111,7 +116,71 @@ def _ratio_stats(r: np.ndarray, weights: np.ndarray):
     return k, float(r.min()), float(r.max())
 
 
+def _power_iterate(step, v: np.ndarray, measure, *, tol: float, max_iter: int,
+                   what: str):
+    """Power iteration v <- step(v), max-normalized after every step.
+
+    ``measure(v, w, u)`` gets the iterate, its image w = step(v) and the
+    normalized image u, and returns the eigenvalue estimate together with a
+    flag that must also hold to stop.  The iteration stops when two
+    successive estimates agree to ``tol`` (relative, floored at 1) and
+    returns the last estimate, the normalized iterate and the iteration
+    count.
+    """
+    v = v / np.max(np.abs(v))
+    old = increment = np.nan  # a nan increment never passes the test
+    for it in range(1, max_iter + 1):
+        w = step(v)
+        u = w / np.max(np.abs(w))
+        estimate, ready = measure(v, w, u)
+        v = u
+        increment = abs(estimate - old)
+        if ready and increment <= tol * max(1.0, abs(estimate)):
+            return estimate, v, it
+        old = estimate
+    raise EigenConvergenceError(f"{what} did not settle in {max_iter} iterations "
+                                f"(last increment {increment:.2e})")
+
+
 # --- steady route -------------------------------------------------------------
+
+
+def _steady_ratios(E, w: np.ndarray):
+    """k with the sandwich bounds from the ratios -(E w)/w; while w is not
+    positive, the Rayleigh quotient with nan bounds."""
+    if np.min(w) > 0:
+        return _ratio_stats(-(E @ w) / w, w * w)
+    return -float(np.dot(w, E @ w) / np.dot(w, w)), np.nan, np.nan
+
+
+def _steady_factor(coeffs: CoefficientSet, lam, grid: Grid):
+    """E_lam, the LU factors of sigma I - E_lam and the shift diagnostics."""
+    if not coeffs.time_independent:
+        raise EigenError("steady route requires time-independent coefficients")
+    action = assemble_action(coeffs, lam, grid)
+    bound = action.gershgorin_upper()
+    sigma = bound + 1e-3 * max(1.0, abs(bound))
+    lu = splu((sigma * sp.eye_array(action.matrix.shape[0], format="csc")
+               - action.matrix).tocsc())
+    return action, lu, {"sigma": sigma, "gershgorin": bound}
+
+
+def _inverse_iterate(E, solve, v: np.ndarray, *, width_target: float, tol: float,
+                     max_iter: int, what: str):
+    """Inverse iteration with ``solve`` applying (sigma I - E)^-1; it also
+    waits for a sandwich width of at most ``width_target``.  Returns k, the
+    bounds, the positive iterate (max 1) and the iteration count."""
+    stats = []  # k, lower, upper of the latest iterate
+
+    def measure(_v, _w, u):
+        stats[:] = _steady_ratios(E, u)
+        return stats[0], stats[2] - stats[1] <= width_target
+
+    _, v, it = _power_iterate(solve, v, measure, tol=tol, max_iter=max_iter, what=what)
+    if np.min(v) <= 0:
+        raise PositivityError(f"{what}: eigenfunction has nonpositive entries; "
+                              "refine the grid")
+    return (*stats, v, it)
 
 
 def principal_eigen_steady(coeffs: CoefficientSet, lam, grid: Grid, *,
@@ -124,71 +193,59 @@ def principal_eigen_steady(coeffs: CoefficientSet, lam, grid: Grid, *,
     for the real spectrum, so the target eigenvalue is extremal for the
     shifted matrix.
     """
-    if not coeffs.time_independent:
-        raise EigenError("steady route requires time-independent coefficients")
-    action = assemble_action(coeffs, lam, grid)
-    E = action.matrix
-    n = E.shape[0]
-    bound = action.gershgorin_upper()
-    sigma = bound + 1e-3 * max(1.0, abs(bound))
-    lu = splu((sigma * sp.eye_array(n, format="csc") - E).tocsc())
-
-    v = np.ones(n) if v0 is None else np.asarray(v0, dtype=float).reshape(-1).copy()
-    v = v / np.max(np.abs(v))
-    k_old = None
-    k_est = lower = upper = np.nan
-    for it in range(1, max_iter + 1):
-        w = lu.solve(v)
-        w = w / np.max(np.abs(w))
-        if np.min(w) > 0:
-            r = -(E @ w) / w
-            k_est, lower, upper = _ratio_stats(r, w * w)
-        else:
-            k_est = -float(np.dot(w, E @ w) / np.dot(w, w))
-            lower, upper = -np.inf, np.inf
-        v = w
-        if (k_old is not None and abs(k_est - k_old) <= tol * max(1.0, abs(k_est))
-                and upper - lower <= width_target):
-            break
-        k_old = k_est
-    else:
-        raise EigenConvergenceError(
-            f"steady inverse iteration: width {upper - lower:.2e} after {max_iter} iterations")
-    if np.min(v) <= 0:
-        raise PositivityError("eigenfunction has nonpositive entries; refine the grid")
-    phi = v / np.max(v)
-    return EigenResult(k_est, phi, lower, upper, it, "steady", grid, action.lam,
-                       diagnostics={"sigma": sigma, "gershgorin": bound})
+    action, lu, diagnostics = _steady_factor(coeffs, lam, grid)
+    v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
+    k, lower, upper, phi, it = _inverse_iterate(
+        action.matrix, lu.solve, v, width_target=width_target, tol=tol,
+        max_iter=max_iter, what="steady inverse iteration")
+    return EigenResult(k, phi, lower, upper, it, "steady", grid, action.lam,
+                       diagnostics=diagnostics)
 
 
 # --- Floquet route --------------------------------------------------------------
 
 
-def _floquet_levels_to_result(family: ActionFamily, levels: np.ndarray, rho: float,
-                              iterations: int, adjoint: bool = False):
-    grid = family.grid
-    n_t, dt, T = grid.n_t, grid.dt, grid.geometry.period
-    k_log = -np.log(rho) / T
-    tm = np.arange(n_t) * dt
-    # tilt e^{k t} (adjoint: e^{-k t}) closes the levels periodically, since
-    # e^{k_log T} * rho = 1 by construction
-    tilt = np.exp((-k_log if adjoint else k_log) * tm)
-    psi = levels[:n_t] * tilt[:, None]
-    scale = np.max(psi)
-    psi = psi / scale
-    if np.min(psi) <= 0:
-        raise PositivityError("periodic eigenfunction has nonpositive values")
-    # sandwich ratios with centered time differences over the stored levels
+def _floquet_ratios(family: ActionFamily, psi: np.ndarray, adjoint: bool = False):
+    """Pointwise ratios (L psi)/psi over (n_t, npoints) levels, the time
+    derivative by centered differences (adjoint: of L*, with -d_t)."""
+    n_t, dt = psi.shape[0], family.grid.dt
     r = np.empty_like(psi)
     for m in range(n_t):
         dpsi = (psi[(m + 1) % n_t] - psi[(m - 1) % n_t]) / (2 * dt)
         Epsi = family.apply_action(m, psi[m], adjoint=adjoint)
-        if adjoint:
-            r[m] = (-dpsi - Epsi) / psi[m]
-        else:
-            r[m] = (dpsi - Epsi) / psi[m]
-    k, lower, upper = _ratio_stats(r, psi * psi)
-    return k, psi, lower, upper, k_log
+        r[m] = ((-dpsi - Epsi) if adjoint else (dpsi - Epsi)) / psi[m]
+    return r
+
+
+def _floquet_iterate(family: ActionFamily, v: np.ndarray, *, tol: float,
+                     max_iter: int, adjoint: bool = False):
+    """Power iteration on the period map (adjoint: on its transpose), then
+    the periodic eigenfunction from the levels of its fixed direction.
+
+    Returns k (the ratio average), psi (max 1), the sandwich bounds, the
+    log-multiplier -(1/T) ln rho, rho and the iteration count.
+    """
+    what = "transposed period-map power iteration" if adjoint else \
+        "period-map power iteration"
+    rho, v, it = _power_iterate(
+        lambda u: family.step_period(u, transpose=adjoint), v,
+        lambda u, w, _: (float(np.dot(w, u) / np.dot(u, u)), True),
+        tol=tol, max_iter=max_iter, what=what)
+    if not np.isfinite(rho) or rho <= 0:
+        raise EigenError("nonpositive principal multiplier: invalid discretization")
+    levels = family.step_period(v, transpose=adjoint, store_levels=True)
+    grid = family.grid
+    n_t = grid.n_t
+    k_log = -np.log(rho) / grid.geometry.period
+    # tilt e^{k t} (adjoint: e^{-k t}) closes the levels periodically, since
+    # e^{k_log T} * rho = 1 by construction
+    tilt = np.exp((-k_log if adjoint else k_log) * (np.arange(n_t) * grid.dt))
+    psi = levels[:n_t] * tilt[:, None]
+    psi = psi / np.max(psi)
+    if np.min(psi) <= 0:
+        raise PositivityError("periodic eigenfunction has nonpositive values")
+    k, lower, upper = _ratio_stats(_floquet_ratios(family, psi, adjoint), psi * psi)
+    return k, psi, lower, upper, k_log, rho, it
 
 
 def principal_eigen_floquet(coeffs: CoefficientSet, lam, grid: Grid, *,
@@ -197,25 +254,9 @@ def principal_eigen_floquet(coeffs: CoefficientSet, lam, grid: Grid, *,
                             family: Optional[ActionFamily] = None) -> EigenResult:
     """Principal eigenvalue via power iteration on the one-period map."""
     family = family or ActionFamily(coeffs, lam, grid)
-    n = grid.npoints
-    v = np.ones(n) if v0 is None else np.asarray(v0, dtype=float).reshape(-1).copy()
-    v = v / np.max(np.abs(v))
-    rho_old = None
-    rho = np.nan
-    for it in range(1, max_iter + 1):
-        w = family.step_period(v)
-        rho = float(np.dot(w, v) / np.dot(v, v))
-        v = w / np.max(np.abs(w))
-        if rho_old is not None and abs(rho - rho_old) <= tol * max(1.0, abs(rho)):
-            break
-        rho_old = rho
-    else:
-        raise EigenConvergenceError(f"period-map power iteration did not settle "
-                                    f"(last increment {abs(rho - rho_old):.2e})")
-    if not np.isfinite(rho) or rho <= 0:
-        raise EigenError("nonpositive principal multiplier: invalid discretization")
-    levels = family.step_period(v, store_levels=True)
-    k, psi, lower, upper, k_log = _floquet_levels_to_result(family, levels, rho, it)
+    v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
+    k, psi, lower, upper, k_log, rho, it = _floquet_iterate(family, v, tol=tol,
+                                                            max_iter=max_iter)
     return EigenResult(k, psi, lower, upper, it, "floquet", grid, family.lam,
                        diagnostics={"rho": rho, "k_log_multiplier": k_log})
 
@@ -255,64 +296,39 @@ def adjoint_eigenpair(coeffs: CoefficientSet, lam, grid: Grid, *,
                       mismatch_tol: float = 1e-6) -> AdjointPair:
     """Direct and adjoint principal eigenfunctions with unit pairing.
 
-    The discrete adjoint is the exact transpose, so the adjoint eigenvalue
+    The discrete adjoint is the exact transpose, so its principal eigenvalue
     matches the direct one to solver accuracy; a mismatch beyond
-    ``mismatch_tol`` raises.
+    ``mismatch_tol`` raises.  On the Floquet route the compared values are
+    the log-multipliers of the period map and of its transpose: the
+    sandwich averages of the two differ by the O(dt^2) error of the
+    centered time differences, and the adjoint one is reported as
+    ``k_adjoint``.
     """
     if coeffs.time_independent:
-        direct = principal_eigen_steady(coeffs, lam, grid, tol=tol, max_iter=max_iter)
-        action = assemble_action(coeffs, lam, grid)
+        action, lu, _ = _steady_factor(coeffs, lam, grid)
         E = action.matrix
-        n = E.shape[0]
-        sigma = direct.diagnostics["sigma"]
-        lu = splu((sigma * sp.eye_array(n, format="csc") - E).tocsc())
-        w = np.ones(n)
-        k_old = None
-        k_adj = np.nan
-        ET = E.T.tocsr()
-        for _ in range(max_iter):
-            w = lu.solve(w, trans="T")
-            w = w / np.max(np.abs(w))
-            if np.min(w) > 0:
-                k_adj, _, _ = _ratio_stats(-(ET @ w) / w, w * w)
-                if k_old is not None and abs(k_adj - k_old) <= tol * max(1.0, abs(k_adj)):
-                    break
-                k_old = k_adj
-        if np.min(w) <= 0:
-            raise PositivityError("adjoint eigenfunction has nonpositive entries")
-        if abs(k_adj - direct.k) > mismatch_tol:
-            raise EigenError(f"adjoint eigenvalue mismatch: {k_adj} vs {direct.k}")
-        phi = direct.phi
+        ones = np.ones(grid.npoints)
+        k, _, _, phi, _ = _inverse_iterate(
+            E, lu.solve, ones, width_target=WIDTH_TARGET, tol=tol, max_iter=max_iter,
+            what="steady inverse iteration")
+        k_adj, _, _, w, _ = _inverse_iterate(
+            E.T.tocsr(), lambda v: lu.solve(v, trans="T"), ones, width_target=np.inf,
+            tol=tol, max_iter=max_iter, what="adjoint steady inverse iteration")
+        if abs(k_adj - k) > mismatch_tol:
+            raise EigenError(f"adjoint eigenvalue mismatch: {k_adj} vs {k}")
         # pairing integral over (0,T) x C for time-constant functions
         pairing = grid.geometry.period * grid.cell_measure() * float(np.dot(phi, w))
-        phi_tilde = w / pairing
-        return AdjointPair(direct.k, phi, phi_tilde, grid, direct.lam, "steady", k_adj)
+        return AdjointPair(k, phi, w / pairing, grid, action.lam, "steady", k_adj)
 
     family = ActionFamily(coeffs, lam, grid)
-    direct = principal_eigen_floquet(coeffs, lam, grid, tol=tol, max_iter=max_iter,
-                                     family=family)
-    n = grid.npoints
-    w = np.ones(n)
-    rho_old = None
-    rho = np.nan
-    for _ in range(max_iter):
-        z = family.step_period(w, transpose=True)
-        rho = float(np.dot(z, w) / np.dot(w, w))
-        w = z / np.max(np.abs(z))
-        if rho_old is not None and abs(rho - rho_old) <= tol * max(1.0, abs(rho)):
-            break
-        rho_old = rho
-    else:
-        raise EigenConvergenceError("adjoint period-map power iteration did not settle")
-    levels = family.step_period(w, transpose=True, store_levels=True)
-    k_adj, psi_t, lo, up, _ = _floquet_levels_to_result(family, levels, rho, 0, adjoint=True)
-    if abs(k_adj - direct.k) > mismatch_tol:
-        raise EigenError(f"adjoint eigenvalue mismatch: {k_adj} vs {direct.k}")
-    psi = direct.phi
-    weights = grid.dt * grid.cell_measure()
-    pairing = weights * float(np.sum(psi * psi_t))
-    psi_t = psi_t / pairing
-    return AdjointPair(direct.k, psi, psi_t, grid, family.lam, "floquet", k_adj)
+    ones = np.ones(grid.npoints)
+    k, psi, _, _, k_log, _, _ = _floquet_iterate(family, ones, tol=tol, max_iter=max_iter)
+    k_adj, psi_t, _, _, k_log_adj, _, _ = _floquet_iterate(
+        family, ones, tol=tol, max_iter=max_iter, adjoint=True)
+    if abs(k_log_adj - k_log) > mismatch_tol:
+        raise EigenError(f"adjoint log-multiplier mismatch: {k_log_adj} vs {k_log}")
+    pairing = grid.dt * grid.cell_measure() * float(np.sum(psi * psi_t))
+    return AdjointPair(k, psi, psi_t / pairing, grid, family.lam, "floquet", k_adj)
 
 
 # --- closed form, sandwich, derivative -------------------------------------------
@@ -356,16 +372,10 @@ def eigen_sandwich(coeffs: CoefficientSet, lam, phi: np.ndarray, grid: Grid, *,
     if phi.ndim == 1:
         r = -family.apply_action(0, phi) / phi
         return float(r.min()), float(r.max())
-    n_t = grid.n_t
-    if phi.shape[0] != n_t:
-        raise ValueError(f"expected {n_t} time levels, got {phi.shape[0]}")
-    lo, up = np.inf, -np.inf
-    for m in range(n_t):
-        dphi = (phi[(m + 1) % n_t] - phi[(m - 1) % n_t]) / (2 * grid.dt)
-        r = (dphi - family.apply_action(m, phi[m])) / phi[m]
-        lo = min(lo, float(r.min()))
-        up = max(up, float(r.max()))
-    return lo, up
+    if phi.shape[0] != grid.n_t:
+        raise ValueError(f"expected {grid.n_t} time levels, got {phi.shape[0]}")
+    r = _floquet_ratios(family, phi)
+    return float(r.min()), float(r.max())
 
 
 def dk_dB_at_zero(coeffs: CoefficientSet, lam, eta: PeriodicField, grid: Grid,

@@ -117,7 +117,7 @@ def build_grid(geometry: CellGeometry, n_space, n_t: int | None = None,
 
 
 class _CoefficientSampler:
-    """Samples the arrays the stencils need, at one time level."""
+    """Samples the arrays the stencils need, stacked over time levels."""
 
     def __init__(self, coeffs: CoefficientSet, lam, grid: Grid):
         self.coeffs = coeffs
@@ -149,17 +149,9 @@ class _CoefficientSampler:
     def arrays_batch(self, times: np.ndarray) -> dict:
         """Stencil arrays of all time levels, stacked on a leading axis and
         evaluated in one vectorized pass."""
-        N = self.grid.dimension
-        t_col = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
-        return self._arrays_impl(t_col, batch=True)
-
-    def arrays(self, t: float) -> dict:
-        return self._arrays_impl(float(t), batch=False)
-
-    def _arrays_impl(self, t, batch: bool) -> dict:
         grid, lam = self.grid, self.lam
         N = grid.dimension
-        axis0 = 1 if batch else 0  # spatial axes shift right of the batch axis
+        t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
         shape = np.broadcast_shapes(np.shape(t), self.mesh[0].shape)
         A, q, mu = self.coeffs.A, self.coeffs.q, self.coeffs.mu
 
@@ -168,7 +160,7 @@ class _CoefficientSampler:
             return np.broadcast_to(np.asarray(vals, dtype=float), shape).copy()
 
         a_diag = [ev(A, (d, d)) for d in range(N)]
-        a_faces = [0.5 * (a + np.roll(a, -1, axis=axis0 + d)) for d, a in enumerate(a_diag)]
+        a_faces = [0.5 * (a + np.roll(a, -1, axis=1 + d)) for d, a in enumerate(a_diag)]
         a12 = None
         if N == 2:
             a12 = ev(A, (0, 1))
@@ -193,7 +185,7 @@ class _CoefficientSampler:
         else:
             h = grid.h
             div_alam = sum(
-                (np.roll(alam[d], -1, axis=axis0 + d) - np.roll(alam[d], 1, axis=axis0 + d))
+                (np.roll(alam[d], -1, axis=1 + d) - np.roll(alam[d], 1, axis=1 + d))
                 / (2 * h[d])
                 for d in range(N))
         lam_a_lam = sum(alam[d] * lam[d] for d in range(N))
@@ -202,16 +194,14 @@ class _CoefficientSampler:
         return {"a_faces": a_faces, "a12": a12, "b": b, "c0": c0}
 
 
-def _bands_1d(arrs, grid: Grid, adjoint: bool):
-    """Cyclic tridiagonal bands (dl, d, du, c0, c1) of the 1D action.
+def _bands_1d(af, b, c0v, h: float, adjoint: bool):
+    """Cyclic tridiagonal bands (dl, d, du, c0, c1) of the 1D action
+    (af d_x .)_x + b d_x . + c0v on a ring of spacing h.
 
+    af[..., i] is the diffusion at the face between points i and i+1.
     Arrays stacked over time levels on a leading axis give bands and corners
     stacked the same way.
     """
-    af = arrs["a_faces"][0]  # af[..., i] = face between i and i+1
-    b = arrs["b"][0]
-    c0v = arrs["c0"]
-    h = grid.h[0]
     afm = np.roll(af, 1, axis=-1)  # af[..., i-1]
     h2 = h * h
     diag = -(af + afm) / h2 + c0v
@@ -230,6 +220,19 @@ def _bands_1d(arrs, grid: Grid, adjoint: bool):
     dl[..., 0] = 0.0
     du[..., -1] = 0.0
     return dl, diag, du, corner0, corner1
+
+
+def _bands_1d_of(arrs, grid: Grid, adjoint: bool):
+    """_bands_1d of sampled stencil arrays (one level or stacked)."""
+    return _bands_1d(arrs["a_faces"][0], arrs["b"][0], arrs["c0"], grid.h[0], adjoint)
+
+
+def _level_arrays(stacked: dict, lev: int) -> dict:
+    """Stencil arrays of level lev of a stack from `arrays_batch`."""
+    return {"a_faces": [a[lev] for a in stacked["a_faces"]],
+            "a12": None if stacked["a12"] is None else stacked["a12"][lev],
+            "b": [b[lev] for b in stacked["b"]],
+            "c0": stacked["c0"][lev]}
 
 
 def _bands_to_csr(bands, n):
@@ -316,10 +319,9 @@ def assemble_action(coeffs: CoefficientSet, lam, grid: Grid,
     """Assemble E_lam (adjoint: its exact transpose) at time level t."""
     coeffs.ellipticity()  # raises NonEllipticError for bad A
     sampler = _CoefficientSampler(coeffs, lam, grid)
-    arrs = sampler.arrays(t)
+    arrs = _level_arrays(sampler.arrays_batch([t]), 0)
     if grid.dimension == 1:
-        bands = _bands_1d(arrs, grid, adjoint)
-        M = _bands_to_csr(bands, grid.n_space[0])
+        M = _bands_to_csr(_bands_1d_of(arrs, grid, adjoint), grid.n_space[0])
     else:
         M = _matrix_2d(arrs, grid)
         if adjoint:
@@ -355,28 +357,17 @@ class ActionFamily:
     def _level(self, m: int) -> int:
         return 0 if self.time_independent else m % self.grid.n_t
 
-    def arrays(self, m: int) -> dict:
-        """Stencil arrays of time level m."""
-        lev, s = self._level(m), self._stacked
-        return {"a_faces": [a[lev] for a in s["a_faces"]],
-                "a12": None if s["a12"] is None else s["a12"][lev],
-                "b": [b[lev] for b in s["b"]],
-                "c0": s["c0"][lev]}
-
     def matrix(self, m: int) -> sp.csr_array:
         lev = self._level(m)
         if lev not in self._matrices:
-            arrs = self.arrays(lev)
+            arrs = _level_arrays(self._stacked, lev)
             if self._is_1d:
-                M = _bands_to_csr(_bands_1d(arrs, self.grid, False), self.grid.n_space[0])
+                M = _bands_to_csr(_bands_1d_of(arrs, self.grid, False),
+                                  self.grid.n_space[0])
             else:
                 M = _matrix_2d(arrs, self.grid)
             self._matrices[lev] = M
         return self._matrices[lev]
-
-    def action(self, m: int) -> LinearAction:
-        return LinearAction(self.matrix(m), self.grid, self.lam, False,
-                            self._level(m) * self.grid.dt)
 
     # -- 1D path
 
@@ -384,7 +375,7 @@ class ActionFamily:
         """Band storage of E and of the right-hand matrices, and the factored
         left-hand matrices, once per distinct level (one if time-independent)."""
         half = 0.5 * self.grid.dt
-        el, ed, eu, ec0, ec1 = _bands_1d(self._stacked, self.grid, False)
+        el, ed, eu, ec0, ec1 = _bands_1d_of(self._stacked, self.grid, False)
         self._action_bands = list(zip(kernels.band_storage(el, ed, eu),
                                       ec0.tolist(), ec1.tolist()))
         lhs = [kernels.CyclicFactor(*bands) for bands in zip(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .kernels import cyclic_solve, tridiag_solve
 from .fields import CoefficientSet
-from .operators import Grid
+from .operators import Grid, _bands_1d
 
 __all__ = ["CauchyRun", "FrontEstimate", "SimulationError", "solve_cauchy",
            "front_speed", "smooth_bump"]
@@ -85,31 +85,19 @@ def smooth_bump(center: float = 0.0, width: float = 1.0, height: float = 1.0) ->
 
 def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, h: float, t: float,
                   periodic: bool):
-    """Bands of div(a grad .) - q d_x on the extended grid.
+    """Bands of div(a grad .) - q d_x on the extended grid: the operator's
+    1D stencil at lam = 0 without the zeroth-order term.
 
     Dirichlet: boundary rows are zeroed (their values are pinned to 0).
     Periodic: the grid is a ring of cells and the wrap enters as corners.
     """
     a = np.broadcast_to(np.asarray(coeffs.A.eval_entry((0, 0), t, x), dtype=float), x.shape)
     q = np.broadcast_to(np.asarray(coeffs.q.eval_entry(0, t, x), dtype=float), x.shape)
-    n = x.size
-    dl = np.zeros(n)
-    du = np.zeros(n)
-    dd = np.zeros(n)
+    a_faces = 0.5 * (a + np.roll(a, -1))  # face between i and i+1 (wraps)
+    dl, dd, du, c0, c1 = _bands_1d(a_faces, -q, 0.0, h, adjoint=False)
     if periodic:
-        af = 0.5 * (a + np.roll(a, -1))   # af[i]: face between i and i+1 (wraps)
-        afm = np.roll(af, 1)
-        dl[1:] = (afm / h**2 + q / (2 * h))[1:]
-        du[:-1] = (af / h**2 - q / (2 * h))[:-1]
-        dd[:] = -(af + afm) / h**2
-        c0 = afm[0] / h**2 + q[0] / (2 * h)
-        c1 = af[-1] / h**2 - q[-1] / (2 * h)
         return dl, dd, du, float(c0), float(c1)
-    af = 0.5 * (a[:-1] + a[1:])  # faces between consecutive points
-    dl[1:] = af / h**2 + q[1:] / (2 * h)
-    du[:-1] = af / h**2 - q[:-1] / (2 * h)
-    dd[1:-1] = -(af[:-1] + af[1:]) / h**2
-    dd[0] = dd[-1] = 0.0  # Dirichlet rows handled separately
+    dl[-1] = dd[0] = dd[-1] = du[0] = 0.0
     return dl, dd, du, 0.0, 0.0
 
 

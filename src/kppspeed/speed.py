@@ -159,7 +159,7 @@ class _RayObjective:
     """g(s) = -k(-s xi)/ (s xi.e), with eigen-result caching and warm starts."""
 
     def __init__(self, solve, e):
-        self.solve = solve  # (lam, v0) -> EigenResult
+        self.solve = solve  # (s, xi, v0) -> EigenResult at lam = -s xi
         self.e = e
         self.cache: dict[tuple, tuple[float, EigenResult]] = {}
         self._last_phi: Optional[np.ndarray] = None
@@ -172,14 +172,13 @@ class _RayObjective:
     def value_for(self, s: float, xi) -> float:
         key = self._key(s, xi)
         if key not in self.cache:
-            lam = -s * np.asarray(xi)
-            res = self.solve(lam, self._last_phi)
+            xi = np.asarray(xi)
+            res = self.solve(s, xi, self._last_phi)
             self._last_phi = res.phi if res.phi.ndim == 1 else res.phi[0]
             k = res.k_extrapolated
             if k >= 0:
                 raise NoSpreadingError(k)
-            denom = float(np.dot(lam, self.e))
-            val = k / denom
+            val = k / float(np.dot(-s * xi, self.e))
             self.cache[key] = (val, res)
             self.records.append({"s": s, "xi": key[1], "k": res.k,
                                  "lower": res.lower, "upper": res.upper,
@@ -194,42 +193,30 @@ class _RayObjective:
         return sorted((s, v) for (s, k), (v, _) in self.cache.items() if k == xi_key)
 
 
-def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto",
-                    richardson: bool = False, s_init: float = 1e-2,
-                    s_min: float = 1e-4, s_max: float = 1e4, tol: float = 1e-6,
-                    refine: bool = False, solver_kwargs: Optional[dict] = None
-                    ) -> SpeedResult:
-    """Ray search for c*_e = min_{lam.e<0} k_lam/(lam.e).
+def _ray_speed(solve, e: np.ndarray, route: str, *, s_init: float, s_min: float,
+               s_max: float, tol: float, refine: bool = False) -> SpeedResult:
+    """c*_e from ``solve(s, xi, v0)``, the eigenpair at lam = -s xi.
 
-    Verifies k_0 < 0 first (no spreading regime otherwise).  With
-    ``refine=True`` (2D) a coordinate descent over the ray direction inside
-    the half-space follows the axial search; both values are reported.
+    Checks k_0 < 0, brackets and minimizes along the ray xi = e, checks that
+    the sampled profile is unimodal and that the search kept its least
+    value, optionally refines the direction (2D), and checks that the speed
+    is k_lam/(lam.e) at the reported minimizer.
     """
-    e = _unit(e, grid.dimension)
-    kw = dict(solver_kwargs or {})
-
-    def solve(lam, v0):
-        return principal_eigenvalue(coeffs, lam, grid, route=route,
-                                    richardson=richardson, v0=v0, **kw)
-
-    k0_res = solve(np.zeros(grid.dimension), None)
-    if k0_res.k_extrapolated >= 0:
-        raise NoSpreadingError(k0_res.k_extrapolated)
+    k0 = solve(0.0, e, None).k_extrapolated
+    if k0 >= 0:
+        raise NoSpreadingError(k0)
 
     obj = _RayObjective(solve, e)
-
-    def g(s):
-        return obj.value_for(s, e)
-
-    s_star, c_star = _bracket_and_minimize(g, s_init, s_min, s_max, tol)
+    s_star, c_star = _bracket_and_minimize(lambda s: obj.value_for(s, e),
+                                           s_init, s_min, s_max, tol)
     profile = obj.ray_profile(e)
     _check_unimodal(profile)
     _check_minimum(profile, c_star)
 
     xi_star = e
-    diagnostics = {"k0": k0_res.k_extrapolated, "c_star_ray": c_star}
+    diagnostics = {"k0": k0, "c_star_ray": c_star}
     if refine:
-        if grid.dimension != 2:
+        if e.size != 2:
             raise SpeedError("half-space refinement is a 2D feature")
         perp = np.array([-e[1], e[0]])
         theta, s_cur = 0.0, s_star
@@ -254,8 +241,30 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
     if abs(c_star - c_of_k) > 1e-12 * max(1.0, abs(c_star)):
         raise SpeedError(f"speed {c_star!r} disagrees with k_lam/(lam.e) = {c_of_k!r} "
                          "at the minimizer")
-    return SpeedResult(c_star, lam_star, e, sorted(profile), "ray-search",
-                       eigen=res, records=obj.records, diagnostics=diagnostics)
+    return SpeedResult(c_star, lam_star, e, profile, route, eigen=res,
+                       records=obj.records, diagnostics=diagnostics)
+
+
+def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto",
+                    richardson: bool = False, s_init: float = 1e-2,
+                    s_min: float = 1e-4, s_max: float = 1e4, tol: float = 1e-6,
+                    refine: bool = False, solver_kwargs: Optional[dict] = None
+                    ) -> SpeedResult:
+    """Ray search for c*_e = min_{lam.e<0} k_lam/(lam.e).
+
+    Verifies k_0 < 0 first (no spreading regime otherwise).  With
+    ``refine=True`` (2D) a coordinate descent over the ray direction inside
+    the half-space follows the axial search; both values are reported.
+    """
+    e = _unit(e, grid.dimension)
+    kw = dict(solver_kwargs or {})
+
+    def solve(s, xi, v0):
+        return principal_eigenvalue(coeffs, -s * xi, grid, route=route,
+                                    richardson=richardson, v0=v0, **kw)
+
+    return _ray_speed(solve, e, "ray-search", s_init=s_init, s_min=s_min,
+                      s_max=s_max, tol=tol, refine=refine)
 
 
 # --- closed form for space-independent coefficients ---------------------------
@@ -383,33 +392,9 @@ def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
     e = _unit(e, 2)
     kw = dict(solver_kwargs or {})
 
-    def solve(s, v0):
-        reduced = _reduced_coeffs(a, q1, mu, s, e[0])
-        return principal_eigenvalue(reduced, [-s * e[1]], grid_y, v0=v0, **kw)
+    def solve(s, xi, v0):
+        reduced = _reduced_coeffs(a, q1, mu, s, xi[0])
+        return principal_eigenvalue(reduced, [-s * xi[1]], grid_y, v0=v0, **kw)
 
-    k0 = solve(0.0, None)
-    if k0.k >= 0:
-        raise NoSpreadingError(k0.k)
-
-    cache: dict[float, tuple[float, EigenResult]] = {}
-    records = []
-    last = {"phi": None}
-
-    def g(s):
-        key = round(s, 14)
-        if key not in cache:
-            res = solve(s, last["phi"])
-            last["phi"] = res.phi if res.phi.ndim == 1 else res.phi[0]
-            if res.k >= 0:
-                raise NoSpreadingError(res.k)
-            cache[key] = (-res.k / s, res)
-            records.append({"s": s, "k": res.k, "lower": res.lower, "upper": res.upper})
-        return cache[key][0]
-
-    s_star, c_star = _bracket_and_minimize(g, s_init, s_min, s_max, tol)
-    profile = sorted((s, v) for s, (v, _) in cache.items())
-    _check_unimodal(profile)
-    _check_minimum(profile, c_star)
-    return SpeedResult(c_star, -s_star * e, e, profile, "shear-reduced",
-                       eigen=cache[round(s_star, 14)][1], records=records,
-                       diagnostics={"k0": k0.k})
+    return _ray_speed(solve, e, "shear-reduced", s_init=s_init, s_min=s_min,
+                      s_max=s_max, tol=tol)

@@ -4,6 +4,7 @@ import pytest
 from kppspeed.fields import CoefficientSet, PeriodicField
 from kppspeed.operators import build_grid
 from kppspeed.eigen import (
+    EigenConvergenceError,
     EigenError,
     PositivityError,
     adjoint_eigenpair,
@@ -13,6 +14,7 @@ from kppspeed.eigen import (
     principal_eigen_floquet,
     principal_eigen_steady,
     principal_eigenvalue,
+    _power_iterate,
 )
 
 # Independent oracle (dense symmetric eigensolve of the assembled n=512
@@ -138,6 +140,56 @@ def test_adjoint_floquet_pairing():
     total = g.dt * g.cell_measure() * np.sum(pair.phi * pair.phi_tilde)
     assert total == pytest.approx(1.0, abs=1e-8)
     assert np.min(pair.phi_tilde) > 0
+
+
+def test_adjoint_floquet_compares_log_multipliers_at_coarse_dt():
+    # the sandwich averages of the direct and the adjoint pair differ by the
+    # O(dt^2) error of the centered time differences (4.8e-6 here), while the
+    # log-multipliers of the period map and of its transpose agree
+    cs = coeffs(A="1 + 0.3*cos(2*pi*x)", q="0.4*sin(2*pi*x)",
+                mu="1 + 0.5*cos(2*pi*x)*(1 + 0.5*sin(2*pi*t))")
+    g = build_grid(cs.geometry, 128, 32)
+    pair = adjoint_eigenpair(cs, [0.7], g)
+    assert pair.route == "floquet"
+    assert 1e-6 < abs(pair.k - pair.k_adjoint) <= 1e-4
+    assert pair.k == principal_eigen_floquet(cs, [0.7], g).k
+    total = g.dt * g.cell_measure() * np.sum(pair.phi * pair.phi_tilde)
+    assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def test_adjoint_steady_raises_when_not_converged():
+    # the direct eigenfunction is constant and settles in 2 iterations; the
+    # adjoint one is not and needs 4
+    cs = coeffs(q="3*sin(2*pi*x)")
+    g = build_grid(cs.geometry, 64)
+    with pytest.raises(EigenConvergenceError, match="adjoint steady"):
+        adjoint_eigenpair(cs, [0.0], g, max_iter=3)
+    assert adjoint_eigenpair(cs, [0.0], g, max_iter=4).k == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_power_iterate_raises_on_a_step_that_never_settles():
+    estimates = iter(range(100))
+
+    def measure(v, w, u):
+        return float(next(estimates)), True
+
+    with pytest.raises(EigenConvergenceError, match="did not settle in 20 iterations"):
+        _power_iterate(lambda v: 2.0 * v, np.ones(4), measure, tol=1e-10,
+                       max_iter=20, what="test iteration")
+
+
+def test_power_iterate_waits_for_the_extra_condition():
+    def measure(v, w, u):
+        return 1.0, False
+
+    with pytest.raises(EigenConvergenceError):
+        _power_iterate(lambda v: v, np.ones(4), measure, tol=1e-10, max_iter=5,
+                       what="test iteration")
+    est, v, it = _power_iterate(lambda v: -3.0 * v, np.full(4, 2.0),
+                                lambda v, w, u: (float(w @ v / (v @ v)), True),
+                                tol=1e-10, max_iter=5, what="test iteration")
+    assert (est, it) == (-3.0, 2)
+    np.testing.assert_array_equal(np.abs(v), 1.0)
 
 
 def test_k_x_independent_examples():

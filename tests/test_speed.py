@@ -133,6 +133,19 @@ def test_shear_speedup_is_monotone_in_amplitude():
     assert all(b > a_ + 1e-4 for a_, b in zip(vals, vals[1:]))
 
 
+def test_shear_speed_uses_the_richardson_value():
+    geo = coeffs().geometry
+    a = PeriodicField.scalar("1", geo)
+    q1 = PeriodicField.scalar("1.5*cos(2*pi*(x - t))", geo)
+    mu = PeriodicField.scalar("1", geo)
+    e = np.array([1.0, 0.0])
+    r = shear_speed(a, q1, mu, e, build_grid(geo, 32, 16),
+                    solver_kwargs={"route": "floquet", "richardson": True})
+    assert r.eigen.k_extrapolated != r.eigen.k
+    c_of_k = r.eigen.k_extrapolated / float(np.dot(r.lam_star, e))
+    assert abs(r.c_star - c_of_k) <= 1e-12 * abs(r.c_star)
+
+
 def test_shear_reduced_matches_full_2d_eigenvalue():
     geo = coeffs().geometry
     a = PeriodicField.scalar("1", geo)
