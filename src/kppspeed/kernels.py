@@ -1,8 +1,10 @@
-"""LAPACK kernels for the tridiagonal systems of Crank-Nicolson stepping.
+"""The Crank-Nicolson period sweep and LAPACK kernels for its 1D systems.
 
-The inner loop of the package is the one-period Crank-Nicolson sweep over
-cyclic tridiagonal systems (1D periodic cell), run inside power iterations
-inside ray searches.  Each left-hand matrix is factored once with LAPACK
+The inner loop of the package is the one-period Crank-Nicolson sweep
+`cn_period`, run inside power iterations inside ray searches.  The sweep
+takes any left-hand factor and right-hand product, so the same loop runs the
+cyclic tridiagonal systems of a 1D periodic cell and the sparse systems of a
+2D cell.  For the 1D systems each left-hand matrix is factored once with LAPACK
 ``dgttrf`` (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999) and the
 periodic corners enter through a Sherman-Morrison correction, so that one
 solve is one ``dgttrs`` call, one dot product and one axpy.  Right-hand sides
@@ -111,9 +113,11 @@ class CyclicFactor:
 def cn_period(lhs, rhs, v0, transpose: bool = False) -> np.ndarray:
     """Run one Crank-Nicolson period; returns all time levels (n_t+1, n).
 
-    ``lhs[m]`` is the CyclicFactor of the left-hand matrix of level m and
-    ``rhs[m]`` the (band storage, c0, c1) of the right-hand matrix, for
-    m = 0..n_t (lhs[0] is not used).
+    ``lhs[m]`` is any factor of the left-hand matrix L_m of level m with
+    ``.solve(b, trans)`` (a CyclicFactor, or a scipy SuperLU), and ``rhs[m]``
+    any product ``(v, trans)`` with the right-hand matrix R_m (for example
+    ``functools.partial(cyclic_matvec, ab, c0, c1)``), for m = 0..n_t
+    (lhs[0] is not used).
 
       forward:     v_{m+1} = L_{m+1}^{-1} (R_m v_m),        m = 0..n_t-1
       transposed:  w_m     = R_m^T (L_{m+1}^{-T} w_{m+1}),  m = n_t-1..0
@@ -124,12 +128,12 @@ def cn_period(lhs, rhs, v0, transpose: bool = False) -> np.ndarray:
     if not transpose:
         levels[0] = v0
         for m in range(n_t):
-            levels[m + 1] = lhs[m + 1].solve(cyclic_matvec(*rhs[m], levels[m]))
+            levels[m + 1] = lhs[m + 1].solve(rhs[m](levels[m]))
     else:
         levels[n_t] = v0
         for m in range(n_t - 1, -1, -1):
             z = lhs[m + 1].solve(levels[m + 1], trans="T")
-            levels[m] = cyclic_matvec(*rhs[m], z, trans="T")
+            levels[m] = rhs[m](z, "T")
     _require_finite("Crank-Nicolson levels", levels)
     return levels
 

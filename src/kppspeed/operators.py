@@ -18,17 +18,25 @@ divergence-form advection -div((2 A lam - q) .) with the same diagonal, i.e.
 the adjoint operator with its zeroth-order term -div(A lam)+lam.A.lam-q.lam+mu
 after expanding the products.
 
+The stencil along each axis is written once (`_axis_stencil`); the 1D
+cyclic tridiagonal bands and the CSR matrix of every dimension are built from
+it, and the 2D mixed-derivative block of A_12 is the only part specific to
+2D.
+
 Time stepping over one period is Crank-Nicolson,
 
     (I - dt/2 E_{m+1}) phi^{m+1} = (I + dt/2 E_m) phi^m,
 
-with the per-level systems solved by prefactored direct solvers (1D: LAPACK
-cyclic-tridiagonal factors, see :mod:`kppspeed.kernels`; 2D: sparse LU).
+run by the one sweep `kernels.cn_period` in every dimension.  Only the linear
+algebra of a level depends on the dimension: 1D uses LAPACK cyclic
+tridiagonal factors and band products (see :mod:`kppspeed.kernels`), 2D
+sparse LU and CSR products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,103 +202,71 @@ class _CoefficientSampler:
         return {"a_faces": a_faces, "a12": a12, "b": b, "c0": c0}
 
 
-def _bands_1d(af, b, c0v, h: float, adjoint: bool):
+def _axis_stencil(af, b, h: float, axis: int = -1):
+    """Coefficients on phi[i-1] and phi[i+1] and the diagonal part of
+    (af d_x .)_x + b d_x . along one axis of spacing h.
+
+    af[..., i] is the diffusion at the face between points i and i+1 along
+    that axis; the neighbours wrap around periodically.
+    """
+    afm = np.roll(af, 1, axis=axis)  # af[i-1]
+    h2 = h * h
+    lower = afm / h2 - b / (2 * h)
+    upper = af / h2 + b / (2 * h)
+    return lower, upper, -(af + afm) / h2
+
+
+def _bands_1d(af, b, c0v, h: float):
     """Cyclic tridiagonal bands (dl, d, du, c0, c1) of the 1D action
     (af d_x .)_x + b d_x . + c0v on a ring of spacing h.
 
-    af[..., i] is the diffusion at the face between points i and i+1.
     Arrays stacked over time levels on a leading axis give bands and corners
     stacked the same way.
     """
-    afm = np.roll(af, 1, axis=-1)  # af[..., i-1]
-    h2 = h * h
-    diag = -(af + afm) / h2 + c0v
-    if not adjoint:
-        dl = afm / h2 - b / (2 * h)
-        du = af / h2 + b / (2 * h)
-        corner0 = afm[..., 0] / h2 - b[..., 0] / (2 * h)     # row 0, col n-1
-        corner1 = af[..., -1] / h2 + b[..., -1] / (2 * h)    # row n-1, col 0
-    else:
-        bm = np.roll(b, 1, axis=-1)
-        bp = np.roll(b, -1, axis=-1)
-        dl = afm / h2 + bm / (2 * h)
-        du = af / h2 - bp / (2 * h)
-        corner0 = afm[..., 0] / h2 + b[..., -1] / (2 * h)
-        corner1 = af[..., -1] / h2 - b[..., 0] / (2 * h)
+    dl, du, diag = _axis_stencil(af, b, h)
+    corner0 = dl[..., 0].copy()   # row 0, col n-1
+    corner1 = du[..., -1].copy()  # row n-1, col 0
     dl[..., 0] = 0.0
     du[..., -1] = 0.0
-    return dl, diag, du, corner0, corner1
+    return dl, diag + c0v, du, corner0, corner1
 
 
-def _bands_1d_of(arrs, grid: Grid, adjoint: bool):
-    """_bands_1d of sampled stencil arrays (one level or stacked)."""
-    return _bands_1d(arrs["a_faces"][0], arrs["b"][0], arrs["c0"], grid.h[0], adjoint)
-
-
-def _level_arrays(stacked: dict, lev: int) -> dict:
-    """Stencil arrays of level lev of a stack from `arrays_batch`."""
-    return {"a_faces": [a[lev] for a in stacked["a_faces"]],
-            "a12": None if stacked["a12"] is None else stacked["a12"][lev],
-            "b": [b[lev] for b in stacked["b"]],
-            "c0": stacked["c0"][lev]}
-
-
-def _bands_to_csr(bands, n):
-    dl, d, du, c0, c1 = bands
-    i = np.arange(n)
-    rows = np.concatenate([i[1:], i, i[:-1], [0, n - 1]])
-    cols = np.concatenate([i[:-1], i, i[1:], [n - 1, 0]])
-    data = np.concatenate([dl[1:], d, du[:-1], [c0, c1]])
-    M = sp.csr_array((data, (rows, cols)), shape=(n, n))
+def _csr_matrix(stacked: dict, lev: int, grid: Grid) -> sp.csr_array:
+    """E_lam at level lev of a stack from `arrays_batch` as a CSR matrix, in
+    any dimension: the axis stencils, the zeroth-order diagonal and, in 2D,
+    the mixed a12 block."""
+    idx = np.arange(grid.npoints).reshape(grid.n_space)
+    cols, data = [], []
+    diag = 0.0
+    for d, (af, b, h) in enumerate(zip(stacked["a_faces"], stacked["b"], grid.h)):
+        lower, upper, diag_d = _axis_stencil(af[lev], b[lev], h, axis=d)
+        cols += [np.roll(idx, 1, axis=d), np.roll(idx, -1, axis=d)]
+        data += [lower, upper]
+        diag = diag + diag_d
+    cols.append(idx)
+    data.append(diag + stacked["c0"][lev])
+    if stacked["a12"] is not None:
+        a12 = stacked["a12"][lev]
+        # d_x(a12 d_y .) + d_y(a12 d_x .), centered-of-centered (symmetric)
+        s = 1.0 / (4 * grid.h[0] * grid.h[1])
+        a_xp, a_xm = np.roll(a12, -1, axis=0), np.roll(a12, 1, axis=0)
+        a_yp, a_ym = np.roll(a12, -1, axis=1), np.roll(a12, 1, axis=1)
+        ixp, ixm = np.roll(idx, -1, axis=0), np.roll(idx, 1, axis=0)
+        cols += [np.roll(ixp, -1, axis=1), np.roll(ixp, 1, axis=1),
+                 np.roll(ixm, -1, axis=1), np.roll(ixm, 1, axis=1)]
+        data += [s * (a_xp + a_yp), -s * (a_xp + a_ym),
+                 -s * (a_xm + a_yp), s * (a_xm + a_ym)]
+    rows = np.tile(idx.ravel(), len(cols))
+    M = sp.csr_array((np.concatenate([v.ravel() for v in data]),
+                      (rows, np.concatenate([c.ravel() for c in cols]))),
+                     shape=(grid.npoints, grid.npoints))
     M.eliminate_zeros()
     return M
 
 
-def _matrix_2d(arrs, grid: Grid):
-    n1, n2 = grid.n_space
-    h1, h2 = grid.h
-    af1, af2 = arrs["a_faces"]
-    b1, b2 = arrs["b"]
-    c0v = arrs["c0"]
-    a12 = arrs["a12"]
-    idx = np.arange(n1 * n2).reshape(n1, n2)
-    ixp = np.roll(idx, -1, axis=0)
-    ixm = np.roll(idx, 1, axis=0)
-    iyp = np.roll(idx, -1, axis=1)
-    iym = np.roll(idx, 1, axis=1)
-    af1m = np.roll(af1, 1, axis=0)
-    af2m = np.roll(af2, 1, axis=1)
-
-    rows, cols, data = [], [], []
-
-    def add(r, c, v):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        data.append(v.ravel())
-
-    add(idx, ixp, af1 / h1**2 + b1 / (2 * h1))
-    add(idx, ixm, af1m / h1**2 - b1 / (2 * h1))
-    add(idx, iyp, af2 / h2**2 + b2 / (2 * h2))
-    add(idx, iym, af2m / h2**2 - b2 / (2 * h2))
-    add(idx, idx, -(af1 + af1m) / h1**2 - (af2 + af2m) / h2**2 + c0v)
-    if a12 is not None:
-        # d_x(a12 d_y .) + d_y(a12 d_x .), centered-of-centered (symmetric)
-        s = 1.0 / (4 * h1 * h2)
-        a_xp = np.roll(a12, -1, axis=0)
-        a_xm = np.roll(a12, 1, axis=0)
-        a_yp = np.roll(a12, -1, axis=1)
-        a_ym = np.roll(a12, 1, axis=1)
-        ipp = np.roll(ixp, -1, axis=1)
-        ipm = np.roll(ixp, 1, axis=1)
-        imp = np.roll(ixm, -1, axis=1)
-        imm = np.roll(ixm, 1, axis=1)
-        add(idx, ipp, s * (a_xp + a_yp))
-        add(idx, ipm, -s * (a_xp + a_ym))
-        add(idx, imp, -s * (a_xm + a_yp))
-        add(idx, imm, s * (a_xm + a_ym))
-    M = sp.coo_array((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(n1 * n2, n1 * n2))
-    return M.tocsr()
+def _csr_matvec(M, v, trans: str = "N") -> np.ndarray:
+    """M @ v (trans='T': M.T @ v), the product form of kernels.cyclic_matvec."""
+    return (M.T if trans == "T" else M) @ v
 
 
 @dataclass
@@ -319,22 +295,21 @@ def assemble_action(coeffs: CoefficientSet, lam, grid: Grid,
     """Assemble E_lam (adjoint: its exact transpose) at time level t."""
     coeffs.ellipticity()  # raises NonEllipticError for bad A
     sampler = _CoefficientSampler(coeffs, lam, grid)
-    arrs = _level_arrays(sampler.arrays_batch([t]), 0)
-    if grid.dimension == 1:
-        M = _bands_to_csr(_bands_1d_of(arrs, grid, adjoint), grid.n_space[0])
-    else:
-        M = _matrix_2d(arrs, grid)
-        if adjoint:
-            M = M.T.tocsr()
+    M = _csr_matrix(sampler.arrays_batch([t]), 0, grid)
+    if adjoint:
+        M = M.T.tocsr()
     return LinearAction(M, grid, sampler.lam, adjoint, t)
 
 
 class ActionFamily:
     """E_lam sampled at the Crank-Nicolson time levels of one period.
 
-    Provides the monodromy (one-period) map and its exact transpose.  1D
-    periods run through the prefactored cyclic-tridiagonal kernels; the
-    general path drives prefactored sparse LU solves per level.
+    For each distinct level (one if the coefficients do not depend on time)
+    it builds the product with E, the factored left-hand matrix I - dt/2 E
+    and the product with the right-hand matrix I + dt/2 E, and runs the
+    monodromy (one-period) map and its exact transpose through
+    `kernels.cn_period`.  1D levels are cyclic tridiagonal (LAPACK factors and
+    band products); other dimensions use sparse LU and CSR products.
     """
 
     def __init__(self, coeffs: CoefficientSet, lam, grid: Grid):
@@ -344,75 +319,44 @@ class ActionFamily:
         self.lam = self.sampler.lam
         self.time_independent = coeffs.time_independent
         n_levels = 1 if self.time_independent else grid.n_t
-        times = np.arange(n_levels) * grid.dt
-        self._stacked = self.sampler.arrays_batch(times)
-        self._matrices: dict[int, sp.csr_array] = {}
-        self._is_1d = grid.dimension == 1
-        if self._is_1d:
-            self._build_bands()
+        self._stacked = self.sampler.arrays_batch(np.arange(n_levels) * grid.dt)
+        half = 0.5 * grid.dt
+        if grid.dimension == 1:
+            el, ed, eu, ec0, ec1 = _bands_1d(self._stacked["a_faces"][0],
+                                             self._stacked["b"][0],
+                                             self._stacked["c0"], grid.h[0])
+
+            def products(dl, d, du, c0, c1):
+                return [partial(kernels.cyclic_matvec, *args) for args in zip(
+                    kernels.band_storage(dl, d, du), c0.tolist(), c1.tolist())]
+
+            action = products(el, ed, eu, ec0, ec1)
+            lhs = [kernels.CyclicFactor(*bands) for bands in zip(
+                -half * el, 1.0 - half * ed, -half * eu, (-half * ec0).tolist(),
+                (-half * ec1).tolist())]
+            rhs = products(half * el, 1.0 + half * ed, half * eu, half * ec0, half * ec1)
         else:
-            self._lu: dict[int, object] = {}
-            self._rhs_cache: dict[int, sp.csr_array] = {}
+            mats = [self.matrix(lev) for lev in range(n_levels)]
+            eye = sp.eye_array(grid.npoints, format="csr")
+            action = [partial(_csr_matvec, M) for M in mats]
+            lhs = [splu((eye - half * M).tocsc()) for M in mats]
+            rhs = [partial(_csr_matvec, eye + half * M) for M in mats]
+        self._action = action
+        levels = [self._level(m) for m in range(grid.n_t + 1)]
+        self._lhs = [lhs[lev] for lev in levels]
+        self._rhs = [rhs[lev] for lev in levels]
 
     def _level(self, m: int) -> int:
         return 0 if self.time_independent else m % self.grid.n_t
 
     def matrix(self, m: int) -> sp.csr_array:
-        lev = self._level(m)
-        if lev not in self._matrices:
-            arrs = _level_arrays(self._stacked, lev)
-            if self._is_1d:
-                M = _bands_to_csr(_bands_1d_of(arrs, self.grid, False),
-                                  self.grid.n_space[0])
-            else:
-                M = _matrix_2d(arrs, self.grid)
-            self._matrices[lev] = M
-        return self._matrices[lev]
-
-    # -- 1D path
-
-    def _build_bands(self):
-        """Band storage of E and of the right-hand matrices, and the factored
-        left-hand matrices, once per distinct level (one if time-independent)."""
-        half = 0.5 * self.grid.dt
-        el, ed, eu, ec0, ec1 = _bands_1d_of(self._stacked, self.grid, False)
-        self._action_bands = list(zip(kernels.band_storage(el, ed, eu),
-                                      ec0.tolist(), ec1.tolist()))
-        lhs = [kernels.CyclicFactor(*bands) for bands in zip(
-            -half * el, 1.0 - half * ed, -half * eu, (-half * ec0).tolist(),
-            (-half * ec1).tolist())]
-        rhs = list(zip(kernels.band_storage(half * el, 1.0 + half * ed, half * eu),
-                       (half * ec0).tolist(), (half * ec1).tolist()))
-        levels = [self._level(m) for m in range(self.grid.n_t + 1)]
-        self._lhs = [lhs[lev] for lev in levels]
-        self._rhs = [rhs[lev] for lev in levels]
+        """E_lam(t_m) as a CSR matrix."""
+        return _csr_matrix(self._stacked, self._level(m), self.grid)
 
     def apply_action(self, m: int, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """E_lam(t_m) @ v (adjoint: E^T @ v), without forming a sparse matrix in 1D."""
-        if self._is_1d:
-            return kernels.cyclic_matvec(*self._action_bands[self._level(m)],
-                                         np.asarray(v, dtype=float),
-                                         trans="T" if adjoint else "N")
-        M = self.matrix(m)
-        return (M.T @ v) if adjoint else (M @ v)
-
-    # -- generic path
-
-    def _lu_factor(self, m: int):
-        lev = self._level(m)
-        if lev not in self._lu:
-            M = self.matrix(lev)
-            eye = sp.eye_array(M.shape[0], format="csc")
-            self._lu[lev] = splu((eye - 0.5 * self.grid.dt * M).tocsc())
-        return self._lu[lev]
-
-    def _rhs_matrix(self, m: int):
-        lev = self._level(m)
-        if lev not in self._rhs_cache:
-            M = self.matrix(lev)
-            self._rhs_cache[lev] = (sp.eye_array(M.shape[0], format="csr")
-                                    + 0.5 * self.grid.dt * M)
-        return self._rhs_cache[lev]
+        """E_lam(t_m) @ v (adjoint: E^T @ v)."""
+        return self._action[self._level(m)](np.asarray(v, dtype=float),
+                                            "T" if adjoint else "N")
 
     def step_period(self, phi0: np.ndarray, transpose: bool = False,
                     store_levels: bool = False):
@@ -426,24 +370,10 @@ class ActionFamily:
             raise ValueError("initial grid function has wrong length")
         if not np.all(np.isfinite(phi0)):
             raise ValueError("initial grid function must be finite")
-        n_t = self.grid.n_t
-        if self._is_1d:
-            levels = kernels.cn_period(self._lhs, self._rhs, phi0, transpose=transpose)
-        else:
-            levels = np.empty((n_t + 1, self.grid.npoints))
-            if not transpose:
-                levels[0] = phi0
-                for m in range(n_t):
-                    w = self._rhs_matrix(m) @ levels[m]
-                    levels[m + 1] = self._lu_factor(m + 1).solve(w)
-            else:
-                levels[n_t] = phi0
-                for m in range(n_t - 1, -1, -1):
-                    z = self._lu_factor(m + 1).solve(levels[m + 1], trans="T")
-                    levels[m] = self._rhs_matrix(m).T @ z
+        levels = kernels.cn_period(self._lhs, self._rhs, phi0, transpose=transpose)
         if store_levels:
             return levels
-        return levels[0] if transpose else levels[n_t]
+        return levels[0] if transpose else levels[-1]
 
 
 def step_period(family: ActionFamily, phi0: np.ndarray, *, transpose: bool = False,

@@ -94,7 +94,7 @@ def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, h: float, t: float,
     a = np.broadcast_to(np.asarray(coeffs.A.eval_entry((0, 0), t, x), dtype=float), x.shape)
     q = np.broadcast_to(np.asarray(coeffs.q.eval_entry(0, t, x), dtype=float), x.shape)
     a_faces = 0.5 * (a + np.roll(a, -1))  # face between i and i+1 (wraps)
-    dl, dd, du, c0, c1 = _bands_1d(a_faces, -q, 0.0, h, adjoint=False)
+    dl, dd, du, c0, c1 = _bands_1d(a_faces, -q, 0.0, h)
     if periodic:
         return dl, dd, du, float(c0), float(c1)
     dl[-1] = dd[0] = dd[-1] = du[0] = 0.0

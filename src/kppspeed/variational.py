@@ -127,8 +127,9 @@ def k0_rayleigh(A: PeriodicField, V, grid: Grid) -> float:
     K = assemble_action(zero, [0.0] * grid.dimension, grid).matrix
     M = (-K - sp.diags_array(v_vals)).tocsc()
     sigma = -float(np.max(v_vals)) - 1.0  # strictly below the spectrum
-    vals = eigsh(M, k=1, sigma=sigma, which="LM", return_eigenvectors=False,
-                 tol=1e-12)
+    # a fixed start vector: ARPACK's own is random, and so would be the digits
+    vals = eigsh(M, k=1, sigma=sigma, which="LM", v0=np.ones(grid.npoints),
+                 return_eigenvectors=False, tol=1e-12)
     return float(vals[0])
 
 

@@ -1,6 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.linalg import LinAlgError
+from scipy.sparse.linalg import splu
 
 from kppspeed.kernels import (
     CyclicFactor,
@@ -10,6 +14,7 @@ from kppspeed.kernels import (
     cyclic_solve,
     tridiag_solve,
 )
+from kppspeed.operators import _csr_matvec
 
 
 def random_cyclic(rng, n):
@@ -64,27 +69,49 @@ def test_cyclic_matvec_matches_dense(trans):
     np.testing.assert_allclose(out, (M if trans == "N" else M.T) @ v, rtol=1e-14, atol=1e-14)
 
 
-def test_cn_period_matches_dense_stepping():
-    rng = np.random.default_rng(3)
-    n, n_t = 7, 4
-    lhs_bands = [random_cyclic(rng, n) for _ in range(n_t + 1)]
-    rhs_bands = [random_cyclic(rng, n) for _ in range(n_t + 1)]
-    lhs = [CyclicFactor(*b) for b in lhs_bands]
-    rhs = [(band_storage(*b[:3]), b[3], b[4]) for b in rhs_bands]
-    L = [dense(*b) for b in lhs_bands]
-    R = [dense(*b) for b in rhs_bands]
-    v0 = rng.standard_normal(n)
+def cyclic_product(bands):
+    return partial(cyclic_matvec, band_storage(*bands[:3]), bands[3], bands[4])
+
+
+def check_cn_period_against_dense(lhs, rhs, L, R, v0):
+    n_t = len(L) - 1
     ref = v0
     for m in range(n_t):
         ref = np.linalg.solve(L[m + 1], R[m] @ ref)
     levels = cn_period(lhs, rhs, v0)
-    assert levels.shape == (n_t + 1, n)
+    assert levels.shape == (n_t + 1, v0.size)
     np.testing.assert_allclose(levels[n_t], ref, rtol=1e-12, atol=1e-12)
     ref = v0
     for m in range(n_t - 1, -1, -1):
         ref = R[m].T @ np.linalg.solve(L[m + 1].T, ref)
     np.testing.assert_allclose(cn_period(lhs, rhs, v0, transpose=True)[0], ref,
                                rtol=1e-12, atol=1e-12)
+
+
+def test_cn_period_matches_dense_stepping():
+    rng = np.random.default_rng(3)
+    n, n_t = 7, 4
+    lhs_bands = [random_cyclic(rng, n) for _ in range(n_t + 1)]
+    rhs_bands = [random_cyclic(rng, n) for _ in range(n_t + 1)]
+    check_cn_period_against_dense(
+        [CyclicFactor(*b) for b in lhs_bands], [cyclic_product(b) for b in rhs_bands],
+        [dense(*b) for b in lhs_bands], [dense(*b) for b in rhs_bands],
+        rng.standard_normal(n))
+
+
+def test_cn_period_runs_sparse_lu_and_csr_products():
+    rng = np.random.default_rng(7)
+    n, n_t = 12, 4
+
+    def random_sparse():
+        M = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.3)
+        return M + np.diag(rng.uniform(3.0, 4.0, n) * rng.choice([-1.0, 1.0], n))
+
+    L = [random_sparse() for _ in range(n_t + 1)]
+    R = [random_sparse() for _ in range(n_t + 1)]
+    check_cn_period_against_dense(
+        [splu(sp.csc_array(M)) for M in L], [partial(_csr_matvec, sp.csr_array(M)) for M in R],
+        L, R, rng.standard_normal(n))
 
 
 def test_tridiag_solve_matches_dense():
@@ -122,7 +149,7 @@ def test_non_finite_right_hand_side_and_levels_raise():
     with pytest.raises(ValueError, match="infs or NaNs"):
         cyclic_solve(dl, d, du, c0, c1, b)
     lhs = [CyclicFactor(dl, d, du, c0, c1)] * 3
-    rhs = [(band_storage(dl, d, du), c0, c1)] * 3
+    rhs = [cyclic_product((dl, d, du, c0, c1))] * 3
     with pytest.raises(ValueError, match="infs or NaNs"):
         cn_period(lhs, rhs, b)
 

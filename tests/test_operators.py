@@ -17,6 +17,22 @@ def make_coeffs(A="1", q=None, mu="1", T=1.0, L=1.0, params=None):
     return CoefficientSet.from_expressions(A=A, q=q, mu=mu, T=T, L=L, params=params)
 
 
+# a 2D case with a mixed term a12 and a time-dependent mu, for the tests that
+# run in both dimensions
+COEFFS_2D = dict(A={"11": "1 + 0.5*cos(2*pi*x)", "22": "1 + 0.3*sin(2*pi*y)",
+                    "12": "0.2*cos(2*pi*(x - y))"},
+                 q=("0.3*sin(2*pi*y)", "0.2*cos(2*pi*x)"),
+                 mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)*cos(2*pi*y)", L=(1.0, 1.0))
+
+
+def case(dim, coeffs_1d, n, n_t, lam):
+    """(coeffs, grid, lam): the given 1D case, or COEFFS_2D on a 24 x 24 grid."""
+    if dim == 1:
+        return make_coeffs(**coeffs_1d), build_grid(GEO1, n, n_t), [lam]
+    coeffs = make_coeffs(**COEFFS_2D)
+    return coeffs, build_grid(coeffs.geometry, (24, 24), n_t), [lam, -0.5 * lam]
+
+
 def smooth_positive(grid, rng, dim=1):
     mesh = grid.meshgrid()
     u = np.ones(mesh[0].shape)
@@ -99,11 +115,12 @@ def test_action_linearity():
                                rtol=0, atol=1e-12 * (np.abs(act(u)).max() + np.abs(act(v)).max()))
 
 
-def test_adjoint_is_exact_transpose_1d():
-    coeffs = make_coeffs(A="2 + cos(2*pi*x)", q="0.5*sin(2*pi*x)", mu="1 + 0.3*sin(2*pi*x)")
-    grid = build_grid(GEO1, 64)
-    direct = assemble_action(coeffs, [0.8], grid).matrix
-    adj = assemble_action(coeffs, [0.8], grid, adjoint=True).matrix
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_adjoint_is_exact_transpose(dim):
+    coeffs, grid, lam = case(dim, dict(A="2 + cos(2*pi*x)", q="0.5*sin(2*pi*x)",
+                                       mu="1 + 0.3*sin(2*pi*x)"), 64, 64, 0.8)
+    direct = assemble_action(coeffs, lam, grid).matrix
+    adj = assemble_action(coeffs, lam, grid, adjoint=True).matrix
     diff = (direct.T - adj).toarray()
     assert np.max(np.abs(diff)) == 0.0
 
@@ -179,13 +196,14 @@ def test_step_period_positivity():
         assert np.min(step_period(fam, phi0)) > 0
 
 
-def test_step_period_residual_contract():
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_step_period_residual_contract(dim):
     # each Crank-Nicolson solve satisfies its linear system to 1e-10 relative
-    coeffs = make_coeffs(A="1 + 0.5*cos(2*pi*x)", mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)")
-    grid = build_grid(GEO1, 64, 16)
-    fam = ActionFamily(coeffs, [0.2], grid)
+    coeffs, grid, lam = case(dim, dict(A="1 + 0.5*cos(2*pi*x)",
+                                       mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)"), 64, 16, 0.2)
+    fam = ActionFamily(coeffs, lam, grid)
     rng = np.random.default_rng(5)
-    levels = fam.step_period(smooth_positive(grid, rng), store_levels=True)
+    levels = fam.step_period(smooth_positive(grid, rng, dim), store_levels=True)
     dt = grid.dt
     for m in range(grid.n_t):
         Em = fam.matrix(m)
@@ -195,16 +213,45 @@ def test_step_period_residual_contract():
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def test_transpose_period_map_is_adjoint_of_forward():
-    coeffs = make_coeffs(A="1 + 0.5*cos(2*pi*x)", q="0.3*sin(2*pi*x)",
-                         mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)")
-    grid = build_grid(GEO1, 32, 16)
-    fam = ActionFamily(coeffs, [0.4], grid)
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_transpose_period_map_is_adjoint_of_forward(dim):
+    coeffs, grid, lam = case(dim, dict(A="1 + 0.5*cos(2*pi*x)", q="0.3*sin(2*pi*x)",
+                                       mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)"), 32, 16, 0.4)
+    fam = ActionFamily(coeffs, lam, grid)
     rng = np.random.default_rng(6)
     u, w = rng.standard_normal((2, grid.npoints))
     Pu = fam.step_period(u)
     PTw = fam.step_period(w, transpose=True)
     assert abs(np.dot(Pu, w) - np.dot(u, PTw)) <= 1e-11 * np.linalg.norm(u) * np.linalg.norm(w)
+
+
+def test_y_independent_2d_operator_reproduces_1d():
+    # the one stencil in every dimension: with coefficients that do not depend
+    # on y and lam = (l, 0), the 2D operator and period map act on functions
+    # constant in y as the 1D ones do
+    kw = dict(A="1 + 0.5*cos(2*pi*x)", q="0.3*sin(2*pi*x)",
+              mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)")
+    coeffs1 = make_coeffs(**kw)
+    coeffs2 = make_coeffs(A={"11": kw["A"], "22": "2 + sin(2*pi*x)", "12": "0.3*cos(2*pi*x)"},
+                          q=(kw["q"], "0.4*cos(2*pi*x)"), mu=kw["mu"], L=(1.0, 1.0))
+    n, n_y, n_t, lam = 32, 8, 16, 0.6
+    grid1 = build_grid(GEO1, n, n_t)
+    grid2 = build_grid(coeffs2.geometry, (n, n_y), n_t)
+    v = np.random.default_rng(7).standard_normal(n)
+
+    def check(w1, w2, rtol):
+        err = np.max(np.abs(w2.reshape(n, n_y) - w1[:, None]))
+        assert err <= rtol * np.max(np.abs(w1))
+
+    for adjoint in (False, True):
+        for t in (0.0, 0.3):
+            E1 = assemble_action(coeffs1, [lam], grid1, adjoint=adjoint, t=t)
+            E2 = assemble_action(coeffs2, [lam, 0.0], grid2, adjoint=adjoint, t=t)
+            check(E1(v), E2(np.repeat(v, n_y)), 1e-14)
+        fam1 = ActionFamily(coeffs1, [lam], grid1)
+        fam2 = ActionFamily(coeffs2, [lam, 0.0], grid2)
+        check(fam1.step_period(v, transpose=adjoint),
+              fam2.step_period(np.repeat(v, n_y), transpose=adjoint), 1e-12)
 
 
 def test_non_elliptic_rejected():

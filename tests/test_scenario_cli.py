@@ -203,12 +203,19 @@ def test_cli_speed_one_shot(capsys):
 
 
 def test_cli_module_entry(tmp_path):
+    import os
     import subprocess
     import sys
+
+    import kppspeed
     good = _write(tmp_path, FAST_SCENARIO)
+    # the subprocess imports the same kppspeed as this test, installed or not
+    src = str(Path(kppspeed.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "kppspeed", "run", str(good),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout

@@ -74,6 +74,11 @@ def test_k0_rayleigh_examples():
     assert abs(k_arp - k_pow) <= 1e-8
 
 
+def test_k0_rayleigh_is_deterministic():
+    g = build_grid(GEO, 256)
+    assert k0_rayleigh(A_COS, MU_COS, g) == k0_rayleigh(A_COS, MU_COS, g)
+
+
 def test_rayleigh_upper_bound_constant_saturates():
     g = build_grid(GEO, 256)
     alpha = PeriodicField.scalar("1", GEO)
