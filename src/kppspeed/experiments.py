@@ -416,7 +416,12 @@ def run_shear(sc: Scenario) -> ExperimentReport:
 
 def run_potential_drift(sc: Scenario) -> ExperimentReport:
     """Gradient drifts slow the front: c*(B grad Q) <= 2 sqrt(mu0); c*(B)/B
-    decreasing at large B; the drift-to-potential transform identity."""
+    decreasing at large B; the drift-to-potential transform identity.
+
+    The checked direction, a decrease, contradicts the abstract's claim (3)
+    that a drift q = grad Q increases the minimal speed; an independent
+    65-mode Fourier-Galerkin computation agrees with the decrease.
+    """
     b_grid = sc.opt_floats("b_grid", (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0))
     tol_cap = sc.opt_float("tol_cap", 1e-6)
     tol_transform = sc.opt_float("tol_transform", 1e-6)

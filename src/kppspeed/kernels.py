@@ -4,12 +4,12 @@ The inner loop of the package is the one-period Crank-Nicolson sweep
 `cn_period`, run inside power iterations inside ray searches.  The sweep
 takes any left-hand factor and right-hand product, so the same loop runs the
 cyclic tridiagonal systems of a 1D periodic cell and the sparse systems of a
-2D cell.  For the 1D systems each left-hand matrix is factored once with LAPACK
-``dgttrf`` (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999) and the
+2D cell.  `cn_levels` makes the 1D levels of the period map and of the
+Cauchy simulator: each left-hand matrix is factored once with LAPACK
+``dgttrf`` (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999) and nonzero
 periodic corners enter through a Sherman-Morrison correction, so that one
 solve is one ``dgttrs`` call, one dot product and one axpy.  Right-hand sides
-are applied with BLAS ``dgbmv``.  Plain (Dirichlet) tridiagonal systems are
-solved by ``dgtsv``.
+are applied with BLAS ``dgbmv``.
 
 Band convention for an n x n cyclic tridiagonal matrix M:
   M[i, i] = d[i],  M[i, i-1] = dl[i] (dl[0] unused),  M[i, i+1] = du[i]
@@ -20,13 +20,15 @@ Non-finite bands raise ValueError and singular systems raise LinAlgError.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
-__all__ = ["CyclicFactor", "band_storage", "cyclic_matvec", "cn_period",
-           "tridiag_solve", "cyclic_solve"]
+__all__ = ["CyclicFactor", "band_storage", "cyclic_matvec", "band_products",
+           "cn_levels", "cn_period", "tridiag_solve"]
 
 
 def _require_finite(what: str, *arrays) -> None:
@@ -64,23 +66,26 @@ class CyclicFactor:
     d[n-1] - c0 c1/gamma on its diagonal.  T is factored once by dgttrf; then
     M^{-1} b = y - (v.y) z with y = T^{-1} b and z = T^{-1} u / (1 + v.T^{-1} u),
     and M^{-T} b is the same with T^T and u, v swapped.  The correction vector
-    z of each orientation is computed on its first solve.
+    z of each orientation is computed on its first solve.  With zero corners
+    M = T is factored as it is and a solve is one dgttrs.
     """
 
     def __init__(self, dl, d, du, c0: float, c1: float):
         d = np.array(d, dtype=float)
-        gamma = -d[0] if d[0] != 0.0 else -1.0
-        d[0] -= gamma
-        d[-1] -= c0 * c1 / gamma
+        self._cyclic = c0 != 0.0 or c1 != 0.0
+        if self._cyclic:
+            gamma = -d[0] if d[0] != 0.0 else -1.0
+            d[0] -= gamma
+            d[-1] -= c0 * c1 / gamma
+            # orientation -> (u, v) as their entries at indices 0 and n-1
+            self._uv = {"N": ((gamma, c1), (1.0, c0 / gamma)),
+                        "T": ((1.0, c0 / gamma), (gamma, c1))}
         # a non-finite d[0], c0 or c1 leaves d[0] or d[-1] non-finite
         _require_finite("cyclic tridiagonal bands", dl[1:], d, du[:-1])
         *self._lu, info = dgttrf(dl[1:], d, du[:-1])
         if info != 0:
             raise LinAlgError("singular matrix")
         self._n = d.shape[0]
-        # orientation -> (u, v) as their entries at indices 0 and n-1
-        self._uv = {"N": ((gamma, c1), (1.0, c0 / gamma)),
-                    "T": ((1.0, c0 / gamma), (gamma, c1))}
         self._z: dict[str, np.ndarray] = {}
 
     def _tridiag(self, b, trans: str) -> np.ndarray:
@@ -101,6 +106,8 @@ class CyclicFactor:
 
     def solve(self, b, trans: str = "N") -> np.ndarray:
         """M^{-1} b (trans='T': M^{-T} b)."""
+        if not self._cyclic:
+            return self._tridiag(b, trans)
         z = self._z.get(trans)
         if z is None:
             z = self._z[trans] = self._correction(trans)
@@ -108,6 +115,23 @@ class CyclicFactor:
         v0, v1 = self._uv[trans][1]
         y -= (v0 * y[0] + v1 * y[-1]) * z
         return y
+
+
+def band_products(dl, d, du, c0, c1) -> list:
+    """Products ``(v, trans)`` with the cyclic tridiagonal matrices whose
+    bands (n_levels, n) and corners (n_levels,) are stacked over levels."""
+    return [partial(cyclic_matvec, *args) for args in zip(
+        band_storage(dl, d, du), c0.tolist(), c1.tolist())]
+
+
+def cn_levels(dl, d, du, c0, c1, half: float):
+    """Crank-Nicolson levels of the matrices E stacked as in `band_products`:
+    the factors of I - half E and the products with I + half E, one per level,
+    as `cn_period` takes them."""
+    lhs = [CyclicFactor(*bands) for bands in zip(
+        -half * dl, 1.0 - half * d, -half * du, (-half * c0).tolist(),
+        (-half * c1).tolist())]
+    return lhs, band_products(half * dl, 1.0 + half * d, half * du, half * c0, half * c1)
 
 
 def cn_period(lhs, rhs, v0, transpose: bool = False) -> np.ndarray:
@@ -148,8 +172,3 @@ def tridiag_solve(dl, d, du, b) -> np.ndarray:
         raise ValueError(f"illegal argument {-info} to dgtsv")
     return x
 
-
-def cyclic_solve(dl, d, du, c0, c1, b) -> np.ndarray:
-    """Solve the cyclic tridiagonal system (corners c0 = M[0,-1], c1 = M[-1,0])."""
-    _require_finite("right-hand side", b)
-    return CyclicFactor(dl, d, du, c0, c1).solve(b)

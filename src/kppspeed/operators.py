@@ -308,8 +308,8 @@ class ActionFamily:
     it builds the product with E, the factored left-hand matrix I - dt/2 E
     and the product with the right-hand matrix I + dt/2 E, and runs the
     monodromy (one-period) map and its exact transpose through
-    `kernels.cn_period`.  1D levels are cyclic tridiagonal (LAPACK factors and
-    band products); other dimensions use sparse LU and CSR products.
+    `kernels.cn_period`.  1D levels come from `kernels.cn_levels`; other
+    dimensions use sparse LU and CSR products.
     """
 
     def __init__(self, coeffs: CoefficientSet, lam, grid: Grid):
@@ -322,19 +322,10 @@ class ActionFamily:
         self._stacked = self.sampler.arrays_batch(np.arange(n_levels) * grid.dt)
         half = 0.5 * grid.dt
         if grid.dimension == 1:
-            el, ed, eu, ec0, ec1 = _bands_1d(self._stacked["a_faces"][0],
-                                             self._stacked["b"][0],
-                                             self._stacked["c0"], grid.h[0])
-
-            def products(dl, d, du, c0, c1):
-                return [partial(kernels.cyclic_matvec, *args) for args in zip(
-                    kernels.band_storage(dl, d, du), c0.tolist(), c1.tolist())]
-
-            action = products(el, ed, eu, ec0, ec1)
-            lhs = [kernels.CyclicFactor(*bands) for bands in zip(
-                -half * el, 1.0 - half * ed, -half * eu, (-half * ec0).tolist(),
-                (-half * ec1).tolist())]
-            rhs = products(half * el, 1.0 + half * ed, half * eu, half * ec0, half * ec1)
+            bands = _bands_1d(self._stacked["a_faces"][0], self._stacked["b"][0],
+                              self._stacked["c0"], grid.h[0])
+            action = kernels.band_products(*bands)
+            lhs, rhs = kernels.cn_levels(*bands, half)
         else:
             mats = [self.matrix(lev) for lev in range(n_levels)]
             eye = sp.eye_array(grid.npoints, format="csr")

@@ -7,7 +7,8 @@ boundaries, by Strang splitting:
 * half-step reaction: the logistic ODE has the exact pointwise flow
   u -> u / (u + (1 - u) exp(-mu tau)), with mu frozen at the midpoint of the
   half interval;
-* full linear Crank-Nicolson transport-diffusion step (tridiagonal solve).
+* full linear Crank-Nicolson transport-diffusion step on `kernels.cn_levels`,
+  factored once per run (once per level of a period when A or q depend on t).
 
 Ahead of the front the true solution is far below machine precision, and the
 linear solves inject roundoff of either sign which the reaction half-steps
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import cyclic_solve, tridiag_solve
+from .kernels import cn_levels
 from .fields import CoefficientSet
 from .operators import Grid, _bands_1d
 
@@ -83,22 +84,25 @@ def smooth_bump(center: float = 0.0, width: float = 1.0, height: float = 1.0) ->
     return u0
 
 
-def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, h: float, t: float,
-                  periodic: bool):
-    """Bands of div(a grad .) - q d_x on the extended grid: the operator's
-    1D stencil at lam = 0 without the zeroth-order term.
+def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, grid: Grid, periodic: bool):
+    """Crank-Nicolson levels (`kernels.cn_levels`) of div(a grad .) - q d_x on
+    the extended grid: the operator's 1D stencil at lam = 0 without the
+    zeroth-order term, at t = 0 alone if A and q do not depend on time and at
+    the n_t levels of a period otherwise.
 
-    Dirichlet: boundary rows are zeroed (their values are pinned to 0).
+    Dirichlet: boundary rows and corners are zeroed (their values stay 0).
     Periodic: the grid is a ring of cells and the wrap enters as corners.
     """
-    a = np.broadcast_to(np.asarray(coeffs.A.eval_entry((0, 0), t, x), dtype=float), x.shape)
-    q = np.broadcast_to(np.asarray(coeffs.q.eval_entry(0, t, x), dtype=float), x.shape)
-    a_faces = 0.5 * (a + np.roll(a, -1))  # face between i and i+1 (wraps)
-    dl, dd, du, c0, c1 = _bands_1d(a_faces, -q, 0.0, h)
-    if periodic:
-        return dl, dd, du, float(c0), float(c1)
-    dl[-1] = dd[0] = dd[-1] = du[0] = 0.0
-    return dl, dd, du, 0.0, 0.0
+    time_dep = not (coeffs.A.time_independent and coeffs.q.time_independent)
+    t = np.arange(grid.n_t if time_dep else 1)[:, None] * grid.dt
+    shape = (t.shape[0], x.size)
+    a = np.broadcast_to(np.asarray(coeffs.A.eval_entry((0, 0), t, x), dtype=float), shape)
+    q = np.broadcast_to(np.asarray(coeffs.q.eval_entry(0, t, x), dtype=float), shape)
+    a_faces = 0.5 * (a + np.roll(a, -1, axis=-1))  # face between i and i+1 (wraps)
+    dl, dd, du, c0, c1 = _bands_1d(a_faces, -q, 0.0, grid.h[0])
+    if not periodic:
+        dl[:, -1] = dd[:, 0] = dd[:, -1] = du[:, 0] = c0[:] = c1[:] = 0.0
+    return cn_levels(dl, dd, du, c0, c1, 0.5 * grid.dt)
 
 
 def _logistic_half(u: np.ndarray, mu: np.ndarray, tau: float) -> np.ndarray:
@@ -138,15 +142,16 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
     u = np.asarray(u0(x) if callable(u0) else u0, dtype=float).copy()
     if u.shape != x.shape:
         raise SimulationError("initial data does not match the extended grid")
+    if not np.isfinite(u).all():
+        raise SimulationError("initial data must be finite")
     if np.min(u) < 0:
         raise SimulationError("initial data must be nonnegative")
     if not periodic and np.max(np.abs(u[[0, -1]])) > 0:
         raise SimulationError("initial data must vanish at the far boundaries")
     cap = max(1.0, float(np.max(u)))
 
-    # the bands depend on A and q only; mu enters through the reaction steps
-    bands_time_dep = not (coeffs.A.time_independent and coeffs.q.time_independent)
-    bands = _linear_bands(coeffs, x, h, 0.0, periodic)
+    # the levels depend on A and q only; mu enters through the reaction steps
+    lhs, rhs = _linear_bands(coeffs, x, grid, periodic)
 
     n_steps = int(round(t_end / dt))
     every = max(1, int(round(snapshot_dt / dt)))
@@ -164,34 +169,13 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
     for step in range(n_steps):
         t = step * dt
         u = _logistic_half(u, mu_at(t + 0.25 * dt), 0.5 * dt)
-        if bands_time_dep:
-            bands_new = _linear_bands(coeffs, x, h, t + dt, periodic)
-        else:
-            bands_new = bands
-        dl, dd, du, c0, c1 = bands
-        rhs = u + 0.5 * dt * (dd * u)
-        rhs[1:] += 0.5 * dt * dl[1:] * u[:-1]
-        rhs[:-1] += 0.5 * dt * du[:-1] * u[1:]
-        dln, ddn, dun, c0n, c1n = bands_new
-        sl = -0.5 * dt * dln
-        sd = 1.0 - 0.5 * dt * ddn
-        su = -0.5 * dt * dun
-        if periodic:
-            rhs[0] += 0.5 * dt * c0 * u[-1]
-            rhs[-1] += 0.5 * dt * c1 * u[0]
-            u = cyclic_solve(sl, sd, su, -0.5 * dt * c0n, -0.5 * dt * c1n, rhs)
-        else:
-            rhs[0] = rhs[-1] = 0.0
-            sl[-1] = su[0] = 0.0
-            sd[0] = sd[-1] = 1.0
-            sl[0] = su[-1] = 0.0
-            u = tridiag_solve(sl, sd, su, rhs)
-        if np.min(u) < INSTABILITY_LOW or np.max(u) > cap + INSTABILITY_HIGH:
+        u = lhs[(step + 1) % len(lhs)].solve(rhs[step % len(rhs)](u))
+        # written so that a NaN fails it
+        if not (INSTABILITY_LOW <= u.min() and u.max() <= cap + INSTABILITY_HIGH):
             raise SimulationError(
                 f"instability at t={t + dt:.4f}: range [{u.min():.3e}, {u.max():.3e}]")
         np.maximum(u, 0.0, out=u)  # roundoff floor ahead of the front
         u = _logistic_half(u, mu_at(t + 0.75 * dt), 0.5 * dt)
-        bands = bands_new
         if (step + 1) % every == 0 or step == n_steps - 1:
             times.append((step + 1) * dt)
             snaps.append(u.copy())

@@ -9,9 +9,10 @@ from scipy.sparse.linalg import splu
 from kppspeed.kernels import (
     CyclicFactor,
     band_storage,
+    band_products,
+    cn_levels,
     cn_period,
     cyclic_matvec,
-    cyclic_solve,
     tridiag_solve,
 )
 from kppspeed.operators import _csr_matvec
@@ -38,8 +39,10 @@ def dense(dl, d, du, c0=0.0, c1=0.0):
 @pytest.mark.parametrize("trans", ["N", "T"])
 def test_cyclic_factor_solve_matches_dense(n, trans):
     rng = np.random.default_rng(n)
-    for _ in range(5):
+    for i in range(6):
         bands = random_cyclic(rng, n)
+        if i == 5:  # zero corners: tridiagonal, solved without Sherman-Morrison
+            bands = bands[:3] + (0.0, 0.0)
         M = dense(*bands)
         b = rng.standard_normal(n)
         b_in = b.copy()
@@ -55,7 +58,7 @@ def test_cyclic_factor_with_zero_leading_diagonal():
     d[0] = 0.0
     M = dense(dl, d, du, c0, c1)
     b = rng.standard_normal(8)
-    np.testing.assert_allclose(cyclic_solve(dl, d, du, c0, c1, b),
+    np.testing.assert_allclose(CyclicFactor(dl, d, du, c0, c1).solve(b),
                                np.linalg.solve(M, b), rtol=1e-12, atol=1e-12)
 
 
@@ -97,6 +100,26 @@ def test_cn_period_matches_dense_stepping():
         [CyclicFactor(*b) for b in lhs_bands], [cyclic_product(b) for b in rhs_bands],
         [dense(*b) for b in lhs_bands], [dense(*b) for b in rhs_bands],
         rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_cn_levels_and_band_products_match_dense(trans):
+    rng = np.random.default_rng(8)
+    stack = [random_cyclic(rng, 9) for _ in range(3)]
+    dl, d, du = (np.array([b[i] for b in stack]) for i in range(3))
+    c0, c1 = (np.array([b[i] for b in stack]) for i in (3, 4))
+    half = 0.05
+    lhs, rhs = cn_levels(dl, d, du, c0, c1, half)
+    v = rng.standard_normal(9)
+    eye = np.eye(9)
+    for bands, action, factor, product in zip(stack, band_products(dl, d, du, c0, c1),
+                                              lhs, rhs):
+        E = dense(*bands) if trans == "N" else dense(*bands).T
+        np.testing.assert_allclose(action(v, trans), E @ v, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(product(v, trans), (eye + half * E) @ v,
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(factor.solve(v, trans), np.linalg.solve(eye - half * E, v),
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_cn_period_runs_sparse_lu_and_csr_products():
@@ -146,8 +169,6 @@ def test_non_finite_right_hand_side_and_levels_raise():
     b[2] = np.inf
     with pytest.raises(ValueError, match="infs or NaNs"):
         tridiag_solve(dl, d, du, b)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        cyclic_solve(dl, d, du, c0, c1, b)
     lhs = [CyclicFactor(dl, d, du, c0, c1)] * 3
     rhs = [cyclic_product((dl, d, du, c0, c1))] * 3
     with pytest.raises(ValueError, match="infs or NaNs"):
@@ -159,7 +180,7 @@ def test_singular_matrices_raise():
     # tridiagonal part factors, and the corner correction is singular
     zeros = np.zeros(3)
     with pytest.raises(LinAlgError):
-        cyclic_solve(zeros, np.ones(3), zeros, 1.0, 1.0, np.ones(3))
+        CyclicFactor(zeros, np.ones(3), zeros, 1.0, 1.0).solve(np.ones(3))
     # a zero row in the tridiagonal part
     n = 6
     ones = np.ones(n)

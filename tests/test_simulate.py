@@ -25,11 +25,47 @@ def test_zero_data_stays_zero():
 
 
 def test_one_is_equilibrium_for_any_periodic_coefficients():
-    cs = CoefficientSet.from_expressions(A="1 + 0.5*cos(2*pi*x)", q="0.3*sin(2*pi*x)",
+    mu = "1 + 0.5*cos(2*pi*t)*cos(2*pi*x)"
+    for A, q in [("1 + 0.5*cos(2*pi*x)", "0.3*sin(2*pi*x)"),
+                 ("1 + 0.5*cos(2*pi*(x - t))", "0.3*sin(2*pi*(x + 2*t))")]:
+        cs = CoefficientSet.from_expressions(A=A, q=q, mu=mu)
+        run = solve_cauchy(cs, lambda x: np.ones_like(x), cells=10, t_end=1.5,
+                           grid=GRID, boundary="periodic")
+        np.testing.assert_allclose(run.snapshots[-1], 1.0, atol=1e-12)
+
+
+def test_time_dependent_steps_match_dense_crank_nicolson():
+    # Strang steps on a ring of 2 cells against dense matrices built here;
+    # 13 steps with n_t = 8 run past the end of a period of levels
+    cs = CoefficientSet.from_expressions(A="1 + 0.4*cos(2*pi*(x - t))",
+                                         q="0.7*sin(2*pi*(x + t))",
                                          mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)")
-    run = solve_cauchy(cs, lambda x: np.ones_like(x), cells=10, t_end=1.5,
-                       grid=GRID, boundary="periodic")
-    np.testing.assert_allclose(run.snapshots[-1], 1.0, atol=1e-12)
+    grid = build_grid(cs.geometry, 8, 8)
+    dt, h = grid.dt, grid.h[0]
+    run = solve_cauchy(cs, lambda x: 0.5 + 0.3 * np.sin(np.pi * x), cells=2,
+                       t_end=13 * dt, grid=grid, boundary="periodic", snapshot_dt=dt)
+    x = run.x
+    eye = np.eye(x.size)
+
+    def E(t):
+        a = 1 + 0.4 * np.cos(2 * np.pi * (x - t))
+        q = 0.7 * np.sin(2 * np.pi * (x + t))
+        af = 0.5 * (a + np.roll(a, -1))  # face i, i+1
+        up = np.roll(eye, 1, axis=1)  # (up @ u)[i] = u[i+1]
+        return ((np.diag(af) @ (up - eye) - np.diag(np.roll(af, 1)) @ (eye - up.T)) / h**2
+                - np.diag(q) @ (up - up.T) / (2 * h))
+
+    def reaction(u, t):
+        decay = np.exp(-0.5 * dt * (1 + 0.5 * np.cos(2 * np.pi * t) * np.cos(2 * np.pi * x)))
+        return u / (u + (1 - u) * decay)
+
+    u = run.snapshots[0]
+    for step in range(13):
+        t = step * dt
+        u = reaction(u, t + 0.25 * dt)
+        u = np.linalg.solve(eye - 0.5 * dt * E(t + dt), (eye + 0.5 * dt * E(t)) @ u)
+        u = reaction(np.maximum(u, 0.0), t + 0.75 * dt)
+        np.testing.assert_allclose(run.snapshots[step + 1], u, rtol=0, atol=1e-12)
 
 
 def test_local_convergence_to_one():
@@ -120,3 +156,20 @@ def test_rejects_bad_initial_data():
     with pytest.raises(SimulationError):
         solve_cauchy(coeffs(), lambda x: np.ones_like(x), cells=16, t_end=1.0,
                      grid=GRID)  # does not vanish at the Dirichlet boundary
+
+    def nan_inside(x):
+        u = smooth_bump()(x)
+        u[x.size // 2 + 3] = np.nan
+        return u
+
+    with pytest.raises(SimulationError, match="finite"):
+        solve_cauchy(coeffs(), nan_inside, cells=16, t_end=1.0, grid=GRID)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_nan_during_run_raises(boundary):
+    # exp(-mu dt/2) overflows, and the logistic flow of u = 1 is inf * 0 = NaN
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SimulationError, match="instability"):
+        solve_cauchy(coeffs(mu="-1e6"), lambda x: np.where(np.abs(x) < 1.5, 1.0, 0.0),
+                     cells=4, t_end=0.5, grid=GRID, boundary=boundary)
