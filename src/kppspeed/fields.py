@@ -4,15 +4,18 @@ A field is (T, L_1..L_N)-periodic by construction: evaluation reduces the
 arguments into [0, T) x C before handing them to the underlying entry, so
 periodicity holds identically regardless of how the entry is defined.
 
-Entries can be parsed expressions (which also support exact symbolic
-derivatives), plain Python callables ``f(t, x[, y])``, or constants.  A
-``CoefficientSet`` bundles the diffusion matrix A, the drift q and the growth
-rate mu over a shared periodicity cell and checks uniform ellipticity of A by
-sampling.
+Entries can be parsed expressions, plain Python callables ``f(t, x[, y])``,
+constants or lattice tables.  The discretization samples every entry the same
+way and takes the derivatives it needs as centered differences of the samples,
+whatever the representation; only ``gradient_drift`` differentiates an
+expression exactly.  A ``CoefficientSet`` bundles the diffusion matrix A, the
+drift q and the growth rate mu over a shared periodicity cell and checks
+uniform ellipticity of A by sampling.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -211,8 +214,11 @@ class PeriodicField:
         elif isinstance(values, Mapping):
             cache: dict[tuple[int, int], _Entry] = {}
             for key, v in values.items():
-                digits = [ch for ch in str(key) if ch.isdigit()]  # "11" or "a11"
-                i, j = int(digits[0]) - 1, int(digits[1]) - 1
+                match = re.fullmatch(r"[aA]?([1-9])([1-9])", str(key))  # "11" or "a11"
+                if match is None or max(int(d) for d in match.groups()) > N:
+                    raise FieldError(f"matrix entry key {key!r} is not aij with "
+                                     f"1 <= i, j <= {N}")
+                i, j = int(match[1]) - 1, int(match[2]) - 1
                 cache[(i, j)] = cache[(j, i)] = _as_entry(v, params, N)
             rows = tuple(tuple(cache.get((i, j), zero) for j in range(N)) for i in range(N))
         else:

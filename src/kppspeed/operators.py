@@ -9,9 +9,11 @@ so that the eigenproblem reads  d_t phi = E_lam phi + k phi  for the periodic
 eigenfunction.  Spatial discretization is second-order centered finite
 differences on a uniform periodic grid: the divergence-form diffusion uses
 flux differences with A at cell faces (arithmetic mean of the endpoint
-values), first-order terms are centered, and div(A lam) is taken from the
-symbolic derivatives of the coefficient expressions when available (centered
-differences otherwise).
+values), first-order terms are centered, and div(A lam) is the centered
+difference of the sampled A lam.  Every derivative of a sampled coefficient
+is taken this way, whatever the representation of the coefficient
+(expression, callable, constant or table), so the same coefficients give the
+same discrete operator.
 
 The adjoint action is the exact matrix transpose; term by term that is the
 divergence-form advection -div((2 A lam - q) .) with the same diagonal, i.e.
@@ -43,7 +45,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import kernels
-from .fields import CellGeometry, CoefficientSet, _ConstantEntry
+from .fields import CellGeometry, CoefficientSet
 
 __all__ = ["Grid", "GridError", "GridFunction", "build_grid", "LinearAction",
            "assemble_action", "ActionFamily", "step_period"]
@@ -124,82 +126,50 @@ def build_grid(geometry: CellGeometry, n_space, n_t: int | None = None,
 # --- coefficient sampling -----------------------------------------------------
 
 
-class _CoefficientSampler:
-    """Samples the arrays the stencils need, stacked over time levels."""
+def _stencil_arrays(coeffs: CoefficientSet, lam: np.ndarray, grid: Grid,
+                    times) -> dict:
+    """Stencil arrays of E_lam at the given time levels, stacked on a leading
+    axis and evaluated in one vectorized pass.
 
-    def __init__(self, coeffs: CoefficientSet, lam, grid: Grid):
-        self.coeffs = coeffs
-        self.grid = grid
-        self.lam = np.asarray(lam, dtype=float).reshape(-1)
-        if self.lam.size != grid.dimension:
-            raise ValueError("lambda must have one component per spatial dimension")
-        self.mesh = grid.meshgrid()
-        self._div_alam_exprs = self._symbolic_div_alam()
+    div(A lam) is the centered difference of the sampled A lam, whatever the
+    representation of A.
+    """
+    N = grid.dimension
+    if lam.size != N:
+        raise ValueError("lambda must have one component per spatial dimension")
+    mesh = grid.meshgrid()
+    t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
+    shape = np.broadcast_shapes(np.shape(t), mesh[0].shape)
+    A, q, mu = coeffs.A, coeffs.q, coeffs.mu
 
-    def _symbolic_div_alam(self):
-        """d_d of (A lam)_d summed over d, as expressions, when available."""
-        N = self.grid.dimension
-        xvars = ["x", "y"][:N]
-        terms = []
-        for d in range(N):
-            for j in range(N):
-                if self.lam[j] == 0.0:
-                    continue
-                expr = self.coeffs.A.entry_expression(d, j)
-                entry = self.coeffs.A.entries[d][j]
-                if isinstance(entry, _ConstantEntry):  # differentiates to zero
-                    continue
-                if expr is None:
-                    return None
-                terms.append((self.lam[j], expr.differentiate(xvars[d])))
-        return terms
+    def ev(field, index):
+        vals = field.eval_entry(index, t, *mesh)
+        return np.broadcast_to(np.asarray(vals, dtype=float), shape).copy()
 
-    def arrays_batch(self, times: np.ndarray) -> dict:
-        """Stencil arrays of all time levels, stacked on a leading axis and
-        evaluated in one vectorized pass."""
-        grid, lam = self.grid, self.lam
-        N = grid.dimension
-        t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
-        shape = np.broadcast_shapes(np.shape(t), self.mesh[0].shape)
-        A, q, mu = self.coeffs.A, self.coeffs.q, self.coeffs.mu
-
-        def ev(field, index):
-            vals = field.eval_entry(index, t, *self.mesh)
-            return np.broadcast_to(np.asarray(vals, dtype=float), shape).copy()
-
-        a_diag = [ev(A, (d, d)) for d in range(N)]
-        a_faces = [0.5 * (a + np.roll(a, -1, axis=1 + d)) for d, a in enumerate(a_diag)]
-        a12 = None
-        if N == 2:
-            a12 = ev(A, (0, 1))
-            if not np.any(a12):
-                a12 = None
-        q_comp = [ev(q, d) for d in range(N)]
-        # A lam at vertices, per axis
-        alam = []
-        for d in range(N):
-            v = a_diag[d] * lam[d]
-            if N == 2 and a12 is not None:
-                v = v + a12 * lam[1 - d]
-            alam.append(v)
-        b = [2.0 * alam[d] - q_comp[d] for d in range(N)]
-        if self._div_alam_exprs is not None:
-            div_alam = np.zeros(shape)
-            wrapped_t = np.mod(t, grid.geometry.period)
-            wrapped = [np.mod(m, L) for m, L in zip(self.mesh, grid.geometry.lengths)]
-            for coef, expr in self._div_alam_exprs:
-                y = wrapped[1] if N > 1 else 0.0
-                div_alam = div_alam + coef * expr(t=wrapped_t, x=wrapped[0], y=y)
-        else:
-            h = grid.h
-            div_alam = sum(
-                (np.roll(alam[d], -1, axis=1 + d) - np.roll(alam[d], 1, axis=1 + d))
-                / (2 * h[d])
-                for d in range(N))
-        lam_a_lam = sum(alam[d] * lam[d] for d in range(N))
-        q_dot_lam = sum(q_comp[d] * lam[d] for d in range(N))
-        c0 = lam_a_lam + div_alam + ev(mu, None) - q_dot_lam
-        return {"a_faces": a_faces, "a12": a12, "b": b, "c0": c0}
+    a_diag = [ev(A, (d, d)) for d in range(N)]
+    a_faces = [0.5 * (a + np.roll(a, -1, axis=1 + d)) for d, a in enumerate(a_diag)]
+    a12 = None
+    if N == 2:
+        a12 = ev(A, (0, 1))
+        if not np.any(a12):
+            a12 = None
+    q_comp = [ev(q, d) for d in range(N)]
+    # A lam at vertices, per axis
+    alam = []
+    for d in range(N):
+        v = a_diag[d] * lam[d]
+        if N == 2 and a12 is not None:
+            v = v + a12 * lam[1 - d]
+        alam.append(v)
+    b = [2.0 * alam[d] - q_comp[d] for d in range(N)]
+    div_alam = sum(
+        (np.roll(alam[d], -1, axis=1 + d) - np.roll(alam[d], 1, axis=1 + d))
+        / (2 * grid.h[d])
+        for d in range(N))
+    lam_a_lam = sum(alam[d] * lam[d] for d in range(N))
+    q_dot_lam = sum(q_comp[d] * lam[d] for d in range(N))
+    c0 = lam_a_lam + div_alam + ev(mu, None) - q_dot_lam
+    return {"a_faces": a_faces, "a12": a12, "b": b, "c0": c0}
 
 
 def _axis_stencil(af, b, h: float, axis: int = -1):
@@ -232,7 +202,7 @@ def _bands_1d(af, b, c0v, h: float):
 
 
 def _csr_matrix(stacked: dict, lev: int, grid: Grid) -> sp.csr_array:
-    """E_lam at level lev of a stack from `arrays_batch` as a CSR matrix, in
+    """E_lam at level lev of a stack from `_stencil_arrays` as a CSR matrix, in
     any dimension: the axis stencils, the zeroth-order diagonal and, in 2D,
     the mixed a12 block."""
     idx = np.arange(grid.npoints).reshape(grid.n_space)
@@ -294,11 +264,11 @@ def assemble_action(coeffs: CoefficientSet, lam, grid: Grid,
                     adjoint: bool = False, t: float = 0.0) -> LinearAction:
     """Assemble E_lam (adjoint: its exact transpose) at time level t."""
     coeffs.ellipticity()  # raises NonEllipticError for bad A
-    sampler = _CoefficientSampler(coeffs, lam, grid)
-    M = _csr_matrix(sampler.arrays_batch([t]), 0, grid)
+    lam = np.asarray(lam, dtype=float).reshape(-1)
+    M = _csr_matrix(_stencil_arrays(coeffs, lam, grid, [t]), 0, grid)
     if adjoint:
         M = M.T.tocsr()
-    return LinearAction(M, grid, sampler.lam, adjoint, t)
+    return LinearAction(M, grid, lam, adjoint, t)
 
 
 class ActionFamily:
@@ -315,11 +285,11 @@ class ActionFamily:
     def __init__(self, coeffs: CoefficientSet, lam, grid: Grid):
         self.coeffs = coeffs
         self.grid = grid
-        self.sampler = _CoefficientSampler(coeffs, lam, grid)
-        self.lam = self.sampler.lam
+        self.lam = np.asarray(lam, dtype=float).reshape(-1)
         self.time_independent = coeffs.time_independent
         n_levels = 1 if self.time_independent else grid.n_t
-        self._stacked = self.sampler.arrays_batch(np.arange(n_levels) * grid.dt)
+        self._stacked = _stencil_arrays(coeffs, self.lam, grid,
+                                        np.arange(n_levels) * grid.dt)
         half = 0.5 * grid.dt
         if grid.dimension == 1:
             bands = _bands_1d(self._stacked["a_faces"][0], self._stacked["b"][0],

@@ -159,19 +159,8 @@ def rayleigh_upper_bound(A: PeriodicField, mu: PeriodicField, kappa: float,
     if np.min(a_vals) < MIN_ALPHA:
         raise ValueError(f"alpha dips below the admissibility floor {MIN_ALPHA}")
 
-    expr = alpha_field.entry_expression()
-    grads = []
-    if expr is not None:
-        xvars = ["x", "y"][:grid.dimension]
-        for v in xvars:
-            d = expr.differentiate(v)
-            vals = d(t=0.0, x=mesh[0], y=(mesh[1] if grid.dimension > 1 else 0.0))
-            grads.append(np.broadcast_to(np.asarray(vals, dtype=float),
-                                         grid.n_space) / scale)
-    else:
-        for d in range(grid.dimension):
-            grads.append((np.roll(a_vals, -1, axis=d) - np.roll(a_vals, 1, axis=d))
-                         / (2 * grid.h[d]))
+    grads = [(np.roll(a_vals, -1, axis=d) - np.roll(a_vals, 1, axis=d)) / (2 * grid.h[d])
+             for d in range(grid.dimension)]
 
     a_diag = _diagonal_entries(A, grid)
     mu_vals = np.broadcast_to(np.asarray(mu(0.0, *mesh), dtype=float), grid.n_space)
@@ -203,20 +192,11 @@ def compjlambda_lower_bound(coeffs: CoefficientSet, lam, grid: Grid) -> float:
     lam = np.asarray(lam, dtype=float).reshape(-1)
     mesh = grid.meshgrid()
     N = grid.dimension
-    xvars = ["x", "y"][:N]
 
-    div_q = np.zeros(grid.n_space)
-    for d in range(N):
-        expr = coeffs.q.entry_expression(d)
-        if expr is not None:
-            vals = expr.differentiate(xvars[d])(
-                t=0.0, x=mesh[0], y=(mesh[1] if N > 1 else 0.0))
-            div_q = div_q + np.broadcast_to(np.asarray(vals, dtype=float), grid.n_space)
-        else:
-            qd = np.broadcast_to(np.asarray(coeffs.q.eval_entry(d, 0.0, *mesh), dtype=float),
-                                 grid.n_space)
-            div_q = div_q + (np.roll(qd, -1, axis=d) - np.roll(qd, 1, axis=d)) / (2 * grid.h[d])
-
+    q_comp = [np.broadcast_to(np.asarray(coeffs.q.eval_entry(d, 0.0, *mesh), dtype=float),
+                              grid.n_space) for d in range(N)]
+    div_q = sum((np.roll(qd, -1, axis=d) - np.roll(qd, 1, axis=d)) / (2 * grid.h[d])
+                for d, qd in enumerate(q_comp))
     lam_a_lam = np.zeros(grid.n_space)
     for i in range(N):
         for j in range(N):
@@ -225,12 +205,7 @@ def compjlambda_lower_bound(coeffs: CoefficientSet, lam, grid: Grid) -> float:
             a = np.broadcast_to(np.asarray(coeffs.A.eval_entry((i, j), 0.0, *mesh),
                                            dtype=float), grid.n_space)
             lam_a_lam = lam_a_lam + lam[i] * a * lam[j]
-    q_lam = np.zeros(grid.n_space)
-    for d in range(N):
-        if lam[d] != 0.0:
-            qd = np.broadcast_to(np.asarray(coeffs.q.eval_entry(d, 0.0, *mesh), dtype=float),
-                                 grid.n_space)
-            q_lam = q_lam + lam[d] * qd
+    q_lam = sum(lam[d] * q_comp[d] for d in range(N) if lam[d] != 0.0)
     mu_vals = np.broadcast_to(np.asarray(coeffs.mu(0.0, *mesh), dtype=float), grid.n_space)
     potential = 0.5 * div_q + lam_a_lam - q_lam + mu_vals
     return k0_rayleigh(coeffs.A, potential.reshape(-1), grid)

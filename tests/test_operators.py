@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from kppspeed.fields import CellGeometry, CoefficientSet, NonEllipticError
+from kppspeed.expressions import parse_expression
+from kppspeed.fields import CellGeometry, CoefficientSet, NonEllipticError, PeriodicField
 from kppspeed.operators import (
     ActionFamily,
     GridError,
+    _stencil_arrays,
     assemble_action,
     build_grid,
     step_period,
@@ -262,15 +264,65 @@ def test_non_elliptic_rejected():
 
 
 def test_row_sums_equal_zeroth_order_coefficient():
-    # diffusion and centered advection rows sum to zero: row sums = c0 exactly
+    # diffusion and centered advection rows sum to zero: row sums = c0 exactly,
+    # with div(A lam) the centered difference of the sampled lam*a
     coeffs = make_coeffs(A="2 + cos(2*pi*x)", q="0.5*sin(2*pi*x)", mu="1 + 0.3*cos(2*pi*x)")
     grid = build_grid(GEO1, 64)
     E = assemble_action(coeffs, [0.7], grid)
     x = grid.axes()[0]
     a = 2 + np.cos(2 * np.pi * x)
-    da = -2 * np.pi * np.sin(2 * np.pi * x)
     q = 0.5 * np.sin(2 * np.pi * x)
     mu = 1 + 0.3 * np.cos(2 * np.pi * x)
     lam = 0.7
-    c0 = lam**2 * a + lam * da + mu - q * lam
+    div_alam = (np.roll(lam * a, -1) - np.roll(lam * a, 1)) / (2 * grid.h[0])
+    c0 = lam**2 * a + div_alam + mu - q * lam
     np.testing.assert_allclose(np.asarray(E.matrix.sum(axis=1)).ravel(), c0, atol=1e-10)
+
+
+def _as_callable(text):
+    """A callable f(t, x[, y]) wrapping the parsed expression of text."""
+    expr = parse_expression(text)
+
+    def fn(t, x, y=0.0):
+        return expr(t=t, x=x, y=y)
+    return fn
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_representation_does_not_change_the_operator(dim):
+    # the same A as an expression, as a callable wrapping that expression and
+    # through with_scaled(kappa=1) gives the same discrete operator, bit for bit
+    if dim == 1:
+        A = {"11": "2 + cos(2*pi*(x - t))"}
+        q, mu, L, n_space = ("0.5*sin(2*pi*x)",), "1 + 0.3*cos(2*pi*x)", 1.0, 64
+        lam = [0.7]
+    else:
+        A = {"11": "1 + 0.5*cos(2*pi*(x - t))", "22": "1 + 0.3*sin(2*pi*y)",
+             "12": "0.2*cos(2*pi*(x - y + t))"}
+        q, mu, L, n_space = COEFFS_2D["q"], COEFFS_2D["mu"], (1.0, 1.0), (16, 16)
+        lam = [0.7, -0.4]
+    expr = make_coeffs(A=A, q=q, mu=mu, L=L)
+    geo = expr.geometry
+    callable_A = PeriodicField.matrix({k: _as_callable(v) for k, v in A.items()}, geo)
+    forms = [expr, CoefficientSet(callable_A, expr.q, expr.mu, geo),
+             expr.with_scaled(kappa=1.0)]
+    grid = build_grid(geo, n_space, 16)
+    lam_arr = np.asarray(lam, dtype=float)
+    ref = _stencil_arrays(expr, lam_arr, grid, grid.times())
+    ref_family = ActionFamily(expr, lam, grid)
+    assert not ref_family.time_independent
+    for coeffs in forms[1:]:
+        got = _stencil_arrays(coeffs, lam_arr, grid, grid.times())
+        for key in ("a_faces", "b"):
+            assert all(np.array_equal(u, v) for u, v in zip(got[key], ref[key]))
+        assert np.array_equal(got["c0"], ref["c0"])
+        if dim == 2:
+            assert np.array_equal(got["a12"], ref["a12"])
+        family = ActionFamily(coeffs, lam, grid)
+        for m in range(grid.n_t):
+            assert (family.matrix(m) != ref_family.matrix(m)).nnz == 0
+        v = np.linspace(1.0, 2.0, grid.npoints)
+        for transpose in (False, True):
+            assert np.array_equal(
+                family.step_period(v, transpose=transpose, store_levels=True),
+                ref_family.step_period(v, transpose=transpose, store_levels=True))

@@ -88,6 +88,15 @@ def test_missing_file():
         load_scenario("/nonexistent/path.ini")
 
 
+@pytest.mark.parametrize("L, key", [("1", "a1"), ("1", "amp"), ("1", "a12"),
+                                    ("1 1", "a13")])
+def test_malformed_matrix_key_named_in_error(tmp_path, L, key):
+    text = f"[scenario]\nexperiment = growth-monotone\n[geometry]\nL = {L}\n" \
+           f"[coefficients]\n{key} = 2\n"
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(_write(tmp_path, text))
+
+
 def test_shipped_scenarios_all_load():
     names = {p.stem for p in SCENARIOS.glob("*.ini")}
     assert len(names) == 11

@@ -157,6 +157,26 @@ def test_shear_reduced_matches_full_2d_eigenvalue():
     assert abs(red.k - full.k) <= 1e-5
 
 
+@pytest.mark.parametrize("a_text", ["1 + 0.3*cos(2*pi*x)",
+                                    "1 + 0.3*cos(2*pi*x)*(1 + 0.5*sin(2*pi*t))"],
+                         ids=["steady", "floquet"])
+@pytest.mark.parametrize("lam", [(0.7, 0.3), (0.0, -0.8)])
+def test_shear_full_equals_reduced_off_the_shear_axis(a_text, lam):
+    # with every derivative of a sampled field a centered difference, the lifted
+    # 2D problem and the reduced 1D one are the same discrete operator, also
+    # at lam_y != 0
+    geo = coeffs().geometry
+    a = PeriodicField.scalar(a_text, geo)
+    q1 = PeriodicField.scalar("cos(2*pi*x)", geo)
+    mu = PeriodicField.scalar("1", geo)
+    lam = np.array(lam)
+    size = float(np.linalg.norm(lam))
+    red = shear_reduced_eigenvalue(a, q1, mu, lam / size, size, build_grid(geo, 24, 16))
+    full_cs = shear_full_coefficients(a, q1, mu)
+    full = principal_eigenvalue(full_cs, lam, build_grid(full_cs.geometry, (24, 24), 16))
+    assert abs(red.k - full.k) <= 1e-11
+
+
 def test_potential_drift_never_beats_homogeneous():
     from kppspeed.fields import gradient_drift
     geo = coeffs().geometry
