@@ -151,7 +151,8 @@ def _cmd_speed(args) -> int:
                           richardson=args.richardson)
     print(f"c* = {res.c_star!r}")
     print(f"lambda* = {np.asarray(res.lam_star).tolist()}")
-    print(f"route = {res.route}, profile samples = {len(res.profile)}")
+    print(f"route = {res.route}, profile samples = {len(res.profile)}, "
+          f"eigensolves = {res.diagnostics['solves']}")
     if res.eigen is not None:
         print(f"minimizer k = {res.eigen.k!r} in "
               f"[{res.eigen.lower!r}, {res.eigen.upper!r}]")

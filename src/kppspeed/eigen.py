@@ -43,8 +43,8 @@ from .operators import ActionFamily, Grid, assemble_action
 __all__ = [
     "EigenResult", "AdjointPair", "EigenError", "EigenConvergenceError",
     "PositivityError", "principal_eigen_steady", "principal_eigen_floquet",
-    "principal_eigenvalue", "adjoint_eigenpair", "k_x_independent",
-    "eigen_sandwich", "dk_dB_at_zero",
+    "principal_eigenvalue", "richardson_in_time", "adjoint_eigenpair",
+    "k_x_independent", "eigen_sandwich", "dk_dB_at_zero",
 ]
 
 EIG_TOL = 1e-10
@@ -261,15 +261,30 @@ def principal_eigen_floquet(coeffs: CoefficientSet, lam, grid: Grid, *,
                        diagnostics={"rho": rho, "k_log_multiplier": k_log})
 
 
+def richardson_in_time(coeffs: CoefficientSet, coarse: EigenResult,
+                       **kw) -> EigenResult:
+    """The Floquet eigenpair at doubled time steps, warm-started from the
+    coarse one at the same lam, with the dt^2-extrapolated eigenvalue
+    (4 k_fine - k_coarse)/3 in ``k_extrapolated`` and the coarse k in
+    ``k_coarse``.  The eigenpair is the fine one, so its sandwich bounds
+    still certify its own ``k``."""
+    grid = coarse.grid
+    fine_grid = Grid(grid.geometry, grid.n_space, 2 * grid.n_t)
+    fine = principal_eigen_floquet(coeffs, coarse.lam, fine_grid, v0=coarse.phi[0], **kw)
+    fine.diagnostics["k_extrapolated"] = (4.0 * fine.k - coarse.k) / 3.0
+    fine.diagnostics["k_coarse"] = coarse.k
+    return fine
+
+
 def principal_eigenvalue(coeffs: CoefficientSet, lam, grid: Grid, *,
                          route: str = "auto", richardson: bool = False,
                          v0: Optional[np.ndarray] = None, **kw) -> EigenResult:
     """Route to the steady or Floquet solver.
 
-    ``richardson=True`` (Floquet only) also solves with doubled time steps
-    and stores the dt^2-extrapolated eigenvalue in ``k_extrapolated``; the
-    returned eigenpair is the fine-level one, so its sandwich bounds still
-    certify its own ``k``.
+    ``richardson=True`` (Floquet only) follows the solve with
+    `richardson_in_time` and returns its fine eigenpair.  A ray search with
+    Richardson does not call this at every point: it searches on the plain
+    solves and calls `richardson_in_time` at k_0 and at its minimizer.
     """
     if route == "auto":
         route = "steady" if coeffs.time_independent else "floquet"
@@ -278,14 +293,7 @@ def principal_eigenvalue(coeffs: CoefficientSet, lam, grid: Grid, *,
     if route != "floquet":
         raise ValueError(f"unknown route {route!r}")
     res = principal_eigen_floquet(coeffs, lam, grid, v0=v0, **kw)
-    if richardson:
-        fine_grid = Grid(grid.geometry, grid.n_space, 2 * grid.n_t)
-        start = res.phi[0]
-        fine = principal_eigen_floquet(coeffs, lam, fine_grid, v0=start, **kw)
-        fine.diagnostics["k_extrapolated"] = (4.0 * fine.k - res.k) / 3.0
-        fine.diagnostics["k_coarse"] = res.k
-        return fine
-    return res
+    return richardson_in_time(coeffs, res, **kw) if richardson else res
 
 
 # --- adjoint pair ---------------------------------------------------------------

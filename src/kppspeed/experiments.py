@@ -102,6 +102,8 @@ def run_temporal_average(sc: Scenario) -> ExperimentReport:
 
     Both speeds are computed by the same Floquet route with dt-Richardson
     extrapolation so that the 1e-8-level one-sided comparison is meaningful.
+    Each ray search runs on the n_t eigenvalues and extrapolates once, at
+    its minimizer (see `spreading_speed`).
     """
     tol_ineq = sc.opt_float("tol_inequality", 1e-8)
     tol_eq = sc.opt_float("tol_equality", TOL_EQUALITY)

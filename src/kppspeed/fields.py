@@ -204,23 +204,24 @@ class PeriodicField:
 
     @classmethod
     def matrix(cls, values, geometry, params=None, **flags) -> "PeriodicField":
-        """`values`: scalar-like (a -> a*I), sequence of diagonal entries, or
-        full symmetric nested sequence."""
+        """`values`: scalar-like (a -> a*I), sequence of diagonal entries,
+        full nested sequence, or mapping of "aij" keys in which an entry whose
+        transpose is not given mirrors to it."""
         N = geometry.dimension
         zero = _ConstantEntry(0.0)
         if isinstance(values, (str, Expression, float, int)) or callable(values):
             diag = _as_entry(values, params, N)
             rows = tuple(tuple(diag if i == j else zero for j in range(N)) for i in range(N))
         elif isinstance(values, Mapping):
-            cache: dict[tuple[int, int], _Entry] = {}
+            given: dict[tuple[int, int], _Entry] = {}
             for key, v in values.items():
                 match = re.fullmatch(r"[aA]?([1-9])([1-9])", str(key))  # "11" or "a11"
                 if match is None or max(int(d) for d in match.groups()) > N:
                     raise FieldError(f"matrix entry key {key!r} is not aij with "
                                      f"1 <= i, j <= {N}")
-                i, j = int(match[1]) - 1, int(match[2]) - 1
-                cache[(i, j)] = cache[(j, i)] = _as_entry(v, params, N)
-            rows = tuple(tuple(cache.get((i, j), zero) for j in range(N)) for i in range(N))
+                given[(int(match[1]) - 1, int(match[2]) - 1)] = _as_entry(v, params, N)
+            rows = tuple(tuple(given.get((i, j), given.get((j, i), zero)) for j in range(N))
+                         for i in range(N))
         else:
             vals = list(values)
             if all(np.ndim(v) == 0 and not isinstance(v, (list, tuple)) for v in vals):
@@ -228,14 +229,8 @@ class PeriodicField:
                 diag = [_as_entry(v, params, N) for v in vals]
                 rows = tuple(tuple(diag[i] if i == j else zero for j in range(N)) for i in range(N))
             else:
-                cache = {}
-                for i in range(N):
-                    for j in range(N):
-                        if (j, i) in cache:
-                            cache[(i, j)] = cache[(j, i)]
-                        else:
-                            cache[(i, j)] = _as_entry(vals[i][j], params, N)
-                rows = tuple(tuple(cache[(i, j)] for j in range(N)) for i in range(N))
+                rows = tuple(tuple(_as_entry(vals[i][j], params, N) for j in range(N))
+                             for i in range(N))
         return cls("matrix", rows, geometry, **flags)
 
     # -- evaluation

@@ -4,8 +4,16 @@ The speed in direction e is  c*_e = min over lam.e < 0 of k_lam / (lam.e).
 The default search restricts lam to the ray lam = -s e, s > 0, where the
 objective g(s) = -k_{-s e}/s is unimodal (k is concave along rays and
 g(0+) = g(inf) = +infinity), found by doubling/halving bracketing from a
-small s and golden-section refinement.  An optional 2D refinement runs
-coordinate descent over the ray direction inside the half-space lam.e < 0.
+small s and Brent's method inside the bracket: parabolic steps through the
+three best points, golden-section steps where the parabola is not trusted.
+An optional 2D refinement runs coordinate descent over the ray direction
+inside the half-space lam.e < 0.
+
+With Richardson extrapolation in time, the search minimizes the coarse
+(n_t) objective, and one solve at 2 n_t at its minimizer s* gives
+c* = k_extrapolated/(lam*.e).  The coarse s* is O(dt^2) from the minimizer
+of the extrapolated objective, where that objective is flat, so c* moves by
+O(dt^4) against extrapolating at every point of the search.
 
 `speed_x_independent` evaluates the closed form for space-independent
 coefficients: substituting lam = -s xi into
@@ -29,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigen import EigenResult, principal_eigenvalue
+from .eigen import EigenResult, principal_eigenvalue, richardson_in_time
 from .fields import (CellGeometry, CoefficientSet, PeriodicField,
                      combine_scalar_fields)
 from .operators import Grid
@@ -39,6 +47,7 @@ __all__ = ["SpeedResult", "SpeedError", "NoSpreadingError", "UnimodalityError",
            "shear_full_coefficients", "shear_reduced_eigenvalue"]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+CGOLD = 1.0 - GOLDEN  # golden-section step into the larger part of a bracket
 
 
 class SpeedError(RuntimeError):
@@ -54,7 +63,8 @@ class NoSpreadingError(SpeedError):
 
 
 class UnimodalityError(SpeedError):
-    """The sampled ray profile is not unimodal (golden-section assumption)."""
+    """The sampled ray profile is not unimodal, which the bracket and Brent's
+    method assume."""
 
 
 @dataclass
@@ -62,10 +72,10 @@ class SpeedResult:
     c_star: float
     lam_star: np.ndarray
     e: np.ndarray
-    profile: list          # sampled (s, objective) pairs along the search ray
+    profile: list          # searched (s, objective) pairs along the ray
     route: str
-    eigen: Optional[EigenResult] = None   # minimizer's eigenpair
-    records: list = field(default_factory=list)  # per-eval (s, k, lower, upper)
+    eigen: Optional[EigenResult] = None   # minimizer's eigenpair (fine with Richardson)
+    records: list = field(default_factory=list)  # per-solve (s, k, lower, upper)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -116,6 +126,63 @@ def _golden_min(g: Callable[[float], float], a: float, b: float, tol: float):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _brent_min(g: Callable[[float], float], a: float, b: float, c: float,
+               fb: float, tol: float):
+    """Brent's minimization of g on the bracket a < b < c with g(b) = fb at
+    most g(a) and g(c) (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 5).
+
+    Each step takes the vertex of the parabola through the three best points
+    so far when it falls inside the bracket and moves less than half the
+    step before last; otherwise it takes a golden-section step into the
+    larger part.  It stops when the least point x is within
+    tol * max(1, |x|) of both ends of the bracket, and returns x with g(x),
+    the least value evaluated.
+    """
+    x = w = v = b
+    fx = fw = fv = fb
+    d = e = 0.0  # the last step and the one before it
+    while True:
+        m = 0.5 * (a + c)
+        tol1 = 0.5 * tol * max(1.0, abs(x))
+        if abs(x - m) <= 2.0 * tol1 - 0.5 * (c - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (c - x):
+                e, d = d, p / q
+                golden = False
+                if min(x + d - a, c - x - d) < 2.0 * tol1:
+                    d = math.copysign(tol1, m - x)
+        if golden:
+            e = (a if x >= m else c) - x
+            d = CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = g(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                c = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                c = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def _bracket_and_minimize(g: Callable[[float], float], s_init: float,
                           s_min: float, s_max: float, tol: float):
     a = max(s_init, s_min)
@@ -142,7 +209,7 @@ def _bracket_and_minimize(g: Callable[[float], float], s_init: float,
             if fa >= fb:
                 break
             c, fc, b, fb = b, fb, a, fa
-    return _golden_min(g, a, c, tol)
+    return _brent_min(g, a, b, c, fb, tol)
 
 
 def _unit(e, dim):
@@ -169,20 +236,21 @@ class _RayObjective:
     def _key(s: float, xi):
         return (round(s, 14), tuple(np.round(xi, 14)))
 
+    def record(self, s: float, xi, res: EigenResult) -> None:
+        self.records.append({"s": s, "xi": self._key(s, xi)[1], "k": res.k,
+                             "lower": res.lower, "upper": res.upper,
+                             "k_used": res.k_extrapolated})
+
     def value_for(self, s: float, xi) -> float:
         key = self._key(s, xi)
         if key not in self.cache:
             xi = np.asarray(xi)
             res = self.solve(s, xi, self._last_phi)
             self._last_phi = res.phi if res.phi.ndim == 1 else res.phi[0]
-            k = res.k_extrapolated
-            if k >= 0:
-                raise NoSpreadingError(k)
-            val = k / float(np.dot(-s * xi, self.e))
-            self.cache[key] = (val, res)
-            self.records.append({"s": s, "xi": key[1], "k": res.k,
-                                 "lower": res.lower, "upper": res.upper,
-                                 "k_used": k})
+            if res.k >= 0:
+                raise NoSpreadingError(res.k)
+            self.cache[key] = (res.k / float(np.dot(-s * xi, self.e)), res)
+            self.record(s, xi, res)
         return self.cache[key][0]
 
     def result_for(self, s: float, xi) -> EigenResult:
@@ -193,28 +261,51 @@ class _RayObjective:
         return sorted((s, v) for (s, k), (v, _) in self.cache.items() if k == xi_key)
 
 
-def _ray_speed(solve, e: np.ndarray, route: str, *, s_init: float, s_min: float,
+def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
+               solver_kwargs: Optional[dict], s_init: float, s_min: float,
                s_max: float, tol: float, refine: bool = False) -> SpeedResult:
-    """c*_e from ``solve(s, xi, v0)``, the eigenpair at lam = -s xi.
+    """c*_e over ``problem(s, xi)``, the coefficients and wavevector whose
+    eigenvalue on ``grid`` is k at lam = -s xi.
 
-    Checks k_0 < 0, brackets and minimizes along the ray xi = e, checks that
-    the sampled profile is unimodal and that the search kept its least
-    value, optionally refines the direction (2D), and checks that the speed
-    is k_lam/(lam.e) at the reported minimizer.
+    ``solver_kwargs`` go to `principal_eigenvalue`; with ``"richardson":
+    True`` on the Floquet route the search runs on the coarse eigenvalues
+    and `richardson_in_time` extrapolates k_0 and the eigenvalue at the
+    minimizer.  Checks k_0 < 0 (extrapolated), brackets and minimizes along
+    the ray xi = e, checks that the searched profile is unimodal, that the
+    search kept its least value and that this value is k_lam/(lam.e) at the
+    reported minimizer, and optionally refines the direction (2D).
     """
-    k0 = solve(0.0, e, None).k_extrapolated
+    kw = dict(solver_kwargs or {})
+    eigen_route = kw.pop("route", "auto")
+    richardson = kw.pop("richardson", False)
+    solves = 0
+
+    def solve(s, xi, v0):
+        nonlocal solves
+        solves += 1
+        coeffs, lam = problem(s, xi)
+        return principal_eigenvalue(coeffs, lam, grid, route=eigen_route, v0=v0, **kw)
+
+    def extrapolated(s, xi, coarse):
+        nonlocal solves
+        if not richardson or coarse.route != "floquet":
+            return coarse
+        solves += 1
+        return richardson_in_time(problem(s, xi)[0], coarse, **kw)
+
+    k0 = extrapolated(0.0, e, solve(0.0, e, None)).k_extrapolated
     if k0 >= 0:
         raise NoSpreadingError(k0)
 
     obj = _RayObjective(solve, e)
-    s_star, c_star = _bracket_and_minimize(lambda s: obj.value_for(s, e),
-                                           s_init, s_min, s_max, tol)
+    s_star, c_search = _bracket_and_minimize(lambda s: obj.value_for(s, e),
+                                             s_init, s_min, s_max, tol)
     profile = obj.ray_profile(e)
     _check_unimodal(profile)
-    _check_minimum(profile, c_star)
+    _check_minimum(profile, c_search)
 
     xi_star = e
-    diagnostics = {"k0": k0, "c_star_ray": c_star}
+    diagnostics = {"k0": k0, "c_star_ray": c_search}
     if refine:
         if e.size != 2:
             raise SpeedError("half-space refinement is a 2D feature")
@@ -231,16 +322,22 @@ def _ray_speed(solve, e: np.ndarray, route: str, *, s_init: float, s_min: float,
                 lambda th: obj.value_for(s_cur, xi_of(th)),
                 theta - 0.6, theta + 0.6, 1e-5)
             theta = float(np.clip(theta, -1.5, 1.5))
-        if val < c_star:
-            c_star, s_star, xi_star = val, s_cur, xi_of(theta)
+        if val < c_search:
+            c_search, s_star, xi_star = val, s_cur, xi_of(theta)
         diagnostics["refined_theta"] = theta
 
     lam_star = -s_star * xi_star
-    res = obj.result_for(s_star, xi_star)
-    c_of_k = res.k_extrapolated / float(np.dot(lam_star, e))
-    if abs(c_star - c_of_k) > 1e-12 * max(1.0, abs(c_star)):
-        raise SpeedError(f"speed {c_star!r} disagrees with k_lam/(lam.e) = {c_of_k!r} "
+    coarse = obj.result_for(s_star, xi_star)
+    c_of_k = coarse.k / float(np.dot(lam_star, e))
+    if abs(c_search - c_of_k) > 1e-12 * max(1.0, abs(c_search)):
+        raise SpeedError(f"speed {c_search!r} disagrees with k_lam/(lam.e) = {c_of_k!r} "
                          "at the minimizer")
+    res = extrapolated(s_star, xi_star, coarse)
+    c_star = res.k_extrapolated / float(np.dot(lam_star, e))
+    if res is not coarse:
+        obj.record(s_star, xi_star, res)
+        diagnostics["c_star_coarse"] = c_search
+    diagnostics["solves"] = solves
     return SpeedResult(c_star, lam_star, e, profile, route, eigen=res,
                        records=obj.records, diagnostics=diagnostics)
 
@@ -252,19 +349,21 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
                     ) -> SpeedResult:
     """Ray search for c*_e = min_{lam.e<0} k_lam/(lam.e).
 
-    Verifies k_0 < 0 first (no spreading regime otherwise).  With
-    ``refine=True`` (2D) a coordinate descent over the ray direction inside
-    the half-space follows the axial search; both values are reported.
+    Verifies k_0 < 0 first (no spreading regime otherwise).  The search
+    brackets the minimizer along the ray and closes in on it with Brent's
+    method.  With ``richardson=True`` (Floquet route) it searches on the
+    n_t eigenvalues and reports the Richardson-extrapolated speed at their
+    minimizer, from one more solve at 2 n_t; ``diagnostics`` then holds the
+    coarse speed as ``c_star_coarse``, and ``solves`` counts the eigensolves
+    either way.  With ``refine=True`` (2D) a coordinate descent over the ray
+    direction inside the half-space follows the axial search; both values
+    are reported.
     """
     e = _unit(e, grid.dimension)
-    kw = dict(solver_kwargs or {})
-
-    def solve(s, xi, v0):
-        return principal_eigenvalue(coeffs, -s * xi, grid, route=route,
-                                    richardson=richardson, v0=v0, **kw)
-
-    return _ray_speed(solve, e, "ray-search", s_init=s_init, s_min=s_min,
-                      s_max=s_max, tol=tol, refine=refine)
+    kw = dict(solver_kwargs or {}, route=route, richardson=richardson)
+    return _ray_speed(lambda s, xi: (coeffs, -s * xi), grid, e, "ray-search",
+                      solver_kwargs=kw, s_init=s_init, s_min=s_min, s_max=s_max,
+                      tol=tol, refine=refine)
 
 
 # --- closed form for space-independent coefficients ---------------------------
@@ -387,14 +486,16 @@ def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
                 grid_y: Grid, *, s_init: float = 1e-2, s_min: float = 1e-4,
                 s_max: float = 1e4, tol: float = 1e-6,
                 solver_kwargs: Optional[dict] = None) -> SpeedResult:
-    """Spreading speed of a 2D shear flow via the reduced problem in y."""
+    """Spreading speed of a 2D shear flow via the reduced problem in y.
+
+    ``solver_kwargs`` go to `principal_eigenvalue`; ``"richardson": True``
+    extrapolates at the minimizer as in `spreading_speed`.
+    """
     _require_ty_fields(a, q1, mu)
     e = _unit(e, 2)
-    kw = dict(solver_kwargs or {})
 
-    def solve(s, xi, v0):
-        reduced = _reduced_coeffs(a, q1, mu, s, xi[0])
-        return principal_eigenvalue(reduced, [-s * xi[1]], grid_y, v0=v0, **kw)
+    def problem(s, xi):
+        return _reduced_coeffs(a, q1, mu, s, xi[0]), [-s * xi[1]]
 
-    return _ray_speed(solve, e, "shear-reduced", s_init=s_init, s_min=s_min,
-                      s_max=s_max, tol=tol)
+    return _ray_speed(problem, grid_y, e, "shear-reduced", solver_kwargs=solver_kwargs,
+                      s_init=s_init, s_min=s_min, s_max=s_max, tol=tol)

@@ -172,6 +172,24 @@ def test_matrix_symmetry_enforced():
         asym.check_symmetric()
 
 
+@pytest.mark.parametrize("A", [{"a11": "2", "a22": "2", "a12": "0.1", "a21": "0.5"},
+                               [["2", "0.1"], ["0.5", "2"]]],
+                         ids=["mapping", "nested"])
+def test_asymmetric_matrix_is_rejected_not_symmetrized(A):
+    field = PeriodicField.matrix(A, GEO2)
+    assert field.eval_entry((0, 1), 0.0, 0.3, 0.7) == 0.1
+    assert field.eval_entry((1, 0), 0.0, 0.3, 0.7) == 0.5
+    with pytest.raises(FieldError, match="not symmetric"):
+        CoefficientSet.from_expressions(A=A, L=(1.0, 1.0))
+
+
+def test_matrix_mapping_mirrors_an_entry_given_on_one_side():
+    cs = CoefficientSet.from_expressions(A={"a11": "2", "a22": "2", "a12": "0.1"},
+                                         L=(1.0, 1.0))
+    assert cs.A.eval_entry((0, 1), 0.0, 0.3, 0.7) == 0.1
+    assert cs.A.eval_entry((1, 0), 0.0, 0.3, 0.7) == 0.1
+
+
 def test_coefficient_set_construction_and_flags():
     cs = CoefficientSet.from_expressions(A="1", q="0", mu="1 + 0.5*cos(2*pi*x)",
                                          T=1.0, L=1.0)

@@ -209,6 +209,7 @@ def test_cli_speed_one_shot(capsys):
     out = capsys.readouterr().out
     c = float(out.splitlines()[0].split("=")[1])
     assert abs(c - 2.0) <= 1e-3
+    assert "eigensolves = " in out
 
 
 def test_cli_module_entry(tmp_path):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from kppspeed import eigen
 from kppspeed.fields import CoefficientSet, PeriodicField
 from kppspeed.operators import build_grid
 from kppspeed.eigen import principal_eigenvalue
@@ -9,7 +12,9 @@ from kppspeed.speed import (
     NoSpreadingError,
     SpeedError,
     UnimodalityError,
+    _brent_min,
     _check_unimodal,
+    _golden_min,
     shear_full_coefficients,
     shear_reduced_eigenvalue,
     shear_speed,
@@ -102,6 +107,83 @@ def test_search_returning_a_non_minimum_raises(monkeypatch):
     cs = coeffs()
     with pytest.raises(SpeedError, match="above the value"):
         spreading_speed(cs, [1.0], build_grid(cs.geometry, 32))
+
+
+@pytest.mark.parametrize("f, a, b, c, s_min", [
+    (lambda s: s + 1.0 / s, 0.25, 0.5, 4.0, 1.0),
+    (lambda s: s * s / 8.0 - math.log(s), 0.5, 1.0, 8.0, 2.0),
+    (lambda s: math.exp(s) - 3.0 * s, 0.1, 0.2, 3.0, math.log(3.0)),
+], ids=["s+1/s", "skewed-log", "skewed-exp"])
+def test_brent_finds_the_minimizer_in_fewer_points_than_golden_section(f, a, b, c, s_min):
+    tol = 1e-6
+    seen = []
+
+    def g(s):
+        seen.append((s, f(s)))
+        return seen[-1][1]
+
+    x, fx = _brent_min(g, a, b, c, f(b), tol)
+    assert abs(x - s_min) <= tol * max(1.0, s_min)
+    assert fx == min([f(b)] + [v for _, v in seen])
+    brent_points = len(seen)
+    seen.clear()
+    _golden_min(g, a, c, tol)
+    assert brent_points < len(seen)
+
+
+def _per_point_richardson_speed(cs, grid, tol):
+    """The ray search with Richardson at every point: doubling bracket from
+    s = 0.01, then golden section on k_extrapolated/(lam.e)."""
+    def g(s):
+        return principal_eigenvalue(cs, [-s], grid, route="floquet",
+                                    richardson=True).k_extrapolated / -s
+
+    assert principal_eigenvalue(cs, [0.0], grid, route="floquet",
+                                richardson=True).k_extrapolated < 0
+    a, b = 0.01, 0.02
+    fb = g(b)
+    assert fb <= g(a)  # the minimizer lies beyond s = 0.02
+    while True:
+        c = 2 * b
+        fc = g(c)
+        if fc >= fb:
+            break
+        a, b, fb = b, c, fc
+    return _golden_min(g, a, c, tol)[1]
+
+
+def test_richardson_at_the_minimizer_matches_richardson_everywhere(monkeypatch):
+    cs = coeffs(mu="1 + 0.5*cos(2*pi*x)*(1 + 0.5*sin(2*pi*t))")
+    grid = build_grid(cs.geometry, 64, 16)
+    solves = []
+    floquet = eigen.principal_eigen_floquet
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return floquet(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "principal_eigen_floquet", counted)
+    r = spreading_speed(cs, [1.0], grid, route="floquet", richardson=True, tol=1e-7)
+    n_search = len(solves)
+    solves.clear()
+    c_ref = _per_point_richardson_speed(cs, grid, 1e-7)
+    assert abs(r.c_star - c_ref) <= 1e-10
+    assert 2 * n_search <= len(solves)
+    assert r.diagnostics["solves"] == n_search
+    # the search ran on the coarse objective; the reported speed is the
+    # extrapolated one at its minimizer, whose fine solve is the last record
+    assert r.diagnostics["c_star_coarse"] == min(v for _, v in r.profile)
+    assert r.c_star != r.diagnostics["c_star_coarse"]
+    assert r.records[-1]["k"] == r.eigen.k
+    assert r.eigen.diagnostics["k_coarse"] != r.eigen.k
+    assert r.c_star == r.eigen.k_extrapolated / float(np.dot(r.lam_star, r.e))
+
+
+def test_steady_search_counts_its_solves():
+    cs = coeffs(mu="1 + 0.5*cos(2*pi*x)")
+    r = spreading_speed(cs, [1.0], build_grid(cs.geometry, 64))
+    assert r.diagnostics["solves"] == len(r.records) + 1
+    assert "c_star_coarse" not in r.diagnostics
 
 
 def test_2d_ray_and_refinement_match_on_isotropic_medium():
