@@ -38,7 +38,7 @@ from scipy.sparse.linalg import splu
 import scipy.sparse as sp
 
 from .fields import CoefficientSet, PeriodicField
-from .operators import ActionFamily, Grid, assemble_action
+from .operators import ActionFamily, Grid, _centred, assemble_action
 
 __all__ = [
     "EigenResult", "AdjointPair", "EigenError", "EigenConvergenceError",
@@ -208,12 +208,11 @@ def principal_eigen_steady(coeffs: CoefficientSet, lam, grid: Grid, *,
 def _floquet_ratios(family: ActionFamily, psi: np.ndarray, adjoint: bool = False):
     """Pointwise ratios (L psi)/psi over (n_t, npoints) levels, the time
     derivative by centered differences (adjoint: of L*, with -d_t)."""
-    n_t, dt = psi.shape[0], family.grid.dt
-    r = np.empty_like(psi)
-    for m in range(n_t):
-        dpsi = (psi[(m + 1) % n_t] - psi[(m - 1) % n_t]) / (2 * dt)
+    dpsi = _centred(psi, family.grid.dt, 0)
+    r = np.empty(psi.shape)
+    for m in range(psi.shape[0]):
         Epsi = family.apply_action(m, psi[m], adjoint=adjoint)
-        r[m] = ((-dpsi - Epsi) if adjoint else (dpsi - Epsi)) / psi[m]
+        r[m] = ((-dpsi[m] - Epsi) if adjoint else (dpsi[m] - Epsi)) / psi[m]
     return r
 
 
@@ -250,10 +249,9 @@ def _floquet_iterate(family: ActionFamily, v: np.ndarray, *, tol: float,
 
 def principal_eigen_floquet(coeffs: CoefficientSet, lam, grid: Grid, *,
                             tol: float = EIG_TOL, max_iter: int = 200,
-                            v0: Optional[np.ndarray] = None,
-                            family: Optional[ActionFamily] = None) -> EigenResult:
+                            v0: Optional[np.ndarray] = None) -> EigenResult:
     """Principal eigenvalue via power iteration on the one-period map."""
-    family = family or ActionFamily(coeffs, lam, grid)
+    family = ActionFamily(coeffs, lam, grid)
     v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     k, psi, lower, upper, k_log, rho, it = _floquet_iterate(family, v, tol=tol,
                                                             max_iter=max_iter)
@@ -342,47 +340,49 @@ def adjoint_eigenpair(coeffs: CoefficientSet, lam, grid: Grid, *,
 # --- closed form, sandwich, derivative -------------------------------------------
 
 
-def k_x_independent(coeffs: CoefficientSet, lam, n_t: int = 512) -> float:
-    """k for space-independent coefficients:
-    -(1/T) * integral_0^T (lam.A(t).lam - lam.q(t) + mu(t)) dt  (trapezoid)."""
-    if not coeffs.space_independent:
-        raise EigenError("closed form requires space-independent coefficients")
+def _time_averages(coeffs: CoefficientSet, n_t: int):
+    """Trapezoid time averages (A_bar, q_bar, mu_bar) over n_t steps of one
+    period of the samples at the cell origin."""
     g = coeffs.geometry
-    lam = np.asarray(lam, dtype=float).reshape(-1)
     N = g.dimension
     ts = np.linspace(0.0, g.period, n_t + 1)
-    origin = tuple(np.zeros_like(ts) for _ in range(N))
-    vals = np.zeros_like(ts)
-    for d in range(N):
-        for j in range(N):
-            if lam[d] == 0.0 or lam[j] == 0.0:
-                continue
-            a = np.broadcast_to(np.asarray(
-                coeffs.A.eval_entry((d, j), ts, *origin), dtype=float), ts.shape)
-            vals = vals + lam[d] * a * lam[j]
-        if lam[d] != 0.0:
-            qd = np.broadcast_to(np.asarray(
-                coeffs.q.eval_entry(d, ts, *origin), dtype=float), ts.shape)
-            vals = vals - lam[d] * qd
-    vals = vals + np.broadcast_to(np.asarray(coeffs.mu(ts, *origin), dtype=float), ts.shape)
-    return float(-np.trapezoid(vals, ts) / g.period)
+    origin = (0.0,) * N
+
+    def avg(vals):
+        return float(np.trapezoid(vals, ts) / g.period)
+
+    A_bar = np.array([[avg(coeffs.A.eval_entry((i, j), ts, *origin))
+                       for j in range(N)] for i in range(N)])
+    q_bar = np.array([avg(coeffs.q.eval_entry(d, ts, *origin)) for d in range(N)])
+    mu_bar = avg(coeffs.mu(ts, *origin))
+    return A_bar, q_bar, mu_bar
 
 
-def eigen_sandwich(coeffs: CoefficientSet, lam, phi: np.ndarray, grid: Grid, *,
-                   family: Optional[ActionFamily] = None):
+def k_x_independent(coeffs: CoefficientSet, lam, n_t: int = 512) -> float:
+    """k for space-independent coefficients, -(lam.A_bar.lam - q_bar.lam + mu_bar),
+    from the trapezoid time averages `_time_averages` that
+    `speed.speed_x_independent` reads too."""
+    if not coeffs.space_independent:
+        raise EigenError("closed form requires space-independent coefficients")
+    lam = np.asarray(lam, dtype=float).reshape(-1)
+    A_bar, q_bar, mu_bar = _time_averages(coeffs, n_t)
+    return float(-(lam @ A_bar @ lam - q_bar @ lam + mu_bar))
+
+
+def eigen_sandwich(coeffs: CoefficientSet, lam, phi: np.ndarray, grid: Grid):
     """Bounds  min (L_lam phi)/phi <= k <= max (L_lam phi)/phi  for any
-    positive periodic candidate phi (single level, or (n_t, npoints) levels
-    whose time derivative is taken by centered differences)."""
+    positive periodic candidate phi: (n_t, npoints) levels whose time
+    derivative is taken by centered differences, or one level, the candidate
+    constant in time, whose ratios -(E_lam(t_m) phi)/phi are taken at every
+    level t_m."""
     phi = np.asarray(phi, dtype=float)
     if np.min(phi) <= 0:
         raise PositivityError("sandwich candidate must be strictly positive")
-    family = family or ActionFamily(coeffs, lam, grid)
     if phi.ndim == 1:
-        r = -family.apply_action(0, phi) / phi
-        return float(r.min()), float(r.max())
+        phi = np.broadcast_to(phi, (grid.n_t, phi.size))
     if phi.shape[0] != grid.n_t:
         raise ValueError(f"expected {grid.n_t} time levels, got {phi.shape[0]}")
-    r = _floquet_ratios(family, phi)
+    r = _floquet_ratios(ActionFamily(coeffs, lam, grid), phi)
     return float(r.min()), float(r.max())
 
 
@@ -393,8 +393,7 @@ def dk_dB_at_zero(coeffs: CoefficientSet, lam, eta: PeriodicField, grid: Grid,
     pair = pair or adjoint_eigenpair(coeffs, lam, grid)
     n_t = grid.n_t
     tm = (np.arange(n_t) * grid.dt).reshape((-1,) + (1,) * grid.dimension)
-    eta_vals = np.asarray(eta(tm, *grid.meshgrid()), dtype=float)
-    eta_vals = np.broadcast_to(eta_vals, (n_t,) + tuple(grid.n_space)).reshape(n_t, -1)
+    eta_vals = eta(tm, *grid.meshgrid()).reshape(n_t, -1)
     if pair.phi.ndim == 1:
         prod = pair.phi * pair.phi_tilde  # time-independent pair
         integrand = eta_vals @ prod

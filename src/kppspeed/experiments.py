@@ -64,7 +64,6 @@ def run_spatial_average(sc: Scenario) -> ExperimentReport:
     tol_eq = sc.opt_float("tol_equality", TOL_EQUALITY)
     e = _direction(sc)
     rows, assertions = [], []
-    rep_holder = []
     with timer() as tm:
         cs = sc.coefficients
         bar = cs.with_mu(spatial_average(cs.mu))

@@ -5,18 +5,22 @@ arguments into [0, T) x C before handing them to the underlying entry, so
 periodicity holds identically regardless of how the entry is defined.
 
 Entries can be parsed expressions, plain Python callables ``f(t, x[, y])``,
-constants or lattice tables.  The discretization samples every entry the same
-way and takes the derivatives it needs as centered differences of the samples,
-whatever the representation; only ``gradient_drift`` differentiates an
-expression exactly.  A ``CoefficientSet`` bundles the diffusion matrix A, the
-drift q and the growth rate mu over a shared periodicity cell and checks
-uniform ellipticity of A by sampling.
+constants or lattice tables.  Whatever the entry, a sample (``__call__`` or
+``eval_entry``) is a float64 array with the broadcast shape of
+``(t, *coords)``, shape ``()`` for scalar arguments; it may be a read-only
+broadcast view, so a caller that writes into it copies it first.  The
+discretization takes these samples and the derivatives it needs as centered
+differences of them, whatever the representation; only ``gradient_drift``
+differentiates an expression exactly.  A ``CoefficientSet`` bundles the
+diffusion matrix A, the drift q and the growth rate mu over a shared
+periodicity cell and checks uniform ellipticity of A by sampling.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -87,8 +91,9 @@ class _ConstantEntry(_Entry):
         self.value = float(value)
 
     def eval(self, t, coords):
-        shape = np.broadcast_shapes(np.shape(t), *(np.shape(c) for c in coords))
-        return np.full(shape, self.value) if shape else self.value
+        # filled rather than broadcast: numpy sums a matrix product over a
+        # stride-0 array in another order than over a filled one
+        return np.full(np.broadcast(t, *coords).shape, self.value)
 
 
 class _ExpressionEntry(_Entry):
@@ -120,28 +125,23 @@ class _TabulatedEntry(_Entry):
         self.geometry = geometry
 
     def eval(self, t, coords):
-        axes_len = self.values.shape
         spans = (self.geometry.period,) + self.geometry.lengths
-        pts = (t,) + tuple(coords)
-        shape = np.broadcast_shapes(*(np.shape(p) for p in pts))
         idx0, idx1, wts = [], [], []
-        for p, n, span in zip(pts, axes_len, spans):
-            f = np.broadcast_to(np.asarray(p, dtype=float), shape) / span * n
+        for p, n, span in zip((t,) + tuple(coords), self.values.shape, spans):
+            f = np.asarray(p, dtype=float) / span * n
             base = np.floor(f)
-            w = f - base
             i0 = base.astype(np.int64) % n
             idx0.append(i0)
             idx1.append((i0 + 1) % n)
-            wts.append(w)
-        out = np.zeros(shape)
-        from itertools import product
-        for corner in product((0, 1), repeat=len(pts)):
+            wts.append(f - base)
+        out = 0.0
+        for corner in product((0, 1), repeat=len(wts)):
             sel = tuple(idx1[a] if c else idx0[a] for a, c in enumerate(corner))
-            weight = np.ones(shape)
+            weight = 1.0
             for a, c in enumerate(corner):
                 weight = weight * (wts[a] if c else 1.0 - wts[a])
             out = out + weight * self.values[sel]
-        return out if shape else float(out)
+        return out
 
 
 def _as_entry(value, params=None, dimension=1) -> _Entry:
@@ -235,11 +235,12 @@ class PeriodicField:
 
     # -- evaluation
 
-    def _wrap(self, t, coords):
-        g = self.geometry
-        t = np.mod(t, g.period)
-        coords = tuple(np.mod(c, L) for c, L in zip(coords, g.lengths))
-        return t, coords
+    def _entry(self, *index) -> _Entry:
+        if self.kind == "scalar":
+            return self.entries
+        if self.kind == "vector":
+            return self.entries[index[0]]
+        return self.entries[index[0]][index[1]]
 
     def _flat_entries(self):
         if self.kind == "scalar":
@@ -248,44 +249,44 @@ class PeriodicField:
             return list(self.entries)
         return [self.entries[i][j] for i in range(len(self.entries)) for j in range(len(self.entries))]
 
-    def __call__(self, t, *coords):
-        if self.kind != "scalar":
-            raise FieldError("only scalar fields are directly callable")
-        t, coords = self._wrap(t, self._pad(coords))
-        return self.entries.eval(t, coords)
-
-    def _pad(self, coords):
+    def _sample(self, entry: _Entry, t, coords) -> np.ndarray:
         if len(coords) != self.geometry.dimension:
             raise FieldError(
                 f"expected {self.geometry.dimension} spatial coordinates, got {len(coords)}")
-        return coords
+        g = self.geometry
+        t = np.mod(t, g.period)
+        coords = tuple(np.mod(c, L) for c, L in zip(coords, g.lengths))
+        shape = np.broadcast(t, *coords).shape
+        return np.broadcast_to(np.asarray(entry.eval(t, coords), dtype=float), shape)
 
-    def eval_entry(self, index, t, *coords):
-        t, coords = self._wrap(t, self._pad(coords))
-        if self.kind == "scalar":
-            entry = self.entries
-        elif self.kind == "vector":
-            entry = self.entries[index]
-        else:
-            entry = self.entries[index[0]][index[1]]
-        return entry.eval(t, coords)
+    def __call__(self, t, *coords) -> np.ndarray:
+        """Sample of a scalar field, under the contract of `eval_entry`."""
+        if self.kind != "scalar":
+            raise FieldError("only scalar fields are directly callable")
+        return self._sample(self.entries, t, coords)
+
+    def eval_entry(self, index, t, *coords) -> np.ndarray:
+        """Sample of one entry (index: None for a scalar, d for a vector,
+        (i, j) for a matrix) at (t, coords) reduced into the cell.
+
+        Every kind of entry gives a float64 array with the broadcast shape of
+        (t, *coords), shape () for scalar arguments.  It may be a read-only
+        broadcast view.
+        """
+        index = index if isinstance(index, tuple) else (index,)
+        return self._sample(self._entry(*index), t, coords)
 
     def component(self, *index) -> "PeriodicField":
         """Scalar view of one vector/matrix entry (shares flags)."""
         if self.kind == "scalar":
             return self
-        entry = self.entries[index[0]] if self.kind == "vector" else self.entries[index[0]][index[1]]
-        return PeriodicField("scalar", entry, self.geometry,
+        return PeriodicField("scalar", self._entry(*index), self.geometry,
                              time_independent=self.time_independent,
                              space_independent=self.space_independent,
                              check_flags=False)
 
     def entry_expression(self, *index) -> Expression | None:
-        if self.kind == "scalar":
-            return self.entries.expression
-        if self.kind == "vector":
-            return self.entries[index[0]].expression
-        return self.entries[index[0]][index[1]].expression
+        return self._entry(*index).expression
 
     # -- flags
 
@@ -310,8 +311,7 @@ class PeriodicField:
     def _verify_flags(self):
         t, coords = self._sample_lattice()
         for entry in self._flat_entries():
-            vals = np.asarray(entry.eval(*self._wrap(t, coords)), dtype=float)
-            vals = np.broadcast_to(vals, t.shape)
+            vals = self._sample(entry, t, coords)
             if self.time_independent:
                 dev = np.max(np.abs(vals - vals[:1]))
                 if dev > FLAG_TOL:
@@ -326,12 +326,11 @@ class PeriodicField:
         if self.kind != "matrix":
             return
         t, coords = self._sample_lattice(n)
-        t, coords = self._wrap(t, coords)
         N = self.geometry.dimension
         for i in range(N):
             for j in range(i + 1, N):
-                a = np.asarray(self.entries[i][j].eval(t, coords), dtype=float)
-                b = np.asarray(self.entries[j][i].eval(t, coords), dtype=float)
+                a = self._sample(self.entries[i][j], t, coords)
+                b = self._sample(self.entries[j][i], t, coords)
                 if np.max(np.abs(a - b)) > FLAG_TOL:
                     raise FieldError("matrix field is not symmetric")
 
@@ -374,16 +373,12 @@ def spatial_average(f: PeriodicField, samples: int = 256) -> PeriodicField:
     axes = [np.linspace(0, L, samples, endpoint=False) for L in g.lengths]
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = tuple(m.reshape(-1) for m in mesh)
-    npts = flat[0].size
 
     def fn(t, *x):
         t = np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(t.shape, *(np.shape(c) for c in x))
         tt = np.broadcast_to(t, shape).reshape(-1)
-        vals = f(tt[:, None], *(c[None, :] for c in flat))
-        vals = np.broadcast_to(vals, (tt.size, npts))
-        out = vals.mean(axis=1).reshape(shape)
-        return out if shape else float(out)
+        return f(tt[:, None], *(c[None, :] for c in flat)).mean(axis=1).reshape(shape)
 
     return PeriodicField("scalar", _CallableEntry(fn), g,
                          time_independent=f.time_independent,
@@ -400,10 +395,7 @@ def temporal_average(f: PeriodicField, samples: int = 256) -> PeriodicField:
     def fn(t, *x):
         shape = np.broadcast_shapes(np.shape(t), *(np.shape(c) for c in x))
         xs = [np.broadcast_to(np.asarray(c, dtype=float), shape).reshape(-1) for c in x]
-        vals = f(tq[:, None], *(c[None, :] for c in xs))
-        vals = np.broadcast_to(vals, (samples, xs[0].size))
-        out = vals.mean(axis=0).reshape(shape)
-        return out if shape else float(out)
+        return f(tq[:, None], *(c[None, :] for c in xs)).mean(axis=0).reshape(shape)
 
     return PeriodicField("scalar", _CallableEntry(fn), g,
                          time_independent=True,
@@ -480,12 +472,12 @@ def ellipticity_bounds(A: PeriodicField, samples: int = 64):
     t, coords = mesh[0], tuple(mesh[1:])
 
     if N == 1:
-        vals = np.broadcast_to(np.asarray(A.eval_entry((0, 0), t, *coords), dtype=float), t.shape)
+        vals = A.eval_entry((0, 0), t, *coords)
         gamma, Gamma = float(vals.min()), float(vals.max())
     else:
-        a11 = np.broadcast_to(np.asarray(A.eval_entry((0, 0), t, *coords), dtype=float), t.shape)
-        a22 = np.broadcast_to(np.asarray(A.eval_entry((1, 1), t, *coords), dtype=float), t.shape)
-        a12 = np.broadcast_to(np.asarray(A.eval_entry((0, 1), t, *coords), dtype=float), t.shape)
+        a11 = A.eval_entry((0, 0), t, *coords)
+        a22 = A.eval_entry((1, 1), t, *coords)
+        a12 = A.eval_entry((0, 1), t, *coords)
         mid = 0.5 * (a11 + a22)
         rad = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
         gamma, Gamma = float((mid - rad).min()), float((mid + rad).max())

@@ -23,7 +23,9 @@ after expanding the products.
 The stencil along each axis is written once (`_axis_stencil`); the 1D
 cyclic tridiagonal bands and the CSR matrix of every dimension are built from
 it, and the 2D mixed-derivative block of A_12 is the only part specific to
-2D.
+2D.  The face average (`_faces`) and the centred difference (`_centred`) of
+sampled coefficients are written once as well; the simulator and the
+variational routines use them too.
 
 Time stepping over one period is Crank-Nicolson,
 
@@ -47,16 +49,11 @@ from scipy.sparse.linalg import splu
 from . import kernels
 from .fields import CellGeometry, CoefficientSet
 
-__all__ = ["Grid", "GridError", "GridFunction", "build_grid", "LinearAction",
+__all__ = ["Grid", "GridError", "build_grid", "LinearAction",
            "assemble_action", "ActionFamily", "step_period"]
 
 DEFAULT_CAP = 2**20
 MIN_POINTS = 8
-
-# A grid function is a flat float array over the space grid at one time level
-# (length = prod n_i, validated by the consumers); Floquet machinery stacks
-# them as (n_t, npoints).
-GridFunction = np.ndarray
 
 
 class GridError(ValueError):
@@ -126,6 +123,17 @@ def build_grid(geometry: CellGeometry, n_space, n_t: int | None = None,
 # --- coefficient sampling -----------------------------------------------------
 
 
+def _faces(a, axis: int):
+    """Face values of periodic vertex samples along one axis: the arithmetic
+    mean of the endpoints, entry i for the face between points i and i+1."""
+    return 0.5 * (a + np.roll(a, -1, axis=axis))
+
+
+def _centred(v, h: float, axis: int):
+    """Centred difference of periodic samples of spacing h along one axis."""
+    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
+
+
 def _stencil_arrays(coeffs: CoefficientSet, lam: np.ndarray, grid: Grid,
                     times) -> dict:
     """Stencil arrays of E_lam at the given time levels, stacked on a leading
@@ -139,21 +147,15 @@ def _stencil_arrays(coeffs: CoefficientSet, lam: np.ndarray, grid: Grid,
         raise ValueError("lambda must have one component per spatial dimension")
     mesh = grid.meshgrid()
     t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
-    shape = np.broadcast_shapes(np.shape(t), mesh[0].shape)
     A, q, mu = coeffs.A, coeffs.q, coeffs.mu
-
-    def ev(field, index):
-        vals = field.eval_entry(index, t, *mesh)
-        return np.broadcast_to(np.asarray(vals, dtype=float), shape).copy()
-
-    a_diag = [ev(A, (d, d)) for d in range(N)]
-    a_faces = [0.5 * (a + np.roll(a, -1, axis=1 + d)) for d, a in enumerate(a_diag)]
+    a_diag = [A.eval_entry((d, d), t, *mesh) for d in range(N)]
+    a_faces = [_faces(a, 1 + d) for d, a in enumerate(a_diag)]
     a12 = None
     if N == 2:
-        a12 = ev(A, (0, 1))
+        a12 = A.eval_entry((0, 1), t, *mesh)
         if not np.any(a12):
             a12 = None
-    q_comp = [ev(q, d) for d in range(N)]
+    q_comp = [q.eval_entry(d, t, *mesh) for d in range(N)]
     # A lam at vertices, per axis
     alam = []
     for d in range(N):
@@ -162,13 +164,10 @@ def _stencil_arrays(coeffs: CoefficientSet, lam: np.ndarray, grid: Grid,
             v = v + a12 * lam[1 - d]
         alam.append(v)
     b = [2.0 * alam[d] - q_comp[d] for d in range(N)]
-    div_alam = sum(
-        (np.roll(alam[d], -1, axis=1 + d) - np.roll(alam[d], 1, axis=1 + d))
-        / (2 * grid.h[d])
-        for d in range(N))
+    div_alam = sum(_centred(alam[d], grid.h[d], 1 + d) for d in range(N))
     lam_a_lam = sum(alam[d] * lam[d] for d in range(N))
     q_dot_lam = sum(q_comp[d] * lam[d] for d in range(N))
-    c0 = lam_a_lam + div_alam + ev(mu, None) - q_dot_lam
+    c0 = lam_a_lam + div_alam + mu(t, *mesh) - q_dot_lam
     return {"a_faces": a_faces, "a12": a12, "b": b, "c0": c0}
 
 

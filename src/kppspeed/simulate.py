@@ -30,7 +30,7 @@ import numpy as np
 
 from .kernels import cn_levels
 from .fields import CoefficientSet
-from .operators import Grid, _bands_1d
+from .operators import Grid, _bands_1d, _faces
 
 __all__ = ["CauchyRun", "FrontEstimate", "SimulationError", "solve_cauchy",
            "front_speed", "smooth_bump"]
@@ -95,10 +95,8 @@ def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, grid: Grid, periodic: b
     """
     time_dep = not (coeffs.A.time_independent and coeffs.q.time_independent)
     t = np.arange(grid.n_t if time_dep else 1)[:, None] * grid.dt
-    shape = (t.shape[0], x.size)
-    a = np.broadcast_to(np.asarray(coeffs.A.eval_entry((0, 0), t, x), dtype=float), shape)
-    q = np.broadcast_to(np.asarray(coeffs.q.eval_entry(0, t, x), dtype=float), shape)
-    a_faces = 0.5 * (a + np.roll(a, -1, axis=-1))  # face between i and i+1 (wraps)
+    a_faces = _faces(coeffs.A.eval_entry((0, 0), t, x), -1)
+    q = coeffs.q.eval_entry(0, t, x)
     dl, dd, du, c0, c1 = _bands_1d(a_faces, -q, 0.0, grid.h[0])
     if not periodic:
         dl[:, -1] = dd[:, 0] = dd[:, -1] = du[:, 0] = c0[:] = c1[:] = 0.0
@@ -162,8 +160,7 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
     def mu_at(t):
         key = round(t % coeffs.geometry.period, 12)
         if key not in mu_cache:
-            vals = np.asarray(coeffs.mu(t, x), dtype=float)
-            mu_cache[key] = np.broadcast_to(vals, x.shape).copy()
+            mu_cache[key] = coeffs.mu(t, x)
         return mu_cache[key]
 
     for step in range(n_steps):

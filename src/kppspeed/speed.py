@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigen import EigenResult, principal_eigenvalue, richardson_in_time
+from .eigen import EigenResult, _time_averages, principal_eigenvalue, richardson_in_time
 from .fields import (CellGeometry, CoefficientSet, PeriodicField,
                      combine_scalar_fields)
 from .operators import Grid
@@ -367,23 +367,6 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
 
 
 # --- closed form for space-independent coefficients ---------------------------
-
-
-def _time_averages(coeffs: CoefficientSet, n_t: int):
-    g = coeffs.geometry
-    N = g.dimension
-    ts = np.linspace(0.0, g.period, n_t + 1)
-    origin = tuple(np.zeros_like(ts) for _ in range(N))
-
-    def avg(vals):
-        return float(np.trapezoid(np.broadcast_to(np.asarray(vals, dtype=float),
-                                                  ts.shape), ts) / g.period)
-
-    A_bar = np.array([[avg(coeffs.A.eval_entry((i, j), ts, *origin))
-                       for j in range(N)] for i in range(N)])
-    q_bar = np.array([avg(coeffs.q.eval_entry(d, ts, *origin)) for d in range(N)])
-    mu_bar = avg(coeffs.mu(ts, *origin))
-    return A_bar, q_bar, mu_bar
 
 
 def speed_x_independent(coeffs: CoefficientSet, e, n_t: int = 512) -> SpeedResult:

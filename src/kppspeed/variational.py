@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
 from .fields import (CoefficientSet, FieldError, PeriodicField)
-from .operators import Grid, assemble_action
+from .operators import Grid, _centred, _faces, assemble_action
 
 __all__ = ["CellProblemResult", "effective_diffusivity", "k0_rayleigh",
            "rayleigh_upper_bound", "compjlambda_lower_bound"]
@@ -55,16 +55,9 @@ def _diagonal_entries(A: PeriodicField, grid: Grid):
     if not A.time_independent:
         raise FieldError("cell problem requires a time-independent matrix field")
     mesh = grid.meshgrid()
-    N = grid.dimension
-    if N == 2:
-        a12 = np.asarray(A.eval_entry((0, 1), 0.0, *mesh), dtype=float)
-        if np.any(a12):
-            raise NotImplementedError("cell problem implemented for diagonal A only")
-    out = []
-    for d in range(N):
-        vals = np.asarray(A.eval_entry((d, d), 0.0, *mesh), dtype=float)
-        out.append(np.broadcast_to(vals, mesh[0].shape).copy())
-    return out
+    if grid.dimension == 2 and np.any(A.eval_entry((0, 1), 0.0, *mesh)):
+        raise NotImplementedError("cell problem implemented for diagonal A only")
+    return [A.eval_entry((d, d), 0.0, *mesh) for d in range(grid.dimension)]
 
 
 def effective_diffusivity(A: PeriodicField, e, grid: Grid) -> CellProblemResult:
@@ -77,7 +70,7 @@ def effective_diffusivity(A: PeriodicField, e, grid: Grid) -> CellProblemResult:
         raise ValueError("direction must be nonzero")
     e = e / nrm
     a_diag = _diagonal_entries(A, grid)
-    faces = [0.5 * (a + np.roll(a, -1, axis=d)) for d, a in enumerate(a_diag)]
+    faces = [_faces(a, d) for d, a in enumerate(a_diag)]
     h = grid.h
 
     # Euler-Lagrange: K chi = -div(A e) with the same face fluxes as K
@@ -116,8 +109,7 @@ def k0_rayleigh(A: PeriodicField, V, grid: Grid) -> float:
     """
     geometry = A.geometry
     if isinstance(V, PeriodicField):
-        v_vals = np.asarray(V(0.0, *grid.meshgrid()), dtype=float)
-        v_vals = np.broadcast_to(v_vals, grid.n_space).reshape(-1)
+        v_vals = V(0.0, *grid.meshgrid()).reshape(-1)
     else:
         v_vals = np.asarray(V, dtype=float).reshape(-1)
         if v_vals.size == 1:
@@ -150,8 +142,7 @@ def rayleigh_upper_bound(A: PeriodicField, mu: PeriodicField, kappa: float,
     geometry = A.geometry
     alpha_field = _as_alpha_field(alpha, geometry, grid)
     mesh = grid.meshgrid()
-    a_vals = np.broadcast_to(np.asarray(alpha_field(0.0, *mesh), dtype=float),
-                             grid.n_space).copy()
+    a_vals = alpha_field(0.0, *mesh)
     if np.min(a_vals) <= 0:
         raise ValueError("test profile alpha must be strictly positive")
     scale = np.sqrt(grid.integrate(a_vals**2))
@@ -159,11 +150,10 @@ def rayleigh_upper_bound(A: PeriodicField, mu: PeriodicField, kappa: float,
     if np.min(a_vals) < MIN_ALPHA:
         raise ValueError(f"alpha dips below the admissibility floor {MIN_ALPHA}")
 
-    grads = [(np.roll(a_vals, -1, axis=d) - np.roll(a_vals, 1, axis=d)) / (2 * grid.h[d])
-             for d in range(grid.dimension)]
+    grads = [_centred(a_vals, grid.h[d], d) for d in range(grid.dimension)]
 
     a_diag = _diagonal_entries(A, grid)
-    mu_vals = np.broadcast_to(np.asarray(mu(0.0, *mesh), dtype=float), grid.n_space)
+    mu_vals = mu(0.0, *mesh)
     dirichlet = kappa * grid.integrate(
         sum(a_diag[d] * grads[d] ** 2 for d in range(grid.dimension)))
     growth = grid.integrate(mu_vals * a_vals**2)
@@ -193,19 +183,14 @@ def compjlambda_lower_bound(coeffs: CoefficientSet, lam, grid: Grid) -> float:
     mesh = grid.meshgrid()
     N = grid.dimension
 
-    q_comp = [np.broadcast_to(np.asarray(coeffs.q.eval_entry(d, 0.0, *mesh), dtype=float),
-                              grid.n_space) for d in range(N)]
-    div_q = sum((np.roll(qd, -1, axis=d) - np.roll(qd, 1, axis=d)) / (2 * grid.h[d])
-                for d, qd in enumerate(q_comp))
+    q_comp = [coeffs.q.eval_entry(d, 0.0, *mesh) for d in range(N)]
+    div_q = sum(_centred(qd, grid.h[d], d) for d, qd in enumerate(q_comp))
     lam_a_lam = np.zeros(grid.n_space)
     for i in range(N):
         for j in range(N):
             if lam[i] == 0.0 or lam[j] == 0.0:
                 continue
-            a = np.broadcast_to(np.asarray(coeffs.A.eval_entry((i, j), 0.0, *mesh),
-                                           dtype=float), grid.n_space)
-            lam_a_lam = lam_a_lam + lam[i] * a * lam[j]
+            lam_a_lam = lam_a_lam + lam[i] * coeffs.A.eval_entry((i, j), 0.0, *mesh) * lam[j]
     q_lam = sum(lam[d] * q_comp[d] for d in range(N) if lam[d] != 0.0)
-    mu_vals = np.broadcast_to(np.asarray(coeffs.mu(0.0, *mesh), dtype=float), grid.n_space)
-    potential = 0.5 * div_q + lam_a_lam - q_lam + mu_vals
+    potential = 0.5 * div_q + lam_a_lam - q_lam + coeffs.mu(0.0, *mesh)
     return k0_rayleigh(coeffs.A, potential.reshape(-1), grid)

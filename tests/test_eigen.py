@@ -222,6 +222,19 @@ def test_sandwich_on_computed_floquet_eigenfunction():
     assert lo <= r.k <= up
 
 
+def test_sandwich_takes_a_one_level_candidate_at_every_level():
+    # time-constant candidate phi = 1: the ratios are -mu(t_m), so the bounds
+    # are the extremes of -mu over the period around k = -<mu> = -1
+    cs = coeffs(A="1", mu="1 + cos(2*pi*t)")
+    g = build_grid(cs.geometry, 16, 16)
+    assert k_x_independent(cs, [0.0]) == pytest.approx(-1.0, abs=1e-12)
+    stacked = eigen_sandwich(cs, [0.0], np.ones((g.n_t, g.npoints)), g)
+    lo, up = eigen_sandwich(cs, [0.0], np.ones(g.npoints), g)
+    assert (lo, up) == stacked
+    assert lo == pytest.approx(-2.0, abs=1e-12)
+    assert up == pytest.approx(0.0, abs=1e-12)
+
+
 def test_sandwich_rough_candidate_brackets():
     cs = coeffs(A="1", mu="1")
     g = build_grid(cs.geometry, 64)

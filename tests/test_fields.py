@@ -211,3 +211,23 @@ def test_combine_scalar_fields():
     expected = 0.5 + 2 * math.cos(2 * math.pi * x) - math.sin(2 * math.pi * t)
     assert h(t, x) == pytest.approx(expected, rel=1e-14)
     assert not h.time_independent and not h.space_independent
+
+
+@pytest.mark.parametrize("field", [
+    PeriodicField.scalar(0.7, GEO1),
+    PeriodicField.scalar("1 + 0.5*cos(2*pi*x)", GEO1),
+    PeriodicField.scalar("1 + 0.5*sin(2*pi*t)", GEO1),
+    PeriodicField.scalar(lambda t, x: 1.5, GEO1),
+    PeriodicField.tabulated(np.arange(12.0).reshape(3, 4), GEO1),
+], ids=["constant", "expression-in-x", "expression-in-t", "callable-float", "table"])
+def test_every_entry_samples_to_the_broadcast_shape_in_float64(field):
+    t = np.linspace(0.0, 1.3, 5)[:, None]
+    x = np.linspace(-0.4, 2.2, 7)
+    pointwise = np.array([[float(field(ti, xj)) for xj in x] for ti in t[:, 0]])
+    for sample in (field(t, x), field.eval_entry(None, t, x)):
+        assert isinstance(sample, np.ndarray)
+        assert sample.dtype == np.float64 and sample.shape == (5, 7)
+        np.testing.assert_allclose(sample, pointwise, rtol=1e-14, atol=0.0)
+    for sample in (field(0.3, 0.45), field.eval_entry(None, 0.3, 0.45)):
+        assert isinstance(sample, np.ndarray)
+        assert sample.dtype == np.float64 and sample.shape == ()

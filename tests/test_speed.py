@@ -63,6 +63,11 @@ def test_speed_x_independent_examples():
     assert speed_x_independent(coeffs(q="1"), [1.0]).c_star == pytest.approx(3.0, abs=1e-12)
     r = speed_x_independent(coeffs(A="2 + cos(2*pi*t)"), [1.0])
     assert r.c_star == pytest.approx(2 * np.sqrt(2.0), abs=1e-10)
+    # k_x_independent reads the same time averages: k(lam*)/(lam*.e) is c*
+    cs = coeffs(A="2 + cos(2*pi*t)", q="0.3 + 0.2*sin(2*pi*t)", mu="1 + 0.5*cos(2*pi*t)")
+    r = speed_x_independent(cs, [1.0])
+    k = eigen.k_x_independent(cs, r.lam_star)
+    assert k / float(r.lam_star @ r.e) == pytest.approx(r.c_star, abs=1e-12)
     with pytest.raises(SpeedError):
         speed_x_independent(coeffs(mu="1 + 0.5*cos(2*pi*x)"), [1.0])
 
