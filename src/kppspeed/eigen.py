@@ -5,10 +5,16 @@ positive periodic eigenfunction of  L_lam psi = d_t psi - E_lam psi = k psi:
 
 * steady (time-independent coefficients): the largest eigenvalue a of the
   discrete E_lam has the positive Perron eigenfunction and k = -a.  It is
-  found by inverse power iteration on (sigma I - E_lam), with sigma a
-  Gershgorin row bound of E_lam plus a small margin, so the shifted matrix is
-  positive definite in effect and the shift sits just above the target
-  eigenvalue (fast convergence).
+  found by inverse power iteration on (sigma I - E_lam), with sigma first a
+  Gershgorin row bound of E_lam plus a small margin, so that a is the
+  eigenvalue nearest to sigma.  When E_lam is Metzler (no negative
+  off-diagonal entry, as for a fine enough grid in 1D) and the iterate is
+  positive, the largest ratio (E_lam w)/w is a certified upper bound on a,
+  and sigma moves down to it as the iteration tightens it, so a strong
+  drift, whose Gershgorin bound lies far above a, converges as fast as a
+  weak one.  In 1D E_lam is a set of cyclic tridiagonal bands and sigma I -
+  E_lam is factored by LAPACK (`kernels.CyclicFactor`); in 2D it is a CSR
+  matrix factored by sparse LU (`operators.SteadyAction`).
 
 * Floquet (general space-time periodic coefficients): power iteration on the
   one-period Crank-Nicolson map P gives the principal multiplier rho > 0 and
@@ -34,11 +40,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import splu
-import scipy.sparse as sp
 
 from .fields import CoefficientSet, PeriodicField
-from .operators import ActionFamily, Grid, _centred, assemble_action
+from .operators import (ActionFamily, CoefficientSamples, Grid, SteadyAction, _centred,
+                        _period_samples)
 
 __all__ = [
     "EigenResult", "AdjointPair", "EigenError", "EigenConvergenceError",
@@ -145,38 +150,81 @@ def _power_iterate(step, v: np.ndarray, measure, *, tol: float, max_iter: int,
 # --- steady route -------------------------------------------------------------
 
 
-def _steady_ratios(E, w: np.ndarray):
-    """k with the sandwich bounds from the ratios -(E w)/w; while w is not
-    positive, the Rayleigh quotient with nan bounds."""
+def _steady_ratios(op: SteadyAction, w: np.ndarray, trans: str = "N"):
+    """k with the sandwich bounds from the ratios -(E w)/w (trans='T': of E^T);
+    while w is not positive, the Rayleigh quotient with nan bounds."""
+    Ew = op.matvec(w, trans)
     if np.min(w) > 0:
-        return _ratio_stats(-(E @ w) / w, w * w)
-    return -float(np.dot(w, E @ w) / np.dot(w, w)), np.nan, np.nan
+        return _ratio_stats(-Ew / w, w * w)
+    return -float(np.dot(w, Ew) / np.dot(w, w)), np.nan, np.nan
 
 
-def _steady_factor(coeffs: CoefficientSet, lam, grid: Grid):
-    """E_lam, the LU factors of sigma I - E_lam and the shift diagnostics."""
+def _above(bound: float) -> float:
+    """A shift just above an upper bound on the principal eigenvalue of E."""
+    return bound + 1e-3 * max(1.0, abs(bound))
+
+
+class _Shift:
+    """The shift sigma of inverse iteration with the factors of sigma I - E
+    and the number of times sigma was moved."""
+
+    def __init__(self, op: SteadyAction):
+        self.op, self.moves = op, 0
+        self.sigma = _above(op.gershgorin)
+        self.factor = op.factor(self.sigma)
+
+    def move(self, sigma: float) -> None:
+        self.sigma, self.factor = sigma, self.op.factor(sigma)
+        self.moves += 1
+
+
+def _steady_action(coeffs: CoefficientSet, lam, grid: Grid,
+                   samples: Optional[CoefficientSamples] = None) -> SteadyAction:
     if not coeffs.time_independent:
         raise EigenError("steady route requires time-independent coefficients")
-    action = assemble_action(coeffs, lam, grid)
-    bound = action.gershgorin_upper()
-    sigma = bound + 1e-3 * max(1.0, abs(bound))
-    lu = splu((sigma * sp.eye_array(action.matrix.shape[0], format="csc")
-               - action.matrix).tocsc())
-    return action, lu, {"sigma": sigma, "gershgorin": bound}
+    return SteadyAction(_period_samples(coeffs, grid, samples), lam)
 
 
-def _inverse_iterate(E, solve, v: np.ndarray, *, width_target: float, tol: float,
+def _inverse_iterate(op: SteadyAction, shift: _Shift, v: np.ndarray, *,
+                     trans: str = "N", width_target: float, tol: float,
                      max_iter: int, what: str):
-    """Inverse iteration with ``solve`` applying (sigma I - E)^-1; it also
-    waits for a sandwich width of at most ``width_target``.  Returns k, the
-    bounds, the positive iterate (max 1) and the iteration count."""
+    """Inverse iteration with the factors of sigma I - E held by ``shift``
+    (trans='T': with E^T); it also waits for a sandwich width of at most
+    ``width_target``.  Returns k, the bounds, the positive iterate (max 1)
+    and the iteration count.
+
+    When E is Metzler and the iterate is positive, -lower is a certified
+    upper bound on the principal eigenvalue a of E and -upper a lower one
+    (Collatz-Wielandt; Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, 1994).  A shift just above -lower is then still
+    above a, and a is still the eigenvalue nearest to it, so the shift moves
+    there whenever that at least halves its distance to the estimate -k; the
+    refactoring waits for the next step, which a converged iteration never
+    takes.  The increment test counts only iterates of the same factor.
+    """
     stats = []  # k, lower, upper of the latest iterate
+    closer = None  # the shift to move to before the next step
+    fresh = False  # the latest iterate came from a new factor
+
+    def step(u):
+        nonlocal closer, fresh
+        if closer is not None:
+            shift.move(closer)
+            closer, fresh = None, True
+        return shift.factor.solve(u, trans)
 
     def measure(_v, _w, u):
-        stats[:] = _steady_ratios(E, u)
-        return stats[0], stats[2] - stats[1] <= width_target
+        nonlocal closer, fresh
+        stats[:] = k, lower, upper = _steady_ratios(op, u, trans)
+        ready = not fresh and upper - lower <= width_target
+        fresh = False
+        if op.metzler and np.isfinite(lower):  # nan bounds: u not yet positive
+            sigma = _above(-lower)
+            if sigma + k <= 0.5 * (shift.sigma + k):
+                closer = sigma
+        return k, ready
 
-    _, v, it = _power_iterate(solve, v, measure, tol=tol, max_iter=max_iter, what=what)
+    _, v, it = _power_iterate(step, v, measure, tol=tol, max_iter=max_iter, what=what)
     if np.min(v) <= 0:
         raise PositivityError(f"{what}: eigenfunction has nonpositive entries; "
                               "refine the grid")
@@ -185,21 +233,26 @@ def _inverse_iterate(E, solve, v: np.ndarray, *, width_target: float, tol: float
 
 def principal_eigen_steady(coeffs: CoefficientSet, lam, grid: Grid, *,
                            tol: float = EIG_TOL, width_target: float = WIDTH_TARGET,
-                           max_iter: int = 200, v0: Optional[np.ndarray] = None) -> EigenResult:
+                           max_iter: int = 200, v0: Optional[np.ndarray] = None,
+                           samples: Optional[CoefficientSamples] = None) -> EigenResult:
     """Principal eigenvalue of the steady problem -E_lam phi = k phi.
 
-    Inverse power iteration on (sigma I - E_lam); sigma is the Gershgorin row
-    bound of the assembled matrix plus a small margin, a provable upper bound
-    for the real spectrum, so the target eigenvalue is extremal for the
-    shifted matrix.
+    Inverse power iteration on (sigma I - E_lam) (`_inverse_iterate`), with
+    sigma first the Gershgorin row bound of E_lam plus a small margin, a
+    provable upper bound for the real spectrum.  ``samples`` are the
+    `CoefficientSamples` of coeffs on grid, sampled here when not given.
+    ``diagnostics`` holds the Gershgorin bound, the final sigma and the
+    number of times sigma moved.
     """
-    action, lu, diagnostics = _steady_factor(coeffs, lam, grid)
+    op = _steady_action(coeffs, lam, grid, samples)
+    shift = _Shift(op)
     v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     k, lower, upper, phi, it = _inverse_iterate(
-        action.matrix, lu.solve, v, width_target=width_target, tol=tol,
-        max_iter=max_iter, what="steady inverse iteration")
-    return EigenResult(k, phi, lower, upper, it, "steady", grid, action.lam,
-                       diagnostics=diagnostics)
+        op, shift, v, width_target=width_target, tol=tol, max_iter=max_iter,
+        what="steady inverse iteration")
+    return EigenResult(k, phi, lower, upper, it, "steady", grid, op.lam,
+                       diagnostics={"gershgorin": op.gershgorin, "sigma": shift.sigma,
+                                    "shifts": shift.moves})
 
 
 # --- Floquet route --------------------------------------------------------------
@@ -249,9 +302,11 @@ def _floquet_iterate(family: ActionFamily, v: np.ndarray, *, tol: float,
 
 def principal_eigen_floquet(coeffs: CoefficientSet, lam, grid: Grid, *,
                             tol: float = EIG_TOL, max_iter: int = 200,
-                            v0: Optional[np.ndarray] = None) -> EigenResult:
-    """Principal eigenvalue via power iteration on the one-period map."""
-    family = ActionFamily(coeffs, lam, grid)
+                            v0: Optional[np.ndarray] = None,
+                            samples: Optional[CoefficientSamples] = None) -> EigenResult:
+    """Principal eigenvalue via power iteration on the one-period map;
+    ``samples`` as in `principal_eigen_steady`."""
+    family = ActionFamily(coeffs, lam, grid, samples)
     v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     k, psi, lower, upper, k_log, rho, it = _floquet_iterate(family, v, tol=tol,
                                                             max_iter=max_iter)
@@ -259,16 +314,21 @@ def principal_eigen_floquet(coeffs: CoefficientSet, lam, grid: Grid, *,
                        diagnostics={"rho": rho, "k_log_multiplier": k_log})
 
 
-def richardson_in_time(coeffs: CoefficientSet, coarse: EigenResult,
+def richardson_in_time(coeffs: CoefficientSet, coarse: EigenResult, *,
+                       samples: Optional[CoefficientSamples] = None,
                        **kw) -> EigenResult:
     """The Floquet eigenpair at doubled time steps, warm-started from the
     coarse one at the same lam, with the dt^2-extrapolated eigenvalue
     (4 k_fine - k_coarse)/3 in ``k_extrapolated`` and the coarse k in
     ``k_coarse``.  The eigenpair is the fine one, so its sandwich bounds
-    still certify its own ``k``."""
+    still certify its own ``k``.  ``samples`` are the `CoefficientSamples`
+    of the coarse grid; the fine solve takes their `doubled_in_time`."""
     grid = coarse.grid
     fine_grid = Grid(grid.geometry, grid.n_space, 2 * grid.n_t)
-    fine = principal_eigen_floquet(coeffs, coarse.lam, fine_grid, v0=coarse.phi[0], **kw)
+    if samples is not None:
+        samples = samples.doubled_in_time()
+    fine = principal_eigen_floquet(coeffs, coarse.lam, fine_grid, v0=coarse.phi[0],
+                                   samples=samples, **kw)
     fine.diagnostics["k_extrapolated"] = (4.0 * fine.k - coarse.k) / 3.0
     fine.diagnostics["k_coarse"] = coarse.k
     return fine
@@ -276,8 +336,11 @@ def richardson_in_time(coeffs: CoefficientSet, coarse: EigenResult,
 
 def principal_eigenvalue(coeffs: CoefficientSet, lam, grid: Grid, *,
                          route: str = "auto", richardson: bool = False,
-                         v0: Optional[np.ndarray] = None, **kw) -> EigenResult:
-    """Route to the steady or Floquet solver.
+                         v0: Optional[np.ndarray] = None,
+                         samples: Optional[CoefficientSamples] = None,
+                         **kw) -> EigenResult:
+    """Route to the steady or Floquet solver; ``samples`` as in
+    `principal_eigen_steady`.
 
     ``richardson=True`` (Floquet only) follows the solve with
     `richardson_in_time` and returns its fine eigenpair.  A ray search with
@@ -287,11 +350,11 @@ def principal_eigenvalue(coeffs: CoefficientSet, lam, grid: Grid, *,
     if route == "auto":
         route = "steady" if coeffs.time_independent else "floquet"
     if route == "steady":
-        return principal_eigen_steady(coeffs, lam, grid, v0=v0, **kw)
+        return principal_eigen_steady(coeffs, lam, grid, v0=v0, samples=samples, **kw)
     if route != "floquet":
         raise ValueError(f"unknown route {route!r}")
-    res = principal_eigen_floquet(coeffs, lam, grid, v0=v0, **kw)
-    return richardson_in_time(coeffs, res, **kw) if richardson else res
+    res = principal_eigen_floquet(coeffs, lam, grid, v0=v0, samples=samples, **kw)
+    return richardson_in_time(coeffs, res, samples=samples, **kw) if richardson else res
 
 
 # --- adjoint pair ---------------------------------------------------------------
@@ -311,20 +374,21 @@ def adjoint_eigenpair(coeffs: CoefficientSet, lam, grid: Grid, *,
     ``k_adjoint``.
     """
     if coeffs.time_independent:
-        action, lu, _ = _steady_factor(coeffs, lam, grid)
-        E = action.matrix
+        op = _steady_action(coeffs, lam, grid)
+        shift = _Shift(op)
         ones = np.ones(grid.npoints)
         k, _, _, phi, _ = _inverse_iterate(
-            E, lu.solve, ones, width_target=WIDTH_TARGET, tol=tol, max_iter=max_iter,
+            op, shift, ones, width_target=WIDTH_TARGET, tol=tol, max_iter=max_iter,
             what="steady inverse iteration")
+        # the adjoint iteration starts from the direct one's final shift
         k_adj, _, _, w, _ = _inverse_iterate(
-            E.T.tocsr(), lambda v: lu.solve(v, trans="T"), ones, width_target=np.inf,
-            tol=tol, max_iter=max_iter, what="adjoint steady inverse iteration")
+            op, shift, ones, trans="T", width_target=np.inf, tol=tol,
+            max_iter=max_iter, what="adjoint steady inverse iteration")
         if abs(k_adj - k) > mismatch_tol:
             raise EigenError(f"adjoint eigenvalue mismatch: {k_adj} vs {k}")
         # pairing integral over (0,T) x C for time-constant functions
         pairing = grid.geometry.period * grid.cell_measure() * float(np.dot(phi, w))
-        return AdjointPair(k, phi, w / pairing, grid, action.lam, "steady", k_adj)
+        return AdjointPair(k, phi, w / pairing, grid, op.lam, "steady", k_adj)
 
     family = ActionFamily(coeffs, lam, grid)
     ones = np.ones(grid.npoints)

@@ -20,12 +20,21 @@ divergence-form advection -div((2 A lam - q) .) with the same diagonal, i.e.
 the adjoint operator with its zeroth-order term -div(A lam)+lam.A.lam-q.lam+mu
 after expanding the products.
 
-The stencil along each axis is written once (`_axis_stencil`); the 1D
-cyclic tridiagonal bands and the CSR matrix of every dimension are built from
-it, and the 2D mixed-derivative block of A_12 is the only part specific to
-2D.  The face average (`_faces`) and the centred difference (`_centred`) of
-sampled coefficients are written once as well; the simulator and the
-variational routines use them too.
+A, q and mu are sampled once per coefficient set and grid
+(`CoefficientSamples`); since E_lam is a quadratic polynomial in lam, a new
+lam redoes only the lam algebra on those samples, and a ray search samples
+its coefficients once.  The stencil along each axis is written once
+(`_axis_stencil`); the 1D cyclic tridiagonal bands and the CSR matrix of
+every dimension are built from it, and the 2D mixed-derivative block of A_12
+is the only part specific to 2D.  The face average (`_faces`) and the
+centred difference (`_centred`) of sampled coefficients are written once as
+well; the simulator and the variational routines use them too.
+
+The steady eigen route takes E_lam as a `SteadyAction`: in 1D the cyclic
+tridiagonal bands, with LAPACK factors of sigma I - E_lam
+(`kernels.CyclicFactor`) and band products, and in 2D a CSR matrix with
+sparse LU.  `assemble_action` gives the CSR matrix of any dimension at one
+time level.
 
 Time stepping over one period is Crank-Nicolson,
 
@@ -49,8 +58,8 @@ from scipy.sparse.linalg import splu
 from . import kernels
 from .fields import CellGeometry, CoefficientSet
 
-__all__ = ["Grid", "GridError", "build_grid", "LinearAction",
-           "assemble_action", "ActionFamily", "step_period"]
+__all__ = ["Grid", "GridError", "build_grid", "CoefficientSamples", "LinearAction",
+           "assemble_action", "SteadyAction", "ActionFamily", "step_period"]
 
 DEFAULT_CAP = 2**20
 MIN_POINTS = 8
@@ -134,41 +143,96 @@ def _centred(v, h: float, axis: int):
     return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
 
 
-def _stencil_arrays(coeffs: CoefficientSet, lam: np.ndarray, grid: Grid,
-                    times) -> dict:
-    """Stencil arrays of E_lam at the given time levels, stacked on a leading
-    axis and evaluated in one vectorized pass.
+class CoefficientSamples:
+    """A, q and mu of one coefficient set sampled once on a grid.
 
-    div(A lam) is the centered difference of the sampled A lam, whatever the
-    representation of A.
+    The samples are taken at the Crank-Nicolson levels t_m = m dt of one
+    period (one level when the coefficients do not depend on time) or at the
+    given times, and kept as C-ordered stacks with the levels on the leading
+    axis.  E_lam is a quadratic polynomial in lam, so `stencil` redoes only
+    the lam algebra: a ray search samples its coefficients once, not once
+    per eigensolve.
     """
-    N = grid.dimension
-    if lam.size != N:
-        raise ValueError("lambda must have one component per spatial dimension")
-    mesh = grid.meshgrid()
-    t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
-    A, q, mu = coeffs.A, coeffs.q, coeffs.mu
-    a_diag = [A.eval_entry((d, d), t, *mesh) for d in range(N)]
-    a_faces = [_faces(a, 1 + d) for d, a in enumerate(a_diag)]
-    a12 = None
-    if N == 2:
-        a12 = A.eval_entry((0, 1), t, *mesh)
-        if not np.any(a12):
-            a12 = None
-    q_comp = [q.eval_entry(d, t, *mesh) for d in range(N)]
-    # A lam at vertices, per axis
-    alam = []
-    for d in range(N):
-        v = a_diag[d] * lam[d]
-        if N == 2 and a12 is not None:
-            v = v + a12 * lam[1 - d]
-        alam.append(v)
-    b = [2.0 * alam[d] - q_comp[d] for d in range(N)]
-    div_alam = sum(_centred(alam[d], grid.h[d], 1 + d) for d in range(N))
-    lam_a_lam = sum(alam[d] * lam[d] for d in range(N))
-    q_dot_lam = sum(q_comp[d] * lam[d] for d in range(N))
-    c0 = lam_a_lam + div_alam + mu(t, *mesh) - q_dot_lam
-    return {"a_faces": a_faces, "a12": a12, "b": b, "c0": c0}
+
+    def __init__(self, coeffs: CoefficientSet, grid: Grid, times=None):
+        N = grid.dimension
+        if times is None:
+            times = np.arange(1 if coeffs.time_independent else grid.n_t) * grid.dt
+        mesh = grid.meshgrid()
+        t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
+        A, q = coeffs.A, coeffs.q
+        self.coeffs, self.grid = coeffs, grid
+        self.a_diag = [np.ascontiguousarray(A.eval_entry((d, d), t, *mesh))
+                       for d in range(N)]
+        self.a_faces = [_faces(a, 1 + d) for d, a in enumerate(self.a_diag)]
+        self.a12 = None
+        if N == 2:
+            a12 = A.eval_entry((0, 1), t, *mesh)
+            if np.any(a12):
+                self.a12 = np.ascontiguousarray(a12)
+        self.q = [np.ascontiguousarray(q.eval_entry(d, t, *mesh)) for d in range(N)]
+        self.mu = np.ascontiguousarray(coeffs.mu(t, *mesh))
+        self._doubled: CoefficientSamples | None = None
+
+    @property
+    def n_levels(self) -> int:
+        return self.mu.shape[0]
+
+    def doubled_in_time(self) -> "CoefficientSamples":
+        """The samples at the period levels of the grid with 2 n_t steps,
+        made on the first call."""
+        if self._doubled is None:
+            g = self.grid
+            self._doubled = CoefficientSamples(self.coeffs,
+                                               Grid(g.geometry, g.n_space, 2 * g.n_t))
+        return self._doubled
+
+    def mean_diffusion(self, e) -> float:
+        """The mean of e.A.e over the samples."""
+        e = np.asarray(e, dtype=float).reshape(-1)
+        form = sum(e[d] ** 2 * a for d, a in enumerate(self.a_diag))
+        if self.a12 is not None:
+            form = form + 2.0 * e[0] * e[1] * self.a12
+        return float(np.mean(form))
+
+    def stencil(self, lam) -> dict:
+        """Stencil arrays of E_lam at the sampled levels: the face values of
+        the diagonal of A and the samples of A_12 (the same for every lam),
+        the first-order coefficients b = 2 A lam - q per axis and the
+        zeroth-order term c0.  div(A lam) is the centered difference of the
+        sampled A lam, whatever the representation of A.
+        """
+        grid = self.grid
+        N = grid.dimension
+        lam = np.asarray(lam, dtype=float).reshape(-1)
+        if lam.size != N:
+            raise ValueError("lambda must have one component per spatial dimension")
+        # A lam at vertices, per axis
+        alam = []
+        for d in range(N):
+            v = self.a_diag[d] * lam[d]
+            if self.a12 is not None:
+                v = v + self.a12 * lam[1 - d]
+            alam.append(v)
+        b = [2.0 * alam[d] - self.q[d] for d in range(N)]
+        div_alam = sum(_centred(alam[d], grid.h[d], 1 + d) for d in range(N))
+        lam_a_lam = sum(alam[d] * lam[d] for d in range(N))
+        q_dot_lam = sum(self.q[d] * lam[d] for d in range(N))
+        c0 = lam_a_lam + div_alam + self.mu - q_dot_lam
+        return {"a_faces": self.a_faces, "a12": self.a12, "b": b, "c0": c0}
+
+
+def _period_samples(coeffs: CoefficientSet, grid: Grid,
+                    samples: CoefficientSamples | None) -> CoefficientSamples:
+    """``samples`` when they hold coeffs at the period levels of grid, fresh
+    samples when they are None."""
+    if samples is None:
+        return CoefficientSamples(coeffs, grid)
+    n_levels = 1 if coeffs.time_independent else grid.n_t
+    if (samples.coeffs is not coeffs or samples.grid != grid
+            or samples.n_levels != n_levels):
+        raise ValueError("samples of other coefficients, another grid or other times")
+    return samples
 
 
 def _axis_stencil(af, b, h: float, axis: int = -1):
@@ -201,9 +265,9 @@ def _bands_1d(af, b, c0v, h: float):
 
 
 def _csr_matrix(stacked: dict, lev: int, grid: Grid) -> sp.csr_array:
-    """E_lam at level lev of a stack from `_stencil_arrays` as a CSR matrix, in
-    any dimension: the axis stencils, the zeroth-order diagonal and, in 2D,
-    the mixed a12 block."""
+    """E_lam at level lev of a `CoefficientSamples.stencil` stack as a CSR
+    matrix, in any dimension: the axis stencils, the zeroth-order diagonal
+    and, in 2D, the mixed a12 block."""
     idx = np.arange(grid.npoints).reshape(grid.n_space)
     cols, data = [], []
     diag = 0.0
@@ -251,23 +315,64 @@ class LinearAction:
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
 
-    def gershgorin_upper(self) -> float:
-        """Provable upper bound on the real parts of the spectrum."""
-        M = self.matrix
-        abs_sum = np.asarray(abs(M).sum(axis=1)).ravel()
-        diag = M.diagonal()
-        return float(np.max(diag + abs_sum - np.abs(diag)))
-
 
 def assemble_action(coeffs: CoefficientSet, lam, grid: Grid,
                     adjoint: bool = False, t: float = 0.0) -> LinearAction:
     """Assemble E_lam (adjoint: its exact transpose) at time level t."""
     coeffs.ellipticity()  # raises NonEllipticError for bad A
     lam = np.asarray(lam, dtype=float).reshape(-1)
-    M = _csr_matrix(_stencil_arrays(coeffs, lam, grid, [t]), 0, grid)
+    M = _csr_matrix(CoefficientSamples(coeffs, grid, [t]).stencil(lam), 0, grid)
     if adjoint:
         M = M.T.tocsr()
     return LinearAction(M, grid, lam, adjoint, t)
+
+
+class SteadyAction:
+    """E_lam of time-independent coefficients as inverse iteration uses it:
+    products ``matvec(v, trans)`` with E_lam (trans='T': its transpose), the
+    Gershgorin bound on the real parts of its spectrum, whether it is
+    Metzler (no negative off-diagonal entry) and the factors of
+    sigma I - E_lam for any shift sigma.
+
+    1D runs on the cyclic tridiagonal bands (`kernels.cyclic_matvec`,
+    `kernels.CyclicFactor`), other dimensions on a CSR matrix and sparse LU.
+    """
+
+    def __init__(self, samples: CoefficientSamples, lam):
+        if samples.n_levels != 1:
+            raise ValueError("a steady action needs samples at one time level")
+        samples.coeffs.ellipticity()  # raises NonEllipticError for bad A
+        self.grid = grid = samples.grid
+        self.lam = np.asarray(lam, dtype=float).reshape(-1)
+        stacked = samples.stencil(self.lam)
+        self._bands = self._matrix = None
+        if grid.dimension == 1:
+            dl, d, du, c0, c1 = (x[0] for x in _bands_1d(
+                stacked["a_faces"][0], stacked["b"][0], stacked["c0"], grid.h[0]))
+            c0, c1 = float(c0), float(c1)
+            self._bands = (dl, d, du, c0, c1)
+            self.matvec = partial(kernels.cyclic_matvec, kernels.band_storage(dl, d, du),
+                                  c0, c1)
+            rows = d + np.abs(dl) + np.abs(du)  # dl[0] = du[-1] = 0
+            rows[0] += abs(c0)
+            rows[-1] += abs(c1)
+            off = np.concatenate([dl, du, [c0, c1]])
+        else:
+            M = self._matrix = _csr_matrix(stacked, 0, grid)
+            self.matvec = partial(_csr_matvec, M)
+            diag = M.diagonal()
+            rows = diag + np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
+            off = M.data[M.indices != np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))]
+        self.gershgorin = float(np.max(rows))
+        self.metzler = bool(np.all(off >= 0))
+
+    def factor(self, sigma: float):
+        """Factors of sigma I - E_lam with ``.solve(b, trans)``."""
+        if self._bands is not None:
+            dl, d, du, c0, c1 = self._bands
+            return kernels.CyclicFactor(-dl, sigma - d, -du, -c0, -c1)
+        M = self._matrix
+        return splu((sigma * sp.eye_array(M.shape[0], format="csc") - M).tocsc())
 
 
 class ActionFamily:
@@ -278,17 +383,20 @@ class ActionFamily:
     and the product with the right-hand matrix I + dt/2 E, and runs the
     monodromy (one-period) map and its exact transpose through
     `kernels.cn_period`.  1D levels come from `kernels.cn_levels`; other
-    dimensions use sparse LU and CSR products.
+    dimensions use sparse LU and CSR products.  The stencils come from
+    ``samples``, the `CoefficientSamples` of coeffs on grid, sampled here
+    when not given.
     """
 
-    def __init__(self, coeffs: CoefficientSet, lam, grid: Grid):
+    def __init__(self, coeffs: CoefficientSet, lam, grid: Grid,
+                 samples: CoefficientSamples | None = None):
         self.coeffs = coeffs
         self.grid = grid
         self.lam = np.asarray(lam, dtype=float).reshape(-1)
         self.time_independent = coeffs.time_independent
-        n_levels = 1 if self.time_independent else grid.n_t
-        self._stacked = _stencil_arrays(coeffs, self.lam, grid,
-                                        np.arange(n_levels) * grid.dt)
+        # samples made here are dropped before the levels are factored
+        self._stacked = _period_samples(coeffs, grid, samples).stencil(self.lam)
+        n_levels = self._stacked["c0"].shape[0]
         half = 0.5 * grid.dt
         if grid.dimension == 1:
             bands = _bands_1d(self._stacked["a_faces"][0], self._stacked["b"][0],

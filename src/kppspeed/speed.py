@@ -3,9 +3,13 @@
 The speed in direction e is  c*_e = min over lam.e < 0 of k_lam / (lam.e).
 The default search restricts lam to the ray lam = -s e, s > 0, where the
 objective g(s) = -k_{-s e}/s is unimodal (k is concave along rays and
-g(0+) = g(inf) = +infinity), found by doubling/halving bracketing from a
-small s and Brent's method inside the bracket: parabolic steps through the
-three best points, golden-section steps where the parabola is not trusted.
+g(0+) = g(inf) = +infinity), found by doubling/halving bracketing and
+Brent's method inside the bracket: parabolic steps through the three best
+points, golden-section steps where the parabola is not trusted.  The
+bracket starts at sqrt(-k_0 / <e.A.e>), the minimizer for coefficients
+replaced by their means, which lies near the true one unless the
+coefficients vary strongly.  Coefficients that do not change along the ray
+are sampled once for the whole search (`operators.CoefficientSamples`).
 An optional 2D refinement runs coordinate descent over the ray direction
 inside the half-space lam.e < 0.
 
@@ -40,7 +44,7 @@ import numpy as np
 from .eigen import EigenResult, _time_averages, principal_eigenvalue, richardson_in_time
 from .fields import (CellGeometry, CoefficientSet, PeriodicField,
                      combine_scalar_fields)
-from .operators import Grid
+from .operators import CoefficientSamples, Grid
 
 __all__ = ["SpeedResult", "SpeedError", "NoSpreadingError", "UnimodalityError",
            "spreading_speed", "speed_x_independent", "shear_speed",
@@ -262,18 +266,25 @@ class _RayObjective:
 
 
 def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
-               solver_kwargs: Optional[dict], s_init: float, s_min: float,
+               samples: Optional[CoefficientSamples], mean_diffusion: float,
+               solver_kwargs: Optional[dict], s_init: Optional[float], s_min: float,
                s_max: float, tol: float, refine: bool = False) -> SpeedResult:
     """c*_e over ``problem(s, xi)``, the coefficients and wavevector whose
     eigenvalue on ``grid`` is k at lam = -s xi.
 
-    ``solver_kwargs`` go to `principal_eigenvalue`; with ``"richardson":
-    True`` on the Floquet route the search runs on the coarse eigenvalues
-    and `richardson_in_time` extrapolates k_0 and the eigenvalue at the
-    minimizer.  Checks k_0 < 0 (extrapolated), brackets and minimizes along
-    the ray xi = e, checks that the searched profile is unimodal, that the
-    search kept its least value and that this value is k_lam/(lam.e) at the
-    reported minimizer, and optionally refines the direction (2D).
+    ``samples`` are the `CoefficientSamples` of those coefficients on grid
+    when they do not change along the ray (None when they do): every solve
+    of the search, Richardson solves included, takes its stencils from
+    them.  ``solver_kwargs`` go to `principal_eigenvalue`; with
+    ``"richardson": True`` on the Floquet route the search runs on the
+    coarse eigenvalues and `richardson_in_time` extrapolates k_0 and the
+    eigenvalue at the minimizer.  Checks k_0 < 0
+    (extrapolated), brackets and minimizes along the ray xi = e from
+    ``s_init``, by default the minimizer sqrt(-k_0 / <e.A.e>) of the
+    homogeneous problem with ``mean_diffusion`` = <e.A.e>, checks that the
+    searched profile is unimodal, that the search kept its least value and
+    that this value is k_lam/(lam.e) at the reported minimizer, and
+    optionally refines the direction (2D).
     """
     kw = dict(solver_kwargs or {})
     eigen_route = kw.pop("route", "auto")
@@ -284,18 +295,21 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
         nonlocal solves
         solves += 1
         coeffs, lam = problem(s, xi)
-        return principal_eigenvalue(coeffs, lam, grid, route=eigen_route, v0=v0, **kw)
+        return principal_eigenvalue(coeffs, lam, grid, route=eigen_route, v0=v0,
+                                    samples=samples, **kw)
 
     def extrapolated(s, xi, coarse):
         nonlocal solves
         if not richardson or coarse.route != "floquet":
             return coarse
         solves += 1
-        return richardson_in_time(problem(s, xi)[0], coarse, **kw)
+        return richardson_in_time(problem(s, xi)[0], coarse, samples=samples, **kw)
 
     k0 = extrapolated(0.0, e, solve(0.0, e, None)).k_extrapolated
     if k0 >= 0:
         raise NoSpreadingError(k0)
+    if s_init is None:
+        s_init = math.sqrt(-k0 / mean_diffusion)
 
     obj = _RayObjective(solve, e)
     s_star, c_search = _bracket_and_minimize(lambda s: obj.value_for(s, e),
@@ -343,16 +357,18 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
 
 
 def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto",
-                    richardson: bool = False, s_init: float = 1e-2,
+                    richardson: bool = False, s_init: Optional[float] = None,
                     s_min: float = 1e-4, s_max: float = 1e4, tol: float = 1e-6,
                     refine: bool = False, solver_kwargs: Optional[dict] = None
                     ) -> SpeedResult:
     """Ray search for c*_e = min_{lam.e<0} k_lam/(lam.e).
 
     Verifies k_0 < 0 first (no spreading regime otherwise).  The search
-    brackets the minimizer along the ray and closes in on it with Brent's
-    method.  With ``richardson=True`` (Floquet route) it searches on the
-    n_t eigenvalues and reports the Richardson-extrapolated speed at their
+    brackets the minimizer along the ray, from ``s_init`` or by default from
+    the homogeneous estimate sqrt(-k_0 / <e.A.e>), and closes in on it with
+    Brent's method; it samples the coefficients once.  With
+    ``richardson=True`` (Floquet route) it searches on the n_t eigenvalues
+    and reports the Richardson-extrapolated speed at their
     minimizer, from one more solve at 2 n_t; ``diagnostics`` then holds the
     coarse speed as ``c_star_coarse``, and ``solves`` counts the eigensolves
     either way.  With ``refine=True`` (2D) a coordinate descent over the ray
@@ -360,8 +376,10 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
     are reported.
     """
     e = _unit(e, grid.dimension)
+    samples = CoefficientSamples(coeffs, grid)
     kw = dict(solver_kwargs or {}, route=route, richardson=richardson)
     return _ray_speed(lambda s, xi: (coeffs, -s * xi), grid, e, "ray-search",
+                      samples=samples, mean_diffusion=samples.mean_diffusion(e),
                       solver_kwargs=kw, s_init=s_init, s_min=s_min, s_max=s_max,
                       tol=tol, refine=refine)
 
@@ -466,13 +484,15 @@ def shear_full_coefficients(a: PeriodicField, q1: PeriodicField, mu: PeriodicFie
 
 
 def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
-                grid_y: Grid, *, s_init: float = 1e-2, s_min: float = 1e-4,
+                grid_y: Grid, *, s_init: Optional[float] = None, s_min: float = 1e-4,
                 s_max: float = 1e4, tol: float = 1e-6,
                 solver_kwargs: Optional[dict] = None) -> SpeedResult:
     """Spreading speed of a 2D shear flow via the reduced problem in y.
 
     ``solver_kwargs`` go to `principal_eigenvalue`; ``"richardson": True``
-    extrapolates at the minimizer as in `spreading_speed`.
+    extrapolates at the minimizer as in `spreading_speed`, and the bracket
+    starts as there, with <e.A.e> = <a>.  The reduced coefficients change
+    with s, so each solve samples its own.
     """
     _require_ty_fields(a, q1, mu)
     e = _unit(e, 2)
@@ -480,5 +500,7 @@ def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
     def problem(s, xi):
         return _reduced_coeffs(a, q1, mu, s, xi[0]), [-s * xi[1]]
 
-    return _ray_speed(problem, grid_y, e, "shear-reduced", solver_kwargs=solver_kwargs,
+    a_mean = CoefficientSamples(problem(0.0, e)[0], grid_y).mean_diffusion([1.0])
+    return _ray_speed(problem, grid_y, e, "shear-reduced", samples=None,
+                      mean_diffusion=a_mean, solver_kwargs=solver_kwargs,
                       s_init=s_init, s_min=s_min, s_max=s_max, tol=tol)

@@ -5,8 +5,11 @@ from kppspeed.expressions import parse_expression
 from kppspeed.fields import CellGeometry, CoefficientSet, NonEllipticError, PeriodicField
 from kppspeed.operators import (
     ActionFamily,
+    CoefficientSamples,
     GridError,
-    _stencil_arrays,
+    SteadyAction,
+    _centred,
+    _faces,
     assemble_action,
     build_grid,
     step_period,
@@ -308,11 +311,11 @@ def test_representation_does_not_change_the_operator(dim):
              expr.with_scaled(kappa=1.0)]
     grid = build_grid(geo, n_space, 16)
     lam_arr = np.asarray(lam, dtype=float)
-    ref = _stencil_arrays(expr, lam_arr, grid, grid.times())
+    ref = CoefficientSamples(expr, grid, grid.times()).stencil(lam_arr)
     ref_family = ActionFamily(expr, lam, grid)
     assert not ref_family.time_independent
     for coeffs in forms[1:]:
-        got = _stencil_arrays(coeffs, lam_arr, grid, grid.times())
+        got = CoefficientSamples(coeffs, grid, grid.times()).stencil(lam_arr)
         for key in ("a_faces", "b"):
             assert all(np.array_equal(u, v) for u, v in zip(got[key], ref[key]))
         assert np.array_equal(got["c0"], ref["c0"])
@@ -326,3 +329,107 @@ def test_representation_does_not_change_the_operator(dim):
             assert np.array_equal(
                 family.step_period(v, transpose=transpose, store_levels=True),
                 ref_family.step_period(v, transpose=transpose, store_levels=True))
+
+
+def _reference_stencil(coeffs, lam, grid, times):
+    """Stencil arrays of E_lam sampled afresh for one lam: the one-pass
+    builder that `CoefficientSamples` split into sampling and lam algebra."""
+    N = grid.dimension
+    mesh = grid.meshgrid()
+    t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
+    a_diag = [coeffs.A.eval_entry((d, d), t, *mesh) for d in range(N)]
+    a12 = coeffs.A.eval_entry((0, 1), t, *mesh) if N == 2 else None
+    if a12 is not None and not np.any(a12):
+        a12 = None
+    q = [coeffs.q.eval_entry(d, t, *mesh) for d in range(N)]
+    alam = [a_diag[d] * lam[d] + (a12 * lam[1 - d] if a12 is not None else 0.0)
+            for d in range(N)]
+    b = [2.0 * alam[d] - q[d] for d in range(N)]
+    div_alam = sum(_centred(alam[d], grid.h[d], 1 + d) for d in range(N))
+    c0 = (sum(alam[d] * lam[d] for d in range(N)) + div_alam + coeffs.mu(t, *mesh)
+          - sum(q[d] * lam[d] for d in range(N)))
+    return {"a_faces": [_faces(a, 1 + d) for d, a in enumerate(a_diag)], "a12": a12,
+            "b": b, "c0": c0}
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("time_dependent", [False, True], ids=["steady", "unsteady"])
+def test_samples_give_the_fresh_stencil_at_every_lam(dim, time_dependent):
+    # one CoefficientSamples reused over a lam sweep equals a fresh sample at
+    # each lam, and every stack it keeps or returns is C-ordered
+    if dim == 1:
+        coeffs = make_coeffs(A="1 + 0.5*cos(2*pi*x)", q="0.7*sin(2*pi*x)",
+                             mu="1 + 0.3*cos(2*pi*(x - t))" if time_dependent
+                             else "1 + 0.3*cos(2*pi*x)")
+        grid = build_grid(GEO1, 64, 16)
+        lams = [[s] for s in np.linspace(-3.0, 2.0, 6)]
+    else:
+        spec = dict(COEFFS_2D)
+        if not time_dependent:
+            spec["mu"] = "1 + 0.5*cos(2*pi*x)*cos(2*pi*y)"
+        coeffs = make_coeffs(**spec)
+        grid = build_grid(coeffs.geometry, (16, 12), 8)
+        lams = [[s, -0.4 * s + 0.1] for s in np.linspace(-2.0, 2.0, 5)]
+    assert coeffs.time_independent is not time_dependent
+    samples = CoefficientSamples(coeffs, grid)
+    times = np.arange(grid.n_t if time_dependent else 1) * grid.dt
+    assert samples.n_levels == times.size
+    kept = samples.a_diag + samples.a_faces + samples.q + [samples.mu]
+    if dim == 2:
+        kept.append(samples.a12)
+    for lam in lams:
+        got = samples.stencil(lam)
+        ref = _reference_stencil(coeffs, np.asarray(lam), grid, times)
+        for key in ("a_faces", "b"):
+            assert all(np.array_equal(u, v) for u, v in zip(got[key], ref[key]))
+        assert np.array_equal(got["c0"], ref["c0"])
+        assert (got["a12"] is None) is (dim == 1)
+        if dim == 2:
+            assert np.array_equal(got["a12"], ref["a12"])
+        for a in kept + got["b"] + [got["c0"]]:
+            assert a.flags.c_contiguous and a.shape == (times.size,) + grid.n_space
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_steady_action_is_the_assembled_matrix(dim):
+    # products both ways, the Gershgorin bound, the sign pattern and the
+    # factors of sigma I - E agree with the CSR matrix of assemble_action
+    if dim == 1:
+        coeffs = make_coeffs(A="1 + 0.5*cos(2*pi*x)", q="2*sin(2*pi*x)",
+                             mu="1 + 0.3*cos(2*pi*x)")
+        grid, lam = build_grid(GEO1, 48), [0.8]
+    else:
+        spec = dict(COEFFS_2D, mu="1 + 0.5*cos(2*pi*x)*cos(2*pi*y)")
+        coeffs = make_coeffs(**spec)
+        grid, lam = build_grid(coeffs.geometry, (12, 10)), [0.8, -0.3]
+    op = SteadyAction(CoefficientSamples(coeffs, grid), lam)
+    M = assemble_action(coeffs, lam, grid).matrix.toarray()
+    v = smooth_positive(grid, np.random.default_rng(5), dim)
+    np.testing.assert_allclose(op.matvec(v, "N"), M @ v, rtol=1e-13, atol=1e-9)
+    np.testing.assert_allclose(op.matvec(v, "T"), M.T @ v, rtol=1e-13, atol=1e-9)
+    off = M - np.diag(np.diag(M))
+    assert op.gershgorin == pytest.approx(np.max(np.diag(M) + np.abs(off).sum(axis=1)),
+                                          rel=1e-14)
+    assert op.metzler is bool(np.all(off >= 0))
+    assert op.metzler is (dim == 1)  # the 2D a12 block has negative entries
+    sigma = op.gershgorin + 1.0
+    factor = op.factor(sigma)
+    shifted = sigma * np.eye(grid.npoints) - M
+    np.testing.assert_allclose(shifted @ factor.solve(v, "N"), v, rtol=1e-10)
+    np.testing.assert_allclose(shifted.T @ factor.solve(v, "T"), v, rtol=1e-10)
+
+
+def test_samples_must_match_their_coefficients_grid_and_levels():
+    coeffs = make_coeffs(mu="1 + 0.3*cos(2*pi*(x - t))")
+    grid = build_grid(GEO1, 32, 16)
+    samples = CoefficientSamples(coeffs, grid)
+    ActionFamily(coeffs, [0.5], grid, samples)
+    fine = samples.doubled_in_time()
+    assert fine is samples.doubled_in_time()
+    assert (fine.grid.n_t, fine.n_levels) == (32, 32)
+    mismatched = [(make_coeffs(mu="1 + 0.3*cos(2*pi*(x - t))"), grid, samples),
+                  (coeffs, build_grid(GEO1, 32, 8), samples),
+                  (coeffs, grid, CoefficientSamples(coeffs, grid, [0.0]))]
+    for other, g, s in mismatched:
+        with pytest.raises(ValueError, match="samples of other"):
+            ActionFamily(other, [0.5], g, s)

@@ -191,6 +191,26 @@ def test_steady_search_counts_its_solves():
     assert "c_star_coarse" not in r.diagnostics
 
 
+def test_ray_bracket_starts_at_the_homogeneous_minimizer():
+    # constant coefficients: k_0 = -1 and <e.A.e> = 2, so the first point of
+    # the search is s = sqrt(1/2), the exact minimizer; the shear search
+    # starts the same way with <a>; an explicit s_init is honoured
+    cs = coeffs(A="2")
+    g = build_grid(cs.geometry, 64)
+    r = spreading_speed(cs, [1.0], g)
+    assert r.records[0]["s"] == pytest.approx(math.sqrt(0.5), rel=1e-9)
+    assert r.c_star == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-6)
+    cold = spreading_speed(cs, [1.0], g, s_init=1e-2)
+    assert cold.records[0]["s"] == 1e-2
+    assert r.diagnostics["solves"] < cold.diagnostics["solves"]
+    assert r.c_star == pytest.approx(cold.c_star, abs=1e-9)
+    geo = cs.geometry
+    one = PeriodicField.scalar("1", geo)
+    shear = shear_speed(PeriodicField.scalar("2", geo), PeriodicField.scalar("0", geo),
+                        one, [1.0, 0.0], g)
+    assert shear.records[0]["s"] == pytest.approx(math.sqrt(0.5), rel=1e-9)
+
+
 def test_2d_ray_and_refinement_match_on_isotropic_medium():
     cs = CoefficientSet.from_expressions(A="1", mu="1", L=(1.0, 1.0))
     g = build_grid(cs.geometry, (24, 24))
