@@ -7,7 +7,7 @@ from .expressions import Expression, parse_expression
 from .fields import (CellGeometry, CoefficientSet, PeriodicField,
                      ellipticity_bounds, gradient_drift, spatial_average,
                      temporal_average)
-from .operators import ActionFamily, Grid, assemble_action, build_grid, step_period
+from .operators import ActionFamily, Grid, assemble_action, build_grid
 from .eigen import (AdjointPair, EigenResult, adjoint_eigenpair, dk_dB_at_zero,
                     eigen_sandwich, k_x_independent, principal_eigen_floquet,
                     principal_eigen_steady, principal_eigenvalue)
@@ -26,7 +26,7 @@ __all__ = [
     "Expression", "parse_expression",
     "CellGeometry", "CoefficientSet", "PeriodicField", "ellipticity_bounds",
     "gradient_drift", "spatial_average", "temporal_average",
-    "ActionFamily", "Grid", "assemble_action", "build_grid", "step_period",
+    "ActionFamily", "Grid", "assemble_action", "build_grid",
     "AdjointPair", "EigenResult", "adjoint_eigenpair", "dk_dB_at_zero",
     "eigen_sandwich", "k_x_independent", "principal_eigen_floquet",
     "principal_eigen_steady", "principal_eigenvalue",

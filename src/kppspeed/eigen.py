@@ -24,7 +24,9 @@ positive periodic eigenfunction of  L_lam psi = d_t psi - E_lam psi = k psi:
 Both routes, and their adjoints, share one power-iteration loop
 (`_power_iterate`): the max-normalization, the relative-increment stopping
 test and the convergence error live there, and a route supplies only its
-step and its eigenvalue estimate.
+step and its eigenvalue estimate.  Each solver takes a `CoefficientSet` or
+its `CoefficientSamples` on the grid (`operators.sample`), so a ray search
+samples once for all its solves.
 
 Both routes report k as the eigenfunction-weighted average of the pointwise
 ratios (L_lam psi)/psi, a convex combination of the sandwich ratios, so the
@@ -43,7 +45,7 @@ import numpy as np
 
 from .fields import CoefficientSet, PeriodicField
 from .operators import (ActionFamily, CoefficientSamples, Grid, SteadyAction, _centred,
-                        _period_samples)
+                        sample)
 
 __all__ = [
     "EigenResult", "AdjointPair", "EigenError", "EigenConvergenceError",
@@ -178,11 +180,11 @@ class _Shift:
         self.moves += 1
 
 
-def _steady_action(coeffs: CoefficientSet, lam, grid: Grid,
-                   samples: Optional[CoefficientSamples] = None) -> SteadyAction:
-    if not coeffs.time_independent:
+def _steady_action(coeffs, lam, grid: Grid) -> SteadyAction:
+    samples = sample(coeffs, grid)
+    if not samples.coeffs.time_independent:
         raise EigenError("steady route requires time-independent coefficients")
-    return SteadyAction(_period_samples(coeffs, grid, samples), lam)
+    return SteadyAction(samples, lam)
 
 
 def _inverse_iterate(op: SteadyAction, shift: _Shift, v: np.ndarray, *,
@@ -231,20 +233,20 @@ def _inverse_iterate(op: SteadyAction, shift: _Shift, v: np.ndarray, *,
     return (*stats, v, it)
 
 
-def principal_eigen_steady(coeffs: CoefficientSet, lam, grid: Grid, *,
-                           tol: float = EIG_TOL, width_target: float = WIDTH_TARGET,
-                           max_iter: int = 200, v0: Optional[np.ndarray] = None,
-                           samples: Optional[CoefficientSamples] = None) -> EigenResult:
+def principal_eigen_steady(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid,
+                           *, tol: float = EIG_TOL, width_target: float = WIDTH_TARGET,
+                           max_iter: int = 200, v0: Optional[np.ndarray] = None
+                           ) -> EigenResult:
     """Principal eigenvalue of the steady problem -E_lam phi = k phi.
 
-    Inverse power iteration on (sigma I - E_lam) (`_inverse_iterate`), with
-    sigma first the Gershgorin row bound of E_lam plus a small margin, a
-    provable upper bound for the real spectrum.  ``samples`` are the
-    `CoefficientSamples` of coeffs on grid, sampled here when not given.
-    ``diagnostics`` holds the Gershgorin bound, the final sigma and the
-    number of times sigma moved.
+    ``coeffs`` is a `CoefficientSet` or its `CoefficientSamples` on grid
+    (`operators.sample`).  Inverse power iteration on (sigma I - E_lam)
+    (`_inverse_iterate`), with sigma first the Gershgorin row bound of
+    E_lam plus a small margin, a provable upper bound for the real
+    spectrum.  ``diagnostics`` holds the Gershgorin bound, the final sigma
+    and the number of times sigma moved.
     """
-    op = _steady_action(coeffs, lam, grid, samples)
+    op = _steady_action(coeffs, lam, grid)
     shift = _Shift(op)
     v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     k, lower, upper, phi, it = _inverse_iterate(
@@ -300,13 +302,12 @@ def _floquet_iterate(family: ActionFamily, v: np.ndarray, *, tol: float,
     return k, psi, lower, upper, k_log, rho, it
 
 
-def principal_eigen_floquet(coeffs: CoefficientSet, lam, grid: Grid, *,
-                            tol: float = EIG_TOL, max_iter: int = 200,
-                            v0: Optional[np.ndarray] = None,
-                            samples: Optional[CoefficientSamples] = None) -> EigenResult:
+def principal_eigen_floquet(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid,
+                            *, tol: float = EIG_TOL, max_iter: int = 200,
+                            v0: Optional[np.ndarray] = None) -> EigenResult:
     """Principal eigenvalue via power iteration on the one-period map;
-    ``samples`` as in `principal_eigen_steady`."""
-    family = ActionFamily(coeffs, lam, grid, samples)
+    ``coeffs`` as in `principal_eigen_steady`."""
+    family = ActionFamily(sample(coeffs, grid), lam)
     v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     k, psi, lower, upper, k_log, rho, it = _floquet_iterate(family, v, tol=tol,
                                                             max_iter=max_iter)
@@ -314,47 +315,42 @@ def principal_eigen_floquet(coeffs: CoefficientSet, lam, grid: Grid, *,
                        diagnostics={"rho": rho, "k_log_multiplier": k_log})
 
 
-def richardson_in_time(coeffs: CoefficientSet, coarse: EigenResult, *,
-                       samples: Optional[CoefficientSamples] = None,
+def richardson_in_time(coeffs: CoefficientSet | CoefficientSamples, coarse: EigenResult,
                        **kw) -> EigenResult:
     """The Floquet eigenpair at doubled time steps, warm-started from the
     coarse one at the same lam, with the dt^2-extrapolated eigenvalue
     (4 k_fine - k_coarse)/3 in ``k_extrapolated`` and the coarse k in
     ``k_coarse``.  The eigenpair is the fine one, so its sandwich bounds
-    still certify its own ``k``.  ``samples`` are the `CoefficientSamples`
-    of the coarse grid; the fine solve takes their `doubled_in_time`."""
-    grid = coarse.grid
-    fine_grid = Grid(grid.geometry, grid.n_space, 2 * grid.n_t)
-    if samples is not None:
-        samples = samples.doubled_in_time()
-    fine = principal_eigen_floquet(coeffs, coarse.lam, fine_grid, v0=coarse.phi[0],
-                                   samples=samples, **kw)
+    still certify its own ``k``.  ``coeffs`` as in `principal_eigen_steady`
+    on the coarse grid; the fine solve takes the `doubled_in_time` samples."""
+    fine_samples = sample(coeffs, coarse.grid).doubled_in_time()
+    fine = principal_eigen_floquet(fine_samples, coarse.lam, fine_samples.grid,
+                                   v0=coarse.phi[0], **kw)
     fine.diagnostics["k_extrapolated"] = (4.0 * fine.k - coarse.k) / 3.0
     fine.diagnostics["k_coarse"] = coarse.k
     return fine
 
 
-def principal_eigenvalue(coeffs: CoefficientSet, lam, grid: Grid, *,
-                         route: str = "auto", richardson: bool = False,
-                         v0: Optional[np.ndarray] = None,
-                         samples: Optional[CoefficientSamples] = None,
-                         **kw) -> EigenResult:
-    """Route to the steady or Floquet solver; ``samples`` as in
-    `principal_eigen_steady`.
+def principal_eigenvalue(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid,
+                         *, route: str = "auto", richardson: bool = False,
+                         v0: Optional[np.ndarray] = None, **kw) -> EigenResult:
+    """Route to the steady or Floquet solver; ``coeffs`` as in
+    `principal_eigen_steady`, sampled once for every solve.
 
     ``richardson=True`` (Floquet only) follows the solve with
     `richardson_in_time` and returns its fine eigenpair.  A ray search with
     Richardson does not call this at every point: it searches on the plain
     solves and calls `richardson_in_time` at k_0 and at its minimizer.
     """
+    samples = sample(coeffs, grid)
     if route == "auto":
-        route = "steady" if coeffs.time_independent else "floquet"
+        route = "steady" if samples.coeffs.time_independent else "floquet"
     if route == "steady":
-        return principal_eigen_steady(coeffs, lam, grid, v0=v0, samples=samples, **kw)
+        return principal_eigen_steady(samples, lam, grid, v0=v0, **kw)
     if route != "floquet":
         raise ValueError(f"unknown route {route!r}")
-    res = principal_eigen_floquet(coeffs, lam, grid, v0=v0, samples=samples, **kw)
-    return richardson_in_time(coeffs, res, samples=samples, **kw) if richardson else res
+    res = principal_eigen_floquet(samples, lam, grid, v0=v0, **kw)
+    return richardson_in_time(samples, res, **kw) if richardson else res
 
 
 # --- adjoint pair ---------------------------------------------------------------
@@ -390,7 +386,7 @@ def adjoint_eigenpair(coeffs: CoefficientSet, lam, grid: Grid, *,
         pairing = grid.geometry.period * grid.cell_measure() * float(np.dot(phi, w))
         return AdjointPair(k, phi, w / pairing, grid, op.lam, "steady", k_adj)
 
-    family = ActionFamily(coeffs, lam, grid)
+    family = ActionFamily(CoefficientSamples(coeffs, grid), lam)
     ones = np.ones(grid.npoints)
     k, psi, _, _, k_log, _, _ = _floquet_iterate(family, ones, tol=tol, max_iter=max_iter)
     k_adj, psi_t, _, _, k_log_adj, _, _ = _floquet_iterate(
@@ -446,7 +442,7 @@ def eigen_sandwich(coeffs: CoefficientSet, lam, phi: np.ndarray, grid: Grid):
         phi = np.broadcast_to(phi, (grid.n_t, phi.size))
     if phi.shape[0] != grid.n_t:
         raise ValueError(f"expected {grid.n_t} time levels, got {phi.shape[0]}")
-    r = _floquet_ratios(ActionFamily(coeffs, lam, grid), phi)
+    r = _floquet_ratios(ActionFamily(CoefficientSamples(coeffs, grid), lam), phi)
     return float(r.min()), float(r.max())
 
 

@@ -466,21 +466,18 @@ def ellipticity_bounds(A: PeriodicField, samples: int = 64):
     g = A.geometry
     N = g.dimension
     nt = 1 if A.time_independent else samples
-    ts = np.linspace(0, g.period, nt, endpoint=False)
     axes = [np.linspace(0, L, samples, endpoint=False) for L in g.lengths]
-    mesh = np.meshgrid(ts, *axes, indexing="ij")
-    t, coords = mesh[0], tuple(mesh[1:])
-
-    if N == 1:
-        vals = A.eval_entry((0, 0), t, *coords)
-        gamma, Gamma = float(vals.min()), float(vals.max())
-    else:
-        a11 = A.eval_entry((0, 0), t, *coords)
-        a22 = A.eval_entry((1, 1), t, *coords)
-        a12 = A.eval_entry((0, 1), t, *coords)
-        mid = 0.5 * (a11 + a22)
-        rad = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
-        gamma, Gamma = float((mid - rad).min()), float((mid + rad).max())
+    coords = np.meshgrid(*axes, indexing="ij")
+    gamma, Gamma = np.inf, -np.inf
+    for t in np.linspace(0, g.period, nt, endpoint=False):  # one level at a time
+        if N == 1:
+            low = high = A.eval_entry((0, 0), t, *coords)
+        else:
+            a11, a22, a12 = (A.eval_entry(ij, t, *coords) for ij in ((0, 0), (1, 1), (0, 1)))
+            mid = 0.5 * (a11 + a22)
+            rad = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
+            low, high = mid - rad, mid + rad
+        gamma, Gamma = min(gamma, float(low.min())), max(Gamma, float(high.max()))
     if gamma <= 0:
         raise NonEllipticError(f"diffusion matrix is not uniformly elliptic (gamma={gamma:.3g})")
     return gamma, Gamma

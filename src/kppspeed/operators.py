@@ -20,20 +20,21 @@ divergence-form advection -div((2 A lam - q) .) with the same diagonal, i.e.
 the adjoint operator with its zeroth-order term -div(A lam)+lam.A.lam-q.lam+mu
 after expanding the products.
 
-A, q and mu are sampled once per coefficient set and grid
-(`CoefficientSamples`); since E_lam is a quadratic polynomial in lam, a new
-lam redoes only the lam algebra on those samples, and a ray search samples
-its coefficients once.  The stencil along each axis is written once
-(`_axis_stencil`); the 1D cyclic tridiagonal bands and the CSR matrix of
-every dimension are built from it, and the 2D mixed-derivative block of A_12
-is the only part specific to 2D.  The face average (`_faces`) and the
-centred difference (`_centred`) of sampled coefficients are written once as
-well; the simulator and the variational routines use them too.
+The operators read A, q and mu only from `CoefficientSamples`, made once
+per coefficient set and grid, where A is checked to be uniformly elliptic.
+Callers sample at the boundary (`sample`), and since E_lam is a quadratic
+polynomial in lam, a ray search samples once and a new lam redoes only the
+lam algebra.  The stencil along each axis is written once (`_axis_stencil`);
+the 1D cyclic tridiagonal bands and the CSR matrix of every dimension are
+built from it, and the 2D mixed-derivative block of A_12 is the only part
+specific to 2D.  The face average (`_faces`) and the centred difference
+(`_centred`) of samples are written once as well; the simulator and the
+variational routines use them too.
 
 The steady eigen route takes E_lam as a `SteadyAction`: in 1D the cyclic
 tridiagonal bands, with LAPACK factors of sigma I - E_lam
 (`kernels.CyclicFactor`) and band products, and in 2D a CSR matrix with
-sparse LU.  `assemble_action` gives the CSR matrix of any dimension at one
+sparse LU.  `assemble_action` returns the CSR matrix of any dimension at one
 time level.
 
 Time stepping over one period is Crank-Nicolson,
@@ -58,8 +59,8 @@ from scipy.sparse.linalg import splu
 from . import kernels
 from .fields import CellGeometry, CoefficientSet
 
-__all__ = ["Grid", "GridError", "build_grid", "CoefficientSamples", "LinearAction",
-           "assemble_action", "SteadyAction", "ActionFamily", "step_period"]
+__all__ = ["Grid", "GridError", "build_grid", "CoefficientSamples", "sample",
+           "assemble_action", "SteadyAction", "ActionFamily"]
 
 DEFAULT_CAP = 2**20
 MIN_POINTS = 8
@@ -155,6 +156,7 @@ class CoefficientSamples:
     """
 
     def __init__(self, coeffs: CoefficientSet, grid: Grid, times=None):
+        coeffs.ellipticity()  # raises NonEllipticError for bad A
         N = grid.dimension
         if times is None:
             times = np.arange(1 if coeffs.time_independent else grid.n_t) * grid.dt
@@ -222,17 +224,15 @@ class CoefficientSamples:
         return {"a_faces": self.a_faces, "a12": self.a12, "b": b, "c0": c0}
 
 
-def _period_samples(coeffs: CoefficientSet, grid: Grid,
-                    samples: CoefficientSamples | None) -> CoefficientSamples:
-    """``samples`` when they hold coeffs at the period levels of grid, fresh
-    samples when they are None."""
-    if samples is None:
+def sample(coeffs, grid: Grid) -> CoefficientSamples:
+    """coeffs as `CoefficientSamples` at the period levels of grid: a
+    `CoefficientSet` is sampled here, samples made on grid pass through."""
+    if not isinstance(coeffs, CoefficientSamples):
         return CoefficientSamples(coeffs, grid)
-    n_levels = 1 if coeffs.time_independent else grid.n_t
-    if (samples.coeffs is not coeffs or samples.grid != grid
-            or samples.n_levels != n_levels):
-        raise ValueError("samples of other coefficients, another grid or other times")
-    return samples
+    n_levels = 1 if coeffs.coeffs.time_independent else grid.n_t
+    if coeffs.grid != grid or coeffs.n_levels != n_levels:
+        raise ValueError("samples of another grid or at other times")
+    return coeffs
 
 
 def _axis_stencil(af, b, h: float, axis: int = -1):
@@ -302,29 +302,12 @@ def _csr_matvec(M, v, trans: str = "N") -> np.ndarray:
     return (M.T if trans == "T" else M) @ v
 
 
-@dataclass
-class LinearAction:
-    """The assembled action of E_lam (or its adjoint) at one time level."""
-
-    matrix: sp.csr_array
-    grid: Grid
-    lam: np.ndarray
-    adjoint: bool
-    t: float
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-
 def assemble_action(coeffs: CoefficientSet, lam, grid: Grid,
-                    adjoint: bool = False, t: float = 0.0) -> LinearAction:
-    """Assemble E_lam (adjoint: its exact transpose) at time level t."""
-    coeffs.ellipticity()  # raises NonEllipticError for bad A
+                    adjoint: bool = False, t: float = 0.0) -> sp.csr_array:
+    """E_lam (adjoint: its exact transpose) at time level t as a CSR matrix."""
     lam = np.asarray(lam, dtype=float).reshape(-1)
     M = _csr_matrix(CoefficientSamples(coeffs, grid, [t]).stencil(lam), 0, grid)
-    if adjoint:
-        M = M.T.tocsr()
-    return LinearAction(M, grid, lam, adjoint, t)
+    return M.T.tocsr() if adjoint else M
 
 
 class SteadyAction:
@@ -341,7 +324,6 @@ class SteadyAction:
     def __init__(self, samples: CoefficientSamples, lam):
         if samples.n_levels != 1:
             raise ValueError("a steady action needs samples at one time level")
-        samples.coeffs.ellipticity()  # raises NonEllipticError for bad A
         self.grid = grid = samples.grid
         self.lam = np.asarray(lam, dtype=float).reshape(-1)
         stacked = samples.stencil(self.lam)
@@ -383,20 +365,15 @@ class ActionFamily:
     and the product with the right-hand matrix I + dt/2 E, and runs the
     monodromy (one-period) map and its exact transpose through
     `kernels.cn_period`.  1D levels come from `kernels.cn_levels`; other
-    dimensions use sparse LU and CSR products.  The stencils come from
-    ``samples``, the `CoefficientSamples` of coeffs on grid, sampled here
-    when not given.
+    dimensions use sparse LU and CSR products.  The grid and the levels are
+    those of ``samples``, the `CoefficientSamples` of the coefficients.
     """
 
-    def __init__(self, coeffs: CoefficientSet, lam, grid: Grid,
-                 samples: CoefficientSamples | None = None):
-        self.coeffs = coeffs
-        self.grid = grid
+    def __init__(self, samples: CoefficientSamples, lam):
+        self.grid = grid = samples.grid
         self.lam = np.asarray(lam, dtype=float).reshape(-1)
-        self.time_independent = coeffs.time_independent
-        # samples made here are dropped before the levels are factored
-        self._stacked = _period_samples(coeffs, grid, samples).stencil(self.lam)
-        n_levels = self._stacked["c0"].shape[0]
+        self.time_independent = samples.n_levels == 1
+        self._stacked = samples.stencil(self.lam)
         half = 0.5 * grid.dt
         if grid.dimension == 1:
             bands = _bands_1d(self._stacked["a_faces"][0], self._stacked["b"][0],
@@ -404,7 +381,7 @@ class ActionFamily:
             action = kernels.band_products(*bands)
             lhs, rhs = kernels.cn_levels(*bands, half)
         else:
-            mats = [self.matrix(lev) for lev in range(n_levels)]
+            mats = [self.matrix(lev) for lev in range(samples.n_levels)]
             eye = sp.eye_array(grid.npoints, format="csr")
             action = [partial(_csr_matvec, M) for M in mats]
             lhs = [splu((eye - half * M).tocsc()) for M in mats]
@@ -443,8 +420,3 @@ class ActionFamily:
             return levels
         return levels[0] if transpose else levels[-1]
 
-
-def step_period(family: ActionFamily, phi0: np.ndarray, *, transpose: bool = False,
-                store_levels: bool = False):
-    """Crank-Nicolson stepping of d_t phi = E_lam(t) phi from t=0 to t=T."""
-    return family.step_period(phi0, transpose=transpose, store_levels=store_levels)

@@ -8,8 +8,8 @@ Brent's method inside the bracket: parabolic steps through the three best
 points, golden-section steps where the parabola is not trusted.  The
 bracket starts at sqrt(-k_0 / <e.A.e>), the minimizer for coefficients
 replaced by their means, which lies near the true one unless the
-coefficients vary strongly.  Coefficients that do not change along the ray
-are sampled once for the whole search (`operators.CoefficientSamples`).
+coefficients vary strongly.  `spreading_speed` samples once for all its
+solves, `shear_speed`, whose reduced growth rate changes with s, per solve.
 An optional 2D refinement runs coordinate descent over the ray direction
 inside the half-space lam.e < 0.
 
@@ -266,25 +266,22 @@ class _RayObjective:
 
 
 def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
-               samples: Optional[CoefficientSamples], mean_diffusion: float,
-               solver_kwargs: Optional[dict], s_init: Optional[float], s_min: float,
-               s_max: float, tol: float, refine: bool = False) -> SpeedResult:
-    """c*_e over ``problem(s, xi)``, the coefficients and wavevector whose
-    eigenvalue on ``grid`` is k at lam = -s xi.
+               mean_diffusion: float, solver_kwargs: Optional[dict],
+               s_init: Optional[float], s_min: float, s_max: float, tol: float,
+               refine: bool = False) -> SpeedResult:
+    """c*_e over ``problem(s, xi)``: the coefficients (a `CoefficientSet` or
+    its `CoefficientSamples` on grid) and the wavevector whose eigenvalue is
+    k at lam = -s xi, for every solve, Richardson solves included.
 
-    ``samples`` are the `CoefficientSamples` of those coefficients on grid
-    when they do not change along the ray (None when they do): every solve
-    of the search, Richardson solves included, takes its stencils from
-    them.  ``solver_kwargs`` go to `principal_eigenvalue`; with
-    ``"richardson": True`` on the Floquet route the search runs on the
-    coarse eigenvalues and `richardson_in_time` extrapolates k_0 and the
-    eigenvalue at the minimizer.  Checks k_0 < 0
-    (extrapolated), brackets and minimizes along the ray xi = e from
-    ``s_init``, by default the minimizer sqrt(-k_0 / <e.A.e>) of the
-    homogeneous problem with ``mean_diffusion`` = <e.A.e>, checks that the
-    searched profile is unimodal, that the search kept its least value and
-    that this value is k_lam/(lam.e) at the reported minimizer, and
-    optionally refines the direction (2D).
+    ``solver_kwargs`` go to `principal_eigenvalue`; with ``"richardson":
+    True`` on the Floquet route the search runs on the coarse eigenvalues
+    and `richardson_in_time` extrapolates k_0 and the eigenvalue at the
+    minimizer.  Checks k_0 < 0 (extrapolated), brackets and minimizes along
+    the ray xi = e from ``s_init``, by default the minimizer
+    sqrt(-k_0 / <e.A.e>) of the homogeneous problem with ``mean_diffusion``
+    = <e.A.e>, checks that the searched profile is unimodal, that the
+    search kept its least value and that this value is k_lam/(lam.e) at the
+    reported minimizer, and optionally refines the direction (2D).
     """
     kw = dict(solver_kwargs or {})
     eigen_route = kw.pop("route", "auto")
@@ -295,15 +292,14 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
         nonlocal solves
         solves += 1
         coeffs, lam = problem(s, xi)
-        return principal_eigenvalue(coeffs, lam, grid, route=eigen_route, v0=v0,
-                                    samples=samples, **kw)
+        return principal_eigenvalue(coeffs, lam, grid, route=eigen_route, v0=v0, **kw)
 
     def extrapolated(s, xi, coarse):
         nonlocal solves
         if not richardson or coarse.route != "floquet":
             return coarse
         solves += 1
-        return richardson_in_time(problem(s, xi)[0], coarse, samples=samples, **kw)
+        return richardson_in_time(problem(s, xi)[0], coarse, **kw)
 
     k0 = extrapolated(0.0, e, solve(0.0, e, None)).k_extrapolated
     if k0 >= 0:
@@ -378,8 +374,8 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
     e = _unit(e, grid.dimension)
     samples = CoefficientSamples(coeffs, grid)
     kw = dict(solver_kwargs or {}, route=route, richardson=richardson)
-    return _ray_speed(lambda s, xi: (coeffs, -s * xi), grid, e, "ray-search",
-                      samples=samples, mean_diffusion=samples.mean_diffusion(e),
+    return _ray_speed(lambda s, xi: (samples, -s * xi), grid, e, "ray-search",
+                      mean_diffusion=samples.mean_diffusion(e),
                       solver_kwargs=kw, s_init=s_init, s_min=s_min, s_max=s_max,
                       tol=tol, refine=refine)
 
@@ -491,16 +487,17 @@ def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
 
     ``solver_kwargs`` go to `principal_eigenvalue`; ``"richardson": True``
     extrapolates at the minimizer as in `spreading_speed`, and the bracket
-    starts as there, with <e.A.e> = <a>.  The reduced coefficients change
-    with s, so each solve samples its own.
+    starts as there, with <e.A.e> = <a>.  Each solve samples the reduced
+    coefficients at its s, which share A and its ellipticity check.
     """
     _require_ty_fields(a, q1, mu)
     e = _unit(e, 2)
+    base = _reduced_coeffs(a, q1, mu, 0.0, e[0])
+    a_mean = CoefficientSamples(base, grid_y).mean_diffusion([1.0])
 
-    def problem(s, xi):
-        return _reduced_coeffs(a, q1, mu, s, xi[0]), [-s * xi[1]]
+    def problem(s, xi):  # with_mu keeps the ellipticity bounds of A
+        return base.with_mu(_reduced_mu(a, q1, mu, s, xi[0])), [-s * xi[1]]
 
-    a_mean = CoefficientSamples(problem(0.0, e)[0], grid_y).mean_diffusion([1.0])
-    return _ray_speed(problem, grid_y, e, "shear-reduced", samples=None,
+    return _ray_speed(problem, grid_y, e, "shear-reduced",
                       mean_diffusion=a_mean, solver_kwargs=solver_kwargs,
                       s_init=s_init, s_min=s_min, s_max=s_max, tol=tol)

@@ -60,6 +60,13 @@ def _diagonal_entries(A: PeriodicField, grid: Grid):
     return [A.eval_entry((d, d), 0.0, *mesh) for d in range(grid.dimension)]
 
 
+def _stiffness(A: PeriodicField, grid: Grid) -> sp.csr_array:
+    """div(A grad .) on grid: E_0 of A with zero drift and growth."""
+    zero = CoefficientSet(A, PeriodicField.vector([0.0] * grid.dimension, A.geometry),
+                          PeriodicField.scalar(0.0, A.geometry), A.geometry)
+    return assemble_action(zero, [0.0] * grid.dimension, grid)
+
+
 def effective_diffusivity(A: PeriodicField, e, grid: Grid) -> CellProblemResult:
     """Effective diffusivity D_e(A) and its zero-mean corrector."""
     e = np.asarray(e, dtype=float).reshape(-1)
@@ -74,10 +81,7 @@ def effective_diffusivity(A: PeriodicField, e, grid: Grid) -> CellProblemResult:
     h = grid.h
 
     # Euler-Lagrange: K chi = -div(A e) with the same face fluxes as K
-    zero = CoefficientSet(A,
-                          PeriodicField.vector([0.0] * grid.dimension, A.geometry),
-                          PeriodicField.scalar(0.0, A.geometry), A.geometry)
-    K = assemble_action(zero, [0.0] * grid.dimension, grid).matrix
+    K = _stiffness(A, grid)
     rhs = np.zeros(grid.n_space)
     for d in range(grid.dimension):
         rhs -= (faces[d] - np.roll(faces[d], 1, axis=d)) * (e[d] / h[d])
@@ -107,17 +111,13 @@ def k0_rayleigh(A: PeriodicField, V, grid: Grid) -> float:
     Agrees with principal_eigen_steady(A, q=0, mu=V, lam=0) to solver
     accuracy; kept as an independent symmetric route.
     """
-    geometry = A.geometry
     if isinstance(V, PeriodicField):
         v_vals = V(0.0, *grid.meshgrid()).reshape(-1)
     else:
         v_vals = np.asarray(V, dtype=float).reshape(-1)
         if v_vals.size == 1:
             v_vals = np.full(grid.npoints, float(v_vals[0]))
-    zero = CoefficientSet(A, PeriodicField.vector([0.0] * grid.dimension, geometry),
-                          PeriodicField.scalar(0.0, geometry), geometry)
-    K = assemble_action(zero, [0.0] * grid.dimension, grid).matrix
-    M = (-K - sp.diags_array(v_vals)).tocsc()
+    M = (-_stiffness(A, grid) - sp.diags_array(v_vals)).tocsc()
     sigma = -float(np.max(v_vals)) - 1.0  # strictly below the spectrum
     # a fixed start vector: ARPACK's own is random, and so would be the digits
     vals = eigsh(M, k=1, sigma=sigma, which="LM", v0=np.ones(grid.npoints),

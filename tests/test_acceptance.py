@@ -3,8 +3,8 @@ single pass/fail line (run with -s to see them live).
 
 Criteria that correspond to named experiments are exercised through the
 shipped scenario files, so the scenario/report machinery is part of the
-acceptance path.  Every eigenvalue computed along the way (golden-section
-profile points and minimizers alike) deposits its sandwich record into a
+acceptance path.  Every eigenvalue computed along the way (Brent profile
+points and minimizers alike) deposits its sandwich record into a
 module-level ledger, which the certification criterion checks at the end.
 """
 

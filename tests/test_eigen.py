@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kppspeed.fields import CoefficientSet, PeriodicField
+from kppspeed.fields import CoefficientSet, NonEllipticError, PeriodicField
 from kppspeed.operators import assemble_action, build_grid
 from kppspeed.eigen import (
     WIDTH_TARGET,
@@ -17,6 +17,7 @@ from kppspeed.eigen import (
     principal_eigenvalue,
     _power_iterate,
 )
+from kppspeed.speed import spreading_speed
 
 # Independent oracle (dense symmetric eigensolve of the assembled n=512
 # operator, frozen): smallest eigenvalue of -Lap - diag(1 + 0.5 cos(2 pi x))
@@ -69,7 +70,7 @@ def test_steady_k_matches_dense_eigenvalues_of_a_nonsymmetric_operator(lam):
     # band factors finds the same eigenvalue and the left eigenvector
     cs = coeffs(A="1 + 0.5*cos(2*pi*x)", q="2*sin(2*pi*x) + 0.5", mu=COS_MU)
     g = build_grid(cs.geometry, 128)
-    values, left = np.linalg.eig(assemble_action(cs, [lam], g).matrix.toarray().T)
+    values, left = np.linalg.eig(assemble_action(cs, [lam], g).toarray().T)
     top = int(np.argmax(values.real))
     k_dense = -float(values[top].real)
     r = principal_eigen_steady(cs, [lam], g)
@@ -133,6 +134,21 @@ def test_principal_eigenvalue_router():
     assert principal_eigenvalue(cs_t, [0.0], g).route == "floquet"
     with pytest.raises(ValueError):
         principal_eigenvalue(cs, [0.0], g, route="magic")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda cs, g: principal_eigen_floquet(cs, [0.5], g),
+    lambda cs, g: principal_eigenvalue(cs, [0.5], g, richardson=True),
+    lambda cs, g: spreading_speed(cs, [1.0], g),
+    lambda cs, g: adjoint_eigenpair(cs, [0.5], g),
+    lambda cs, g: eigen_sandwich(cs, [0.5], np.ones(g.npoints), g),
+], ids=["floquet", "richardson", "spreading_speed", "adjoint", "sandwich"])
+def test_floquet_entry_points_reject_a_non_elliptic_A(entry):
+    # A changes sign; the steady route raised NonEllipticError, and the
+    # Floquet entry points must name the same cause
+    cs = coeffs(A="0.5*cos(2*pi*x)", mu="1 + 0.3*sin(2*pi*t)")
+    with pytest.raises(NonEllipticError):
+        entry(cs, build_grid(cs.geometry, 32, 16))
 
 
 def test_richardson_extrapolation_tightens_floquet():

@@ -12,7 +12,7 @@ from kppspeed.operators import (
     _faces,
     assemble_action,
     build_grid,
-    step_period,
+    sample,
 )
 
 GEO1 = CellGeometry(1.0, (1.0,))
@@ -67,7 +67,7 @@ def test_constant_action_is_mu():
     grid = build_grid(GEO1, 64)
     act = assemble_action(coeffs, [0.0], grid)
     one = np.ones(grid.npoints)
-    np.testing.assert_allclose(act(one), 0.7, atol=1e-12)
+    np.testing.assert_allclose(act @ one, 0.7, atol=1e-12)
 
 
 def test_laplacian_second_order_convergence():
@@ -79,7 +79,7 @@ def test_laplacian_second_order_convergence():
         x = grid.axes()[0]
         phi = np.sin(2 * np.pi * x)
         exact = -4 * np.pi**2 * phi
-        errs.append(np.max(np.abs(act(phi) - exact)))
+        errs.append(np.max(np.abs(act @ phi - exact)))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(slopes >= 1.9)
     assert errs[-1] <= 4 * np.pi**2 * (2 * np.pi / 256) ** 2
@@ -104,7 +104,7 @@ def test_variable_coefficient_action_second_order():
         d2phi = (2 * np.pi) ** 2 * (np.cos(2 * np.pi * x) ** 2 - np.sin(2 * np.pi * x)) * phi
         exact = (a * d2phi + da * dphi + 2 * lam[0] * a * dphi - q * dphi
                  + (lam[0] ** 2 * a + lam[0] * da + mu - q * lam[0]) * phi)
-        errs.append(np.max(np.abs(act(phi) - exact)))
+        errs.append(np.max(np.abs(act @ phi - exact)))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(slopes >= 1.9)
 
@@ -116,16 +116,16 @@ def test_action_linearity():
                                       mu="cos(2*pi*x)"), [0.7], grid)
     u, v = rng.standard_normal((2, grid.npoints))
     a, b = 1.3, -0.4
-    np.testing.assert_allclose(act(a * u + b * v), a * act(u) + b * act(v),
-                               rtol=0, atol=1e-12 * (np.abs(act(u)).max() + np.abs(act(v)).max()))
+    np.testing.assert_allclose(act @ (a * u + b * v), a * (act @ u) + b * (act @ v),
+                               rtol=0, atol=1e-12 * (np.abs(act @ u).max() + np.abs(act @ v).max()))
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
 def test_adjoint_is_exact_transpose(dim):
     coeffs, grid, lam = case(dim, dict(A="2 + cos(2*pi*x)", q="0.5*sin(2*pi*x)",
                                        mu="1 + 0.3*sin(2*pi*x)"), 64, 64, 0.8)
-    direct = assemble_action(coeffs, lam, grid).matrix
-    adj = assemble_action(coeffs, lam, grid, adjoint=True).matrix
+    direct = assemble_action(coeffs, lam, grid)
+    adj = assemble_action(coeffs, lam, grid, adjoint=True)
     diff = (direct.T - adj).toarray()
     assert np.max(np.abs(diff)) == 0.0
 
@@ -144,9 +144,9 @@ def test_duality_identity_random_vectors():
         Es = assemble_action(coeffs, lam, grid, adjoint=True)
         for _ in range(5):
             u, v = rng.standard_normal((2, grid.npoints))
-            lhs = np.dot(E(u), v)
-            rhs = np.dot(u, Es(v))
-            assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v) * E.matrix.shape[0]
+            lhs = np.dot(E @ u, v)
+            rhs = np.dot(u, Es @ v)
+            assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v) * E.shape[0]
 
 
 def test_self_adjoint_negative_semidefinite_no_drift():
@@ -154,11 +154,11 @@ def test_self_adjoint_negative_semidefinite_no_drift():
     coeffs = make_coeffs(A="2 + cos(2*pi*x)", mu="0")
     grid = build_grid(GEO1, 64)
     E = assemble_action(coeffs, [0.0], grid)
-    asym = (E.matrix - E.matrix.T).toarray()
+    asym = (E - E.T).toarray()
     assert np.max(np.abs(asym)) == 0.0
     for _ in range(10):
         u = rng.standard_normal(grid.npoints)
-        assert np.dot(E(u), u) <= 1e-12
+        assert np.dot(E @ u, u) <= 1e-12
 
 
 def test_gauge_shift_exact():
@@ -168,16 +168,16 @@ def test_gauge_shift_exact():
     E0 = assemble_action(base, [0.3], grid)
     E1 = assemble_action(shifted, [0.3], grid)
     v = np.cos(2 * np.pi * grid.axes()[0])
-    np.testing.assert_allclose(E1(v), E0(v) + 2.5 * v, atol=1e-12)
+    np.testing.assert_allclose(E1 @ v, E0 @ v + 2.5 * v, atol=1e-12)
 
 
 def test_step_period_scalar_ode_oracle():
     # A = eps*I, mu = 1: phi' = phi up to eps-diffusion, phi(T) = e*phi0
     coeffs = make_coeffs(A="0.00000001", mu="1")
     grid = build_grid(GEO1, 64, 64)
-    fam = ActionFamily(coeffs, [0.0], grid)
+    fam = ActionFamily(CoefficientSamples(coeffs, grid), [0.0])
     phi0 = np.ones(grid.npoints)
-    phiT = step_period(fam, phi0)
+    phiT = fam.step_period(phi0)
     np.testing.assert_allclose(phiT, np.e, rtol=1e-3)
 
 
@@ -185,9 +185,9 @@ def test_step_period_mass_conservation():
     rng = np.random.default_rng(3)
     coeffs = make_coeffs(A="1", mu="0")
     grid = build_grid(GEO1, 64, 32)
-    fam = ActionFamily(coeffs, [0.0], grid)
+    fam = ActionFamily(CoefficientSamples(coeffs, grid), [0.0])
     phi0 = smooth_positive(grid, rng)
-    phiT = step_period(fam, phi0)
+    phiT = fam.step_period(phi0)
     assert abs(grid.integrate(phiT) - grid.integrate(phi0)) <= 1e-10 * grid.integrate(np.abs(phi0))
 
 
@@ -195,10 +195,10 @@ def test_step_period_positivity():
     rng = np.random.default_rng(4)
     coeffs = make_coeffs(A="1 + 0.5*cos(2*pi*x)", q="0.5*sin(2*pi*x)", mu="1 + 0.3*cos(2*pi*x)")
     grid = build_grid(GEO1, 64, 64)
-    fam = ActionFamily(coeffs, [0.5], grid)
+    fam = ActionFamily(CoefficientSamples(coeffs, grid), [0.5])
     for _ in range(5):
         phi0 = smooth_positive(grid, rng)
-        assert np.min(step_period(fam, phi0)) > 0
+        assert np.min(fam.step_period(phi0)) > 0
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
@@ -206,7 +206,7 @@ def test_step_period_residual_contract(dim):
     # each Crank-Nicolson solve satisfies its linear system to 1e-10 relative
     coeffs, grid, lam = case(dim, dict(A="1 + 0.5*cos(2*pi*x)",
                                        mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)"), 64, 16, 0.2)
-    fam = ActionFamily(coeffs, lam, grid)
+    fam = ActionFamily(CoefficientSamples(coeffs, grid), lam)
     rng = np.random.default_rng(5)
     levels = fam.step_period(smooth_positive(grid, rng, dim), store_levels=True)
     dt = grid.dt
@@ -222,7 +222,7 @@ def test_step_period_residual_contract(dim):
 def test_transpose_period_map_is_adjoint_of_forward(dim):
     coeffs, grid, lam = case(dim, dict(A="1 + 0.5*cos(2*pi*x)", q="0.3*sin(2*pi*x)",
                                        mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)"), 32, 16, 0.4)
-    fam = ActionFamily(coeffs, lam, grid)
+    fam = ActionFamily(CoefficientSamples(coeffs, grid), lam)
     rng = np.random.default_rng(6)
     u, w = rng.standard_normal((2, grid.npoints))
     Pu = fam.step_period(u)
@@ -252,9 +252,9 @@ def test_y_independent_2d_operator_reproduces_1d():
         for t in (0.0, 0.3):
             E1 = assemble_action(coeffs1, [lam], grid1, adjoint=adjoint, t=t)
             E2 = assemble_action(coeffs2, [lam, 0.0], grid2, adjoint=adjoint, t=t)
-            check(E1(v), E2(np.repeat(v, n_y)), 1e-14)
-        fam1 = ActionFamily(coeffs1, [lam], grid1)
-        fam2 = ActionFamily(coeffs2, [lam, 0.0], grid2)
+            check(E1 @ v, E2 @ np.repeat(v, n_y), 1e-14)
+        fam1 = ActionFamily(CoefficientSamples(coeffs1, grid1), [lam])
+        fam2 = ActionFamily(CoefficientSamples(coeffs2, grid2), [lam, 0.0])
         check(fam1.step_period(v, transpose=adjoint),
               fam2.step_period(np.repeat(v, n_y), transpose=adjoint), 1e-12)
 
@@ -279,7 +279,7 @@ def test_row_sums_equal_zeroth_order_coefficient():
     lam = 0.7
     div_alam = (np.roll(lam * a, -1) - np.roll(lam * a, 1)) / (2 * grid.h[0])
     c0 = lam**2 * a + div_alam + mu - q * lam
-    np.testing.assert_allclose(np.asarray(E.matrix.sum(axis=1)).ravel(), c0, atol=1e-10)
+    np.testing.assert_allclose(np.asarray(E.sum(axis=1)).ravel(), c0, atol=1e-10)
 
 
 def _as_callable(text):
@@ -312,7 +312,7 @@ def test_representation_does_not_change_the_operator(dim):
     grid = build_grid(geo, n_space, 16)
     lam_arr = np.asarray(lam, dtype=float)
     ref = CoefficientSamples(expr, grid, grid.times()).stencil(lam_arr)
-    ref_family = ActionFamily(expr, lam, grid)
+    ref_family = ActionFamily(CoefficientSamples(expr, grid), lam)
     assert not ref_family.time_independent
     for coeffs in forms[1:]:
         got = CoefficientSamples(coeffs, grid, grid.times()).stencil(lam_arr)
@@ -321,7 +321,7 @@ def test_representation_does_not_change_the_operator(dim):
         assert np.array_equal(got["c0"], ref["c0"])
         if dim == 2:
             assert np.array_equal(got["a12"], ref["a12"])
-        family = ActionFamily(coeffs, lam, grid)
+        family = ActionFamily(CoefficientSamples(coeffs, grid), lam)
         for m in range(grid.n_t):
             assert (family.matrix(m) != ref_family.matrix(m)).nnz == 0
         v = np.linspace(1.0, 2.0, grid.npoints)
@@ -403,7 +403,7 @@ def test_steady_action_is_the_assembled_matrix(dim):
         coeffs = make_coeffs(**spec)
         grid, lam = build_grid(coeffs.geometry, (12, 10)), [0.8, -0.3]
     op = SteadyAction(CoefficientSamples(coeffs, grid), lam)
-    M = assemble_action(coeffs, lam, grid).matrix.toarray()
+    M = assemble_action(coeffs, lam, grid).toarray()
     v = smooth_positive(grid, np.random.default_rng(5), dim)
     np.testing.assert_allclose(op.matvec(v, "N"), M @ v, rtol=1e-13, atol=1e-9)
     np.testing.assert_allclose(op.matvec(v, "T"), M.T @ v, rtol=1e-13, atol=1e-9)
@@ -419,17 +419,19 @@ def test_steady_action_is_the_assembled_matrix(dim):
     np.testing.assert_allclose(shifted.T @ factor.solve(v, "T"), v, rtol=1e-10)
 
 
-def test_samples_must_match_their_coefficients_grid_and_levels():
+def test_sample_passes_samples_of_the_grid_through():
     coeffs = make_coeffs(mu="1 + 0.3*cos(2*pi*(x - t))")
     grid = build_grid(GEO1, 32, 16)
-    samples = CoefficientSamples(coeffs, grid)
-    ActionFamily(coeffs, [0.5], grid, samples)
+    samples = sample(coeffs, grid)
+    assert isinstance(samples, CoefficientSamples) and samples.coeffs is coeffs
+    assert sample(samples, grid) is samples
+    ActionFamily(samples, [0.5])
     fine = samples.doubled_in_time()
     assert fine is samples.doubled_in_time()
     assert (fine.grid.n_t, fine.n_levels) == (32, 32)
-    mismatched = [(make_coeffs(mu="1 + 0.3*cos(2*pi*(x - t))"), grid, samples),
-                  (coeffs, build_grid(GEO1, 32, 8), samples),
-                  (coeffs, grid, CoefficientSamples(coeffs, grid, [0.0]))]
-    for other, g, s in mismatched:
-        with pytest.raises(ValueError, match="samples of other"):
-            ActionFamily(other, [0.5], g, s)
+    assert sample(fine, fine.grid) is fine
+    mismatched = [(samples, build_grid(GEO1, 32, 8)), (samples, build_grid(GEO1, 16, 16)),
+                  (fine, grid), (CoefficientSamples(coeffs, grid, [0.0]), grid)]
+    for s, g in mismatched:
+        with pytest.raises(ValueError, match="samples of another grid or at other times"):
+            sample(s, g)

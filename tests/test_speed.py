@@ -5,7 +5,7 @@ import pytest
 
 from kppspeed import eigen
 from kppspeed.fields import CoefficientSet, PeriodicField
-from kppspeed.operators import build_grid
+from kppspeed.operators import CoefficientSamples, build_grid
 from kppspeed.eigen import principal_eigenvalue
 from kppspeed import speed
 from kppspeed.speed import (
@@ -182,6 +182,27 @@ def test_richardson_at_the_minimizer_matches_richardson_everywhere(monkeypatch):
     assert r.records[-1]["k"] == r.eigen.k
     assert r.eigen.diagnostics["k_coarse"] != r.eigen.k
     assert r.c_star == r.eigen.k_extrapolated / float(np.dot(r.lam_star, r.e))
+
+
+def test_a_ray_search_samples_its_coefficients_once(monkeypatch):
+    # one CoefficientSamples per search, and with Richardson one more for
+    # the doubled time levels
+    made = []
+    init = CoefficientSamples.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoefficientSamples, "__init__", counted)
+    cs = coeffs(mu="1 + 0.5*cos(2*pi*x)")
+    spreading_speed(cs, [1.0], build_grid(cs.geometry, 64))
+    assert len(made) == 1
+    made.clear()
+    cs_t = coeffs(mu="1 + 0.5*cos(2*pi*x)*(1 + 0.5*sin(2*pi*t))")
+    r = spreading_speed(cs_t, [1.0], build_grid(cs_t.geometry, 64, 16), richardson=True)
+    assert r.route == "ray-search" and r.eigen.route == "floquet"
+    assert len(made) == 2
 
 
 def test_steady_search_counts_its_solves():
