@@ -356,7 +356,7 @@ def principal_eigenvalue(coeffs: CoefficientSet | CoefficientSamples, lam, grid:
 # --- adjoint pair ---------------------------------------------------------------
 
 
-def adjoint_eigenpair(coeffs: CoefficientSet, lam, grid: Grid, *,
+def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid, *,
                       tol: float = EIG_TOL, max_iter: int = 200,
                       mismatch_tol: float = 1e-6) -> AdjointPair:
     """Direct and adjoint principal eigenfunctions with unit pairing.
@@ -367,10 +367,11 @@ def adjoint_eigenpair(coeffs: CoefficientSet, lam, grid: Grid, *,
     the log-multipliers of the period map and of its transpose: the
     sandwich averages of the two differ by the O(dt^2) error of the
     centered time differences, and the adjoint one is reported as
-    ``k_adjoint``.
+    ``k_adjoint``.  ``coeffs`` as in `principal_eigen_steady`.
     """
-    if coeffs.time_independent:
-        op = _steady_action(coeffs, lam, grid)
+    samples = sample(coeffs, grid)
+    if samples.coeffs.time_independent:
+        op = SteadyAction(samples, lam)
         shift = _Shift(op)
         ones = np.ones(grid.npoints)
         k, _, _, phi, _ = _inverse_iterate(
@@ -386,7 +387,7 @@ def adjoint_eigenpair(coeffs: CoefficientSet, lam, grid: Grid, *,
         pairing = grid.geometry.period * grid.cell_measure() * float(np.dot(phi, w))
         return AdjointPair(k, phi, w / pairing, grid, op.lam, "steady", k_adj)
 
-    family = ActionFamily(CoefficientSamples(coeffs, grid), lam)
+    family = ActionFamily(samples, lam)
     ones = np.ones(grid.npoints)
     k, psi, _, _, k_log, _, _ = _floquet_iterate(family, ones, tol=tol, max_iter=max_iter)
     k_adj, psi_t, _, _, k_log_adj, _, _ = _floquet_iterate(
@@ -429,12 +430,13 @@ def k_x_independent(coeffs: CoefficientSet, lam, n_t: int = 512) -> float:
     return float(-(lam @ A_bar @ lam - q_bar @ lam + mu_bar))
 
 
-def eigen_sandwich(coeffs: CoefficientSet, lam, phi: np.ndarray, grid: Grid):
+def eigen_sandwich(coeffs: CoefficientSet | CoefficientSamples, lam, phi: np.ndarray,
+                   grid: Grid):
     """Bounds  min (L_lam phi)/phi <= k <= max (L_lam phi)/phi  for any
     positive periodic candidate phi: (n_t, npoints) levels whose time
     derivative is taken by centered differences, or one level, the candidate
     constant in time, whose ratios -(E_lam(t_m) phi)/phi are taken at every
-    level t_m."""
+    level t_m.  ``coeffs`` as in `principal_eigen_steady`."""
     phi = np.asarray(phi, dtype=float)
     if np.min(phi) <= 0:
         raise PositivityError("sandwich candidate must be strictly positive")
@@ -442,7 +444,7 @@ def eigen_sandwich(coeffs: CoefficientSet, lam, phi: np.ndarray, grid: Grid):
         phi = np.broadcast_to(phi, (grid.n_t, phi.size))
     if phi.shape[0] != grid.n_t:
         raise ValueError(f"expected {grid.n_t} time levels, got {phi.shape[0]}")
-    r = _floquet_ratios(ActionFamily(CoefficientSamples(coeffs, grid), lam), phi)
+    r = _floquet_ratios(ActionFamily(sample(coeffs, grid), lam), phi)
     return float(r.min()), float(r.max())
 
 

@@ -149,19 +149,21 @@ class CoefficientSamples:
 
     The samples are taken at the Crank-Nicolson levels t_m = m dt of one
     period (one level when the coefficients do not depend on time) or at the
-    given times, and kept as C-ordered stacks with the levels on the leading
-    axis.  E_lam is a quadratic polynomial in lam, so `stencil` redoes only
-    the lam algebra: a ray search samples its coefficients once, not once
-    per eigensolve.
+    given times, kept in ``times`` (``on_levels`` tells whether they are the
+    period levels), and stored as C-ordered stacks with the levels on the
+    leading axis.  E_lam is a quadratic polynomial in lam, so `stencil`
+    redoes only the lam algebra: a ray search samples its coefficients once,
+    not once per eigensolve.
     """
 
     def __init__(self, coeffs: CoefficientSet, grid: Grid, times=None):
         coeffs.ellipticity()  # raises NonEllipticError for bad A
         N = grid.dimension
-        if times is None:
-            times = np.arange(1 if coeffs.time_independent else grid.n_t) * grid.dt
+        levels = np.arange(1 if coeffs.time_independent else grid.n_t) * grid.dt
+        self.times = levels if times is None else np.asarray(times, dtype=float).reshape(-1)
+        self.on_levels = np.array_equal(self.times, levels)
         mesh = grid.meshgrid()
-        t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
+        t = self.times.reshape((-1,) + (1,) * N)
         A, q = coeffs.A, coeffs.q
         self.coeffs, self.grid = coeffs, grid
         self.a_diag = [np.ascontiguousarray(A.eval_entry((d, d), t, *mesh))
@@ -229,8 +231,7 @@ def sample(coeffs, grid: Grid) -> CoefficientSamples:
     `CoefficientSet` is sampled here, samples made on grid pass through."""
     if not isinstance(coeffs, CoefficientSamples):
         return CoefficientSamples(coeffs, grid)
-    n_levels = 1 if coeffs.coeffs.time_independent else grid.n_t
-    if coeffs.grid != grid or coeffs.n_levels != n_levels:
+    if coeffs.grid != grid or not coeffs.on_levels:
         raise ValueError("samples of another grid or at other times")
     return coeffs
 

@@ -6,20 +6,23 @@ directory for the format.  Coefficient entries are expression strings in the
 grammar of :mod:`kppspeed.expressions`; they are parsed eagerly so bad
 references fail at load time with the offending name.
 
-Reports carry one row per parameter point plus a list of machine-checked
-assertions (name, left value, right value, tolerance, verdict); the CSV
-writer emits the rows with a stable column order, the JSON writer the whole
-report object.
+An `ExperimentReport` carries one row per parameter point plus a list of
+machine-checked assertions (name, left value, right value, tolerance,
+verdict).  `experiments.run_experiment` makes it, names it and times the
+run; the experiment fills it in place and enters every eigenpair or speed
+it reports in its eigen ledger (`ExperimentReport.record`).  The CSV writer
+emits the rows with a stable column order, the JSON writer the whole report
+object except the ledger.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .eigen import EigenResult
 from .expressions import ExpressionError
 from .fields import CellGeometry, CoefficientSet, FieldError
 from .operators import DEFAULT_CAP, Grid, GridError, build_grid
@@ -178,13 +181,18 @@ class Assertion:
 
 @dataclass
 class ExperimentReport:
+    """The report of one experiment, filled in place: the experiment sets
+    ``inputs`` and ``columns``, appends ``rows``, asserts through `check` and
+    enters every reported eigenpair or speed in the eigen ledger through
+    `record`; `experiments.run_experiment` makes it and times the run."""
+
     experiment: str
     scenario: str
-    inputs: dict
-    columns: list
-    rows: list
-    assertions: list            # list[Assertion]
     seed: int
+    inputs: dict = field(default_factory=dict)
+    columns: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
+    assertions: list = field(default_factory=list)   # list[Assertion]
     elapsed_seconds: float = 0.0
     eigen_records: list = field(default_factory=list)  # runtime-only, not serialized
 
@@ -192,16 +200,24 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(a.verdict != "FAIL" for a in self.assertions)
 
-    def record_eigen(self, context: str, result) -> None:
-        self.eigen_records.append({"context": context, "k": result.k,
-                                   "lower": result.lower, "upper": result.upper})
+    def check(self, name: str, kind: str, lhs: float, rhs: float, tolerance: float,
+              equality: bool = False) -> None:
+        self.assertions.append(Assertion.check(name, kind, lhs, rhs, tolerance, equality))
 
-    def record_speed(self, context: str, speed_result) -> None:
-        if speed_result.eigen is not None:
-            self.record_eigen(context + ":minimizer", speed_result.eigen)
-        for rec in speed_result.records:
-            self.eigen_records.append({"context": context, "k": rec["k"],
-                                       "lower": rec["lower"], "upper": rec["upper"]})
+    def record(self, context: str, result):
+        """Enter the sandwich certificate of an `EigenResult` in the eigen
+        ledger, or of a `SpeedResult`: its minimizer's eigenpair as
+        ``context:minimizer``, then every solve of its search.  Returns
+        ``result``."""
+        if isinstance(result, EigenResult):
+            solves = [vars(result)]
+        else:
+            if result.eigen is not None:
+                self.record(context + ":minimizer", result.eigen)
+            solves = result.records
+        self.eigen_records += [{"context": context, "k": s["k"], "lower": s["lower"],
+                                "upper": s["upper"]} for s in solves]
+        return result
 
     def to_dict(self) -> dict:
         return {
@@ -252,13 +268,3 @@ def write_report(report: ExperimentReport, fmt: str, out_dir) -> list[Path]:
             fh.write("\n")
         written.append(p)
     return written
-
-
-class timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
-        return False

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kppspeed.fields import CoefficientSet, NonEllipticError, PeriodicField
-from kppspeed.operators import assemble_action, build_grid
+from kppspeed.operators import CoefficientSamples, assemble_action, build_grid
 from kppspeed.eigen import (
     WIDTH_TARGET,
     EigenConvergenceError,
@@ -149,6 +149,32 @@ def test_floquet_entry_points_reject_a_non_elliptic_A(entry):
     cs = coeffs(A="0.5*cos(2*pi*x)", mu="1 + 0.3*sin(2*pi*t)")
     with pytest.raises(NonEllipticError):
         entry(cs, build_grid(cs.geometry, 32, 16))
+
+
+@pytest.mark.parametrize("mu", [COS_MU, "1 + 0.3*cos(2*pi*(x - t))"],
+                         ids=["steady", "floquet"])
+def test_adjoint_and_sandwich_take_samples(mu):
+    cs = coeffs(mu=mu)
+    g = build_grid(cs.geometry, 32, 16)
+    samples = CoefficientSamples(cs, g)
+    a, b = adjoint_eigenpair(cs, [0.5], g), adjoint_eigenpair(samples, [0.5], g)
+    assert (a.k, a.k_adjoint, a.route) == (b.k, b.k_adjoint, b.route)
+    assert np.array_equal(a.phi, b.phi) and np.array_equal(a.phi_tilde, b.phi_tilde)
+    assert eigen_sandwich(samples, [0.5], a.phi, g) == eigen_sandwich(cs, [0.5], a.phi, g)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda s, g: principal_eigen_floquet(s, [0.5], g),
+    lambda s, g: adjoint_eigenpair(s, [0.5], g),
+    lambda s, g: eigen_sandwich(s, [0.5], np.ones(g.npoints), g),
+], ids=["floquet", "adjoint", "sandwich"])
+def test_samples_at_other_times_are_rejected(entry):
+    # as many levels as the grid has steps, but half a step late
+    cs = coeffs(mu="1 + 0.3*cos(2*pi*(x - t))")
+    g = build_grid(cs.geometry, 32, 16)
+    late = CoefficientSamples(cs, g, (np.arange(g.n_t) + 0.5) * g.dt)
+    with pytest.raises(ValueError, match="samples of another grid or at other times"):
+        entry(late, g)
 
 
 def test_richardson_extrapolation_tightens_floquet():

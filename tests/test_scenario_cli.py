@@ -4,8 +4,13 @@ from pathlib import Path
 import pytest
 
 from kppspeed.cli import main
+from kppspeed.eigen import principal_eigen_steady
 from kppspeed.experiments import run_experiment
-from kppspeed.scenario import Assertion, ScenarioError, load_scenario, write_report
+from kppspeed.fields import CoefficientSet
+from kppspeed.operators import build_grid
+from kppspeed.scenario import (Assertion, ExperimentReport, ScenarioError, load_scenario,
+                               write_report)
+from kppspeed.speed import spreading_speed
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -115,6 +120,27 @@ def test_assertion_kinds():
     assert Assertion.check("a", "strict", 0.55, 0.5, 0.1).verdict == "FAIL"
     with pytest.raises(ValueError):
         Assertion.check("a", "weird", 0.0, 0.0, 0.0)
+
+
+def test_report_record_enters_speeds_and_eigenpairs():
+    cs = CoefficientSet.from_expressions(A="1", mu="1 + 0.2*sin(2*pi*x)")
+    grid = build_grid(cs.geometry, 32)
+    speed = spreading_speed(cs, [1.0], grid)
+    eig = principal_eigen_steady(cs, [0.5], grid)
+    rep = ExperimentReport("growth-monotone", "probe", 0)
+    assert rep.record("ray", speed) is speed
+    # the minimizer, then each solve of the search
+    assert len(rep.eigen_records) == 1 + len(speed.records)
+    m = speed.eigen
+    assert rep.eigen_records[0] == {"context": "ray:minimizer", "k": m.k,
+                                    "lower": m.lower, "upper": m.upper}
+    assert rep.eigen_records[1:] == [
+        {"context": "ray", "k": r["k"], "lower": r["lower"], "upper": r["upper"]}
+        for r in speed.records]
+    assert rep.record("probe", eig) is eig
+    assert len(rep.eigen_records) == 2 + len(speed.records)
+    assert rep.eigen_records[-1] == {"context": "probe", "k": eig.k,
+                                     "lower": eig.lower, "upper": eig.upper}
 
 
 def test_report_csv_and_json_round_trip(tmp_path):

@@ -7,7 +7,8 @@ The CSV reports must be byte-identical and the JSON reports equal once
 ``elapsed_seconds`` (wall time) is dropped.  For every field that differs it
 prints the largest absolute difference over the rows (``not numeric`` when a
 value is not a number), and it exits 1 on any difference, 0 when the two
-directories hold the same reports.  Standard library only.
+directories hold the same reports, and 2 when neither holds a ``.csv`` or
+``.json`` report.  Standard library only.
 """
 
 from __future__ import annotations
@@ -106,7 +107,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all(Path(d).is_dir() for d in argv):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    return 1 if compare(Path(argv[0]), Path(argv[1])) else 0
+    dirs = [Path(d) for d in argv]
+    if not any(p.suffix in (".csv", ".json") for d in dirs for p in d.iterdir()):
+        print(f"no .csv or .json report in {argv[0]} or {argv[1]}", file=sys.stderr)
+        return 2
+    return 1 if compare(*dirs) else 0
 
 
 if __name__ == "__main__":
