@@ -1,7 +1,6 @@
 """Command-line interface.
 
-    kpp-speed run <scenario-file> [--out DIR] [--format csv|json|both]
-                                  [--jobs N] [--seed S]
+    kpp-speed run <scenario-file> [--out DIR] [--format csv|json|both] [--seed S]
     kpp-speed eig   --A ... [--q ...] --mu ... [--T ...] [--L ...]
                     --lam "0.5[ 0.0]" [--n ...] [--nt ...] [--adjoint]
     kpp-speed speed --A ... [--q ...] --mu ... [--T ...] [--L ...]
@@ -26,8 +25,16 @@ from .scenario import load_scenario, write_report
 from .speed import spreading_speed
 
 
-def _parse_vector(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).replace(",", " ").split()]
+def _number(convert, text: str, flag: str):
+    """convert(text), or exit with a message naming the flag."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise SystemExit(f"{flag}: not a number ({text!r})") from None
+
+
+def _parse_vector(text: str, flag: str) -> list[float]:
+    return [_number(float, tok, flag) for tok in str(text).replace(",", " ").split()]
 
 
 def _parse_params(tokens) -> dict:
@@ -36,12 +43,12 @@ def _parse_params(tokens) -> dict:
         name, _, value = tok.partition("=")
         if not _:
             raise SystemExit(f"--param expects name=value, got {tok!r}")
-        out[name] = float(value)
+        out[name] = _number(float, value, f"--param {name}")
     return out
 
 
 def _coeffs_from_args(args) -> CoefficientSet:
-    L = _parse_vector(args.L)
+    L = _parse_vector(args.L, "--L")
     q = _parse_vector_or_exprs(args.q, len(L)) if args.q else None
     return CoefficientSet.from_expressions(
         A=args.A, q=q, mu=args.mu, T=args.T, L=(L[0] if len(L) == 1 else L),
@@ -58,7 +65,7 @@ def _parse_vector_or_exprs(text: str, dim: int):
 
 
 def _grid_from_args(args, geometry):
-    n = [int(t) for t in str(args.n).split()]
+    n = [_number(int, t, "--n") for t in str(args.n).split()]
     return build_grid(geometry, n[0] if len(n) == 1 else n, args.nt)
 
 
@@ -84,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="scenario file path")
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--format", default=None, choices=("csv", "json", "both"))
-    run.add_argument("--jobs", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
 
     eig = sub.add_parser("eig", help="one-shot principal eigenvalue")
@@ -108,8 +114,6 @@ def _cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
     if args.seed is not None:
         sc.seed = args.seed
-    if args.jobs is not None:
-        sc.jobs = args.jobs
     if args.out is not None:
         sc.output_dir = args.out
     if args.format is not None:
@@ -131,7 +135,7 @@ def _cmd_run(args) -> int:
 def _cmd_eig(args) -> int:
     coeffs = _coeffs_from_args(args)
     grid = _grid_from_args(args, coeffs.geometry)
-    lam = _parse_vector(args.lam)
+    lam = _parse_vector(args.lam, "--lam")
     res = principal_eigenvalue(coeffs, lam, grid, route=args.route)
     print(f"k = {res.k!r}")
     print(f"route = {res.route}, iterations = {res.iterations}")
@@ -146,7 +150,7 @@ def _cmd_eig(args) -> int:
 def _cmd_speed(args) -> int:
     coeffs = _coeffs_from_args(args)
     grid = _grid_from_args(args, coeffs.geometry)
-    e = _parse_vector(args.e)
+    e = _parse_vector(args.e, "--e")
     res = spreading_speed(coeffs, e, grid, refine=args.refine,
                           richardson=args.richardson)
     print(f"c* = {res.c_star!r}")

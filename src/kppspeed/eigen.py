@@ -55,7 +55,9 @@ __all__ = [
 ]
 
 EIG_TOL = 1e-10
-WIDTH_TARGET = 1e-6
+WIDTH_TARGET = 1e-6  # the widest sandwich a steady solve stops at
+MISMATCH_TOL = 1e-6  # the largest gap between direct and adjoint eigenvalues
+AVERAGE_STEPS = 512  # trapezoid steps of the closed-form time averages
 
 
 class EigenError(RuntimeError):
@@ -234,9 +236,8 @@ def _inverse_iterate(op: SteadyAction, shift: _Shift, v: np.ndarray, *,
 
 
 def principal_eigen_steady(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid,
-                           *, tol: float = EIG_TOL, width_target: float = WIDTH_TARGET,
-                           max_iter: int = 200, v0: Optional[np.ndarray] = None
-                           ) -> EigenResult:
+                           *, tol: float = EIG_TOL, max_iter: int = 200,
+                           v0: Optional[np.ndarray] = None) -> EigenResult:
     """Principal eigenvalue of the steady problem -E_lam phi = k phi.
 
     ``coeffs`` is a `CoefficientSet` or its `CoefficientSamples` on grid
@@ -250,7 +251,7 @@ def principal_eigen_steady(coeffs: CoefficientSet | CoefficientSamples, lam, gri
     shift = _Shift(op)
     v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     k, lower, upper, phi, it = _inverse_iterate(
-        op, shift, v, width_target=width_target, tol=tol, max_iter=max_iter,
+        op, shift, v, width_target=WIDTH_TARGET, tol=tol, max_iter=max_iter,
         what="steady inverse iteration")
     return EigenResult(k, phi, lower, upper, it, "steady", grid, op.lam,
                        diagnostics={"gershgorin": op.gershgorin, "sigma": shift.sigma,
@@ -357,13 +358,12 @@ def principal_eigenvalue(coeffs: CoefficientSet | CoefficientSamples, lam, grid:
 
 
 def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid, *,
-                      tol: float = EIG_TOL, max_iter: int = 200,
-                      mismatch_tol: float = 1e-6) -> AdjointPair:
+                      tol: float = EIG_TOL, max_iter: int = 200) -> AdjointPair:
     """Direct and adjoint principal eigenfunctions with unit pairing.
 
     The discrete adjoint is the exact transpose, so its principal eigenvalue
     matches the direct one to solver accuracy; a mismatch beyond
-    ``mismatch_tol`` raises.  On the Floquet route the compared values are
+    ``MISMATCH_TOL`` raises.  On the Floquet route the compared values are
     the log-multipliers of the period map and of its transpose: the
     sandwich averages of the two differ by the O(dt^2) error of the
     centered time differences, and the adjoint one is reported as
@@ -381,7 +381,7 @@ def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Gr
         k_adj, _, _, w, _ = _inverse_iterate(
             op, shift, ones, trans="T", width_target=np.inf, tol=tol,
             max_iter=max_iter, what="adjoint steady inverse iteration")
-        if abs(k_adj - k) > mismatch_tol:
+        if abs(k_adj - k) > MISMATCH_TOL:
             raise EigenError(f"adjoint eigenvalue mismatch: {k_adj} vs {k}")
         # pairing integral over (0,T) x C for time-constant functions
         pairing = grid.geometry.period * grid.cell_measure() * float(np.dot(phi, w))
@@ -392,7 +392,7 @@ def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Gr
     k, psi, _, _, k_log, _, _ = _floquet_iterate(family, ones, tol=tol, max_iter=max_iter)
     k_adj, psi_t, _, _, k_log_adj, _, _ = _floquet_iterate(
         family, ones, tol=tol, max_iter=max_iter, adjoint=True)
-    if abs(k_log_adj - k_log) > mismatch_tol:
+    if abs(k_log_adj - k_log) > MISMATCH_TOL:
         raise EigenError(f"adjoint log-multiplier mismatch: {k_log_adj} vs {k_log}")
     pairing = grid.dt * grid.cell_measure() * float(np.sum(psi * psi_t))
     return AdjointPair(k, psi, psi_t / pairing, grid, family.lam, "floquet", k_adj)
@@ -401,12 +401,12 @@ def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Gr
 # --- closed form, sandwich, derivative -------------------------------------------
 
 
-def _time_averages(coeffs: CoefficientSet, n_t: int):
-    """Trapezoid time averages (A_bar, q_bar, mu_bar) over n_t steps of one
-    period of the samples at the cell origin."""
+def _time_averages(coeffs: CoefficientSet):
+    """Trapezoid time averages (A_bar, q_bar, mu_bar) over AVERAGE_STEPS steps
+    of one period of the samples at the cell origin."""
     g = coeffs.geometry
     N = g.dimension
-    ts = np.linspace(0.0, g.period, n_t + 1)
+    ts = np.linspace(0.0, g.period, AVERAGE_STEPS + 1)
     origin = (0.0,) * N
 
     def avg(vals):
@@ -419,14 +419,14 @@ def _time_averages(coeffs: CoefficientSet, n_t: int):
     return A_bar, q_bar, mu_bar
 
 
-def k_x_independent(coeffs: CoefficientSet, lam, n_t: int = 512) -> float:
+def k_x_independent(coeffs: CoefficientSet, lam) -> float:
     """k for space-independent coefficients, -(lam.A_bar.lam - q_bar.lam + mu_bar),
     from the trapezoid time averages `_time_averages` that
     `speed.speed_x_independent` reads too."""
     if not coeffs.space_independent:
         raise EigenError("closed form requires space-independent coefficients")
     lam = np.asarray(lam, dtype=float).reshape(-1)
-    A_bar, q_bar, mu_bar = _time_averages(coeffs, n_t)
+    A_bar, q_bar, mu_bar = _time_averages(coeffs)
     return float(-(lam @ A_bar @ lam - q_bar @ lam + mu_bar))
 
 

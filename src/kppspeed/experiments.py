@@ -19,7 +19,6 @@ compjlambda, simulate-validate.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,22 +39,14 @@ MARGIN_STRICT = 1e-4
 TOL_EQUALITY = 1e-5
 
 
-def _map_rows(rep: ExperimentReport, context: str, fn, points, jobs: int) -> list:
-    """fn over points, in threads when jobs > 1; once the map returns, each
-    result is recorded in point order as ``context.format(point)``."""
-    if jobs <= 1 or len(points) <= 1:
-        results = [fn(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, points))
-    return [rep.record(context.format(p), r) for p, r in zip(points, results)]
+def _map_rows(rep: ExperimentReport, context: str, fn, points) -> list:
+    """fn over points, each result recorded in point order as
+    ``context.format(point)``."""
+    return [rep.record(context.format(p), fn(p)) for p in points]
 
 
 def _direction(sc: Scenario):
-    raw = sc.options.get("e")
-    if raw is None:
-        return np.array([1.0] + [0.0] * (sc.geometry.dimension - 1))
-    return np.asarray([float(t) for t in str(raw).split()], dtype=float)
+    return np.asarray(sc.opt_floats("e", [1.0] + [0.0] * (sc.geometry.dimension - 1)))
 
 
 def _check_increasing(rep: ExperimentReport, label: str, points, values, margin: float,
@@ -165,7 +156,7 @@ def run_amplitude(sc: Scenario, rep: ExperimentReport) -> None:
         def one(B):
             mu = combine_scalar_fields([(1.0, base.mu), (B, eta)])
             return spreading_speed(base.with_mu(mu), e, sc.grid)
-        speeds = [r.c_star for r in _map_rows(rep, tag + ":B={:g}", one, b_grid, sc.jobs)]
+        speeds = [r.c_star for r in _map_rows(rep, tag + ":B={:g}", one, b_grid)]
         rep.rows += [{"case": tag, "B": B, "c_star": c} for B, c in zip(b_grid, speeds)]
         return speeds
 
@@ -265,7 +256,7 @@ def run_diffusion_monotone(sc: Scenario, rep: ExperimentReport) -> None:
     def one(kappa):
         return spreading_speed(sc.coefficients.with_scaled(kappa=kappa), e, sc.grid)
 
-    speeds = [r.c_star for r in _map_rows(rep, "diffusion", one, kappa_grid, sc.jobs)]
+    speeds = [r.c_star for r in _map_rows(rep, "diffusion", one, kappa_grid)]
     rep.rows += [{"case": "speed", "kappa": kappa, "lambda": "", "c_star": c,
                   "k": "", "k0": ""} for kappa, c in zip(kappa_grid, speeds)]
     _check_increasing(rep, "c*({1:g}A) > c*({0:g}A)", kappa_grid, speeds, margin)
@@ -302,7 +293,7 @@ def run_shear(sc: Scenario, rep: ExperimentReport) -> None:
     def one(B):
         return shear_speed(a, combine_scalar_fields([(B, q1)]), mu, e2, sc.grid)
 
-    speeds = [r.c_star for r in _map_rows(rep, "shear:B={:g}", one, b_grid, sc.jobs)]
+    speeds = [r.c_star for r in _map_rows(rep, "shear:B={:g}", one, b_grid)]
     rep.rows += [{"case": "speed", "B": B, "c_star": c, "k_reduced": "", "k_full": ""}
                  for B, c in zip(b_grid, speeds)]
     _check_increasing(rep, "c*(B={1:g}) > c*(B={0:g})", b_grid, speeds, margin)
@@ -350,8 +341,7 @@ def run_potential_drift(sc: Scenario, rep: ExperimentReport) -> None:
     def one(B):
         return spreading_speed(base.with_scaled(drift_B=B), e, sc.grid)
 
-    speeds = [r.c_star for r in
-              _map_rows(rep, "potential-drift:B={:g}", one, b_grid, sc.jobs)]
+    speeds = [r.c_star for r in _map_rows(rep, "potential-drift:B={:g}", one, b_grid)]
     for B, c in zip(b_grid, speeds):
         rep.rows.append({"case": "speed", "B": B, "lambda": "", "c_star": c,
                          "value_drift": "", "value_potential": ""})

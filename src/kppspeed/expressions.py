@@ -289,10 +289,9 @@ def _to_string(node: Node, parent_prec: int = 0, right_of_pow: bool = False) -> 
 class Expression:
     """A parsed formula over (t, x, y) and named parameters."""
 
-    def __init__(self, root: Node, params: Mapping[str, float], source: str = ""):
+    def __init__(self, root: Node, params: Mapping[str, float]):
         self.root = root
         self.params = dict(params)
-        self.source = source
 
     def __call__(self, t=0.0, x=0.0, y=0.0, params: Mapping[str, float] | None = None):
         env = {"t": t, "x": x, "y": y}
@@ -462,4 +461,4 @@ def parse_expression(text: str, params: Mapping[str, float] | None = None) -> Ex
     if clashes:
         raise ExpressionError(f"parameter names shadow builtins: {sorted(clashes)}")
     root = _Parser(_tokenize(text), set(params)).parse()
-    return Expression(root, params, source=text)
+    return Expression(root, params)

@@ -4,8 +4,8 @@ A field is (T, L_1..L_N)-periodic by construction: evaluation reduces the
 arguments into [0, T) x C before handing them to the underlying entry, so
 periodicity holds identically regardless of how the entry is defined.
 
-Entries can be parsed expressions, plain Python callables ``f(t, x[, y])``,
-constants or lattice tables.  Whatever the entry, a sample (``__call__`` or
+Entries can be parsed expressions, plain Python callables ``f(t, x[, y])``
+or constants.  Whatever the entry, a sample (``__call__`` or
 ``eval_entry``) is a float64 array with the broadcast shape of
 ``(t, *coords)``, shape ``()`` for scalar arguments; it may be a read-only
 broadcast view, so a caller that writes into it copies it first.  The
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +40,8 @@ __all__ = [
 ]
 
 FLAG_TOL = 1e-12
+AVERAGE_SAMPLES = 256   # quadrature points per axis of the cell averages
+DRIFT_MEAN_TOL = 1e-10  # largest cell mean of grad Q taken as zero
 
 
 class FieldError(ValueError):
@@ -114,36 +115,6 @@ class _CallableEntry(_Entry):
         return self.fn(t, *coords)
 
 
-class _TabulatedEntry(_Entry):
-    """Values on a uniform periodic lattice, evaluated by separable linear
-    interpolation (exact at the lattice points)."""
-
-    def __init__(self, values: np.ndarray, geometry: CellGeometry):
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 1 + geometry.dimension:
-            raise FieldError("tabulated values need shape (n_t, n_1[, n_2])")
-        self.geometry = geometry
-
-    def eval(self, t, coords):
-        spans = (self.geometry.period,) + self.geometry.lengths
-        idx0, idx1, wts = [], [], []
-        for p, n, span in zip((t,) + tuple(coords), self.values.shape, spans):
-            f = np.asarray(p, dtype=float) / span * n
-            base = np.floor(f)
-            i0 = base.astype(np.int64) % n
-            idx0.append(i0)
-            idx1.append((i0 + 1) % n)
-            wts.append(f - base)
-        out = 0.0
-        for corner in product((0, 1), repeat=len(wts)):
-            sel = tuple(idx1[a] if c else idx0[a] for a, c in enumerate(corner))
-            weight = 1.0
-            for a, c in enumerate(corner):
-                weight = weight * (wts[a] if c else 1.0 - wts[a])
-            out = out + weight * self.values[sel]
-        return out
-
-
 def _as_entry(value, params=None, dimension=1) -> _Entry:
     if isinstance(value, _Entry):
         return value
@@ -185,17 +156,6 @@ class PeriodicField:
         return cls("scalar", _as_entry(value, params, geometry.dimension), geometry, **flags)
 
     @classmethod
-    def tabulated(cls, values: np.ndarray, geometry, **flags) -> "PeriodicField":
-        """Scalar field from lattice values of shape (n_1[, n_2]) for a
-        time-independent field or (n_t, n_1[, n_2]) for a time-varying one."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim == geometry.dimension:
-            values = values[None, ...]
-            flags.setdefault("time_independent", True)
-        return cls("scalar", _TabulatedEntry(values, geometry), geometry,
-                   check_flags=False, **flags)
-
-    @classmethod
     def vector(cls, values: Sequence, geometry, params=None, **flags) -> "PeriodicField":
         if len(values) != geometry.dimension:
             raise FieldError("vector field needs one entry per spatial dimension")
@@ -204,12 +164,12 @@ class PeriodicField:
 
     @classmethod
     def matrix(cls, values, geometry, params=None, **flags) -> "PeriodicField":
-        """`values`: scalar-like (a -> a*I), sequence of diagonal entries,
+        """`values`: any 0-d value (a -> a*I), sequence of diagonal entries,
         full nested sequence, or mapping of "aij" keys in which an entry whose
         transpose is not given mirrors to it."""
         N = geometry.dimension
         zero = _ConstantEntry(0.0)
-        if isinstance(values, (str, Expression, float, int)) or callable(values):
+        if not isinstance(values, Mapping) and np.ndim(values) == 0:
             diag = _as_entry(values, params, N)
             rows = tuple(tuple(diag if i == j else zero for j in range(N)) for i in range(N))
         elif isinstance(values, Mapping):
@@ -292,8 +252,8 @@ class PeriodicField:
 
     def _derived_flags(self):
         entries = self._flat_entries()
-        if any(isinstance(e, (_CallableEntry, _TabulatedEntry)) for e in entries):
-            return False, False  # callables/tables: unknown unless declared
+        if any(isinstance(e, _CallableEntry) for e in entries):
+            return False, False  # callables: unknown unless declared
         t_indep = all(isinstance(e, _ConstantEntry) or not e.expression.depends_on("t")
                       for e in entries)
         x_indep = all(isinstance(e, _ConstantEntry)
@@ -322,10 +282,10 @@ class PeriodicField:
                 if dev > FLAG_TOL:
                     raise FieldError(f"field declared space-independent varies by {dev:.2e}")
 
-    def check_symmetric(self, n=5):
+    def check_symmetric(self):
         if self.kind != "matrix":
             return
-        t, coords = self._sample_lattice(n)
+        t, coords = self._sample_lattice(5)
         N = self.geometry.dimension
         for i in range(N):
             for j in range(i + 1, N):
@@ -360,7 +320,7 @@ def combine_scalar_fields(terms: Sequence[tuple[float, PeriodicField]],
 # --- averages ---------------------------------------------------------------
 
 
-def spatial_average(f: PeriodicField, samples: int = 256) -> PeriodicField:
+def spatial_average(f: PeriodicField) -> PeriodicField:
     """t -> (1/|C|) * integral_C f(t, x) dx, by composite trapezoid quadrature.
 
     On a uniform periodic grid the composite trapezoid rule equals the
@@ -370,7 +330,7 @@ def spatial_average(f: PeriodicField, samples: int = 256) -> PeriodicField:
     if f.kind != "scalar":
         raise FieldError("spatial_average takes a scalar field")
     g = f.geometry
-    axes = [np.linspace(0, L, samples, endpoint=False) for L in g.lengths]
+    axes = [np.linspace(0, L, AVERAGE_SAMPLES, endpoint=False) for L in g.lengths]
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = tuple(m.reshape(-1) for m in mesh)
 
@@ -385,12 +345,12 @@ def spatial_average(f: PeriodicField, samples: int = 256) -> PeriodicField:
                          space_independent=True, check_flags=False)
 
 
-def temporal_average(f: PeriodicField, samples: int = 256) -> PeriodicField:
+def temporal_average(f: PeriodicField) -> PeriodicField:
     """x -> (1/T) * integral_0^T f(t, x) dt, mirror of :func:`spatial_average`."""
     if f.kind != "scalar":
         raise FieldError("temporal_average takes a scalar field")
     g = f.geometry
-    tq = np.linspace(0, g.period, samples, endpoint=False)
+    tq = np.linspace(0, g.period, AVERAGE_SAMPLES, endpoint=False)
 
     def fn(t, *x):
         shape = np.broadcast_shapes(np.shape(t), *(np.shape(c) for c in x))
@@ -402,10 +362,10 @@ def temporal_average(f: PeriodicField, samples: int = 256) -> PeriodicField:
                          space_independent=f.space_independent, check_flags=False)
 
 
-def space_time_mean(f: PeriodicField, samples: int = 256) -> float:
+def space_time_mean(f: PeriodicField) -> float:
     g = f.geometry
-    tq = np.linspace(0, g.period, samples, endpoint=False)
-    axes = [np.linspace(0, L, samples if g.dimension == 1 else 64, endpoint=False)
+    tq = np.linspace(0, g.period, AVERAGE_SAMPLES, endpoint=False)
+    axes = [np.linspace(0, L, AVERAGE_SAMPLES if g.dimension == 1 else 64, endpoint=False)
             for L in g.lengths]
     mesh = np.meshgrid(tq, *axes, indexing="ij")
     return float(np.mean(f(mesh[0], *mesh[1:])))
@@ -414,14 +374,13 @@ def space_time_mean(f: PeriodicField, samples: int = 256) -> float:
 # --- calculus on potentials ---------------------------------------------------
 
 
-def gradient_drift(Q: PeriodicField, geometry: CellGeometry | None = None,
-                   tol: float = 1e-10):
+def gradient_drift(Q: PeriodicField):
     """q = grad Q and the transformed potential V_Q = Laplacian(Q)/2 - |grad Q|^2/4.
 
     Q must be time-independent and expression-backed (so the derivatives are
     exact).  The zero cell mean of q is verified by quadrature.
     """
-    geometry = geometry or Q.geometry
+    geometry = Q.geometry
     if Q.kind != "scalar":
         raise FieldError("potential Q must be a scalar field")
     expr = Q.entry_expression()
@@ -446,8 +405,8 @@ def gradient_drift(Q: PeriodicField, geometry: CellGeometry | None = None,
                       check_flags=False)
 
     for i in range(N):
-        mean = space_time_mean(q.component(i), samples=256)
-        if abs(mean) > tol:
+        mean = space_time_mean(q.component(i))
+        if abs(mean) > DRIFT_MEAN_TOL:
             raise FieldError(f"grad Q component {i} has nonzero cell mean {mean:.2e}")
     return q, V
 
@@ -487,7 +446,7 @@ class CoefficientSet:
     """Coefficients (A, q, mu) of the linearized equation over one cell."""
 
     def __init__(self, A: PeriodicField, q: PeriodicField, mu: PeriodicField,
-                 geometry: CellGeometry | None = None, ellipticity_samples: int = 64):
+                 geometry: CellGeometry | None = None):
         geometry = geometry or A.geometry
         for f in (A, q, mu):
             if f.geometry != geometry:
@@ -499,7 +458,6 @@ class CoefficientSet:
         self.q = q
         self.mu = mu
         self.geometry = geometry
-        self._ellipticity_samples = ellipticity_samples
         self._ellipticity: tuple[float, float] | None = None
 
     @classmethod
@@ -533,11 +491,11 @@ class CoefficientSet:
 
     def ellipticity(self) -> tuple[float, float]:
         if self._ellipticity is None:
-            self._ellipticity = ellipticity_bounds(self.A, self._ellipticity_samples)
+            self._ellipticity = ellipticity_bounds(self.A)
         return self._ellipticity
 
     def with_mu(self, mu: PeriodicField) -> "CoefficientSet":
-        cs = CoefficientSet(self.A, self.q, mu, self.geometry, self._ellipticity_samples)
+        cs = CoefficientSet(self.A, self.q, mu, self.geometry)
         cs._ellipticity = self._ellipticity
         return cs
 
@@ -565,4 +523,4 @@ class CoefficientSet:
         q2 = PeriodicField("vector", tuple(scaled_q_entry(i) for i in range(N)), self.geometry,
                            time_independent=qf.time_independent,
                            space_independent=qf.space_independent, check_flags=False)
-        return CoefficientSet(A2, q2, self.mu, self.geometry, self._ellipticity_samples)
+        return CoefficientSet(A2, q2, self.mu, self.geometry)

@@ -12,8 +12,8 @@ flux differences with A at cell faces (arithmetic mean of the endpoint
 values), first-order terms are centered, and div(A lam) is the centered
 difference of the sampled A lam.  Every derivative of a sampled coefficient
 is taken this way, whatever the representation of the coefficient
-(expression, callable, constant or table), so the same coefficients give the
-same discrete operator.
+(expression, callable or constant), so the same coefficients give the same
+discrete operator.
 
 The adjoint action is the exact matrix transpose; term by term that is the
 divergence-form advection -div((2 A lam - q) .) with the same diagonal, i.e.

@@ -47,27 +47,40 @@ class Scenario:
     seed: int
     output_dir: str
     output_format: str
-    jobs: int = 1
     path: str | None = None
 
+    def _where(self, key: str) -> str:
+        return f"{self.path} [experiment] {key}"
+
     def opt_float(self, key: str, default: float) -> float:
-        return float(self.options.get(key, default))
+        return _number(float, self.options.get(key, default), self._where(key))
 
     def opt_floats(self, key: str, default) -> list[float]:
         raw = self.options.get(key)
         if raw is None:
             return list(default)
-        return [float(tok) for tok in str(raw).split()]
+        return list(_numbers(float, raw, self._where(key)))
 
     def opt_int(self, key: str, default: int) -> int:
-        return int(self.options.get(key, default))
+        return _number(int, self.options.get(key, default), self._where(key))
 
     def opt_str(self, key: str, default: str) -> str:
         return str(self.options.get(key, default))
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(text).split())
+def _number(convert, text, where: str):
+    """convert(text), float or int, for the value of a scenario key; a
+    ScenarioError naming the key (``where``) when it is not a number."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        what = "an integer" if convert is int else "a number"
+        raise ScenarioError(f"{where}: not {what} ({text!r})") from exc
+
+
+def _numbers(convert, text, where: str) -> tuple:
+    """The whitespace-separated numbers of a scenario value, as `_number`."""
+    return tuple(_number(convert, tok, where) for tok in str(text).split())
 
 
 def load_scenario(path) -> Scenario:
@@ -85,12 +98,11 @@ def load_scenario(path) -> Scenario:
     sc = cp["scenario"] if cp.has_section("scenario") else {}
     name = sc.get("name", path.stem)
     experiment = sc.get("experiment")
-    seed = int(sc.get("seed", 0))
-    jobs = int(sc.get("jobs", 1))
+    seed = _number(int, sc.get("seed", 0), f"{path} [scenario] seed")
 
     geo_sec = cp["geometry"] if cp.has_section("geometry") else {}
-    T = float(geo_sec.get("T", 1.0))
-    L = _parse_floats(geo_sec.get("L", "1.0"))
+    T = _number(float, geo_sec.get("T", 1.0), f"{path} [geometry] T")
+    L = _numbers(float, geo_sec.get("L", "1.0"), f"{path} [geometry] L")
     try:
         geometry = CellGeometry(T, L)
     except FieldError as exc:
@@ -99,11 +111,7 @@ def load_scenario(path) -> Scenario:
     params = {}
     if cp.has_section("parameters"):
         for key, val in cp["parameters"].items():
-            try:
-                params[key] = float(val)
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"{path} [parameters] {key}: not a number ({val!r})") from exc
+            params[key] = _number(float, val, f"{path} [parameters] {key}")
 
     co = {k.lower(): v for k, v in cp["coefficients"].items()} \
         if cp.has_section("coefficients") else {}
@@ -123,13 +131,15 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path} [coefficients]: {exc}") from exc
 
     gr = cp["grid"] if cp.has_section("grid") else {}
-    n_space = tuple(int(tok) for tok in str(gr.get("n", "256")).split())
+    n_space = _numbers(int, gr.get("n", "256"), f"{path} [grid] n")
     if len(n_space) == 1 and N > 1:
         n_space = n_space * N
     n_t = gr.get("nt")
-    cap = int(gr.get("cap", DEFAULT_CAP))
+    if n_t is not None:
+        n_t = _number(int, n_t, f"{path} [grid] nt")
+    cap = _number(int, gr.get("cap", DEFAULT_CAP), f"{path} [grid] cap")
     try:
-        grid = build_grid(geometry, n_space, None if n_t is None else int(n_t), cap=cap)
+        grid = build_grid(geometry, n_space, n_t, cap=cap)
     except GridError as exc:
         raise ScenarioError(f"{path} [grid]: {exc}") from exc
 
@@ -141,7 +151,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path} [output]: format must be csv|json|both")
 
     return Scenario(name, experiment, geometry, coefficients, grid, params,
-                    options, seed, output_dir, output_format, jobs, str(path))
+                    options, seed, output_dir, output_format, str(path))
 
 
 # --- reports -------------------------------------------------------------------

@@ -52,6 +52,7 @@ __all__ = ["SpeedResult", "SpeedError", "NoSpreadingError", "UnimodalityError",
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 CGOLD = 1.0 - GOLDEN  # golden-section step into the larger part of a bracket
+S_MIN, S_MAX = 1e-4, 1e4  # the ray search brackets its minimizer inside [S_MIN, S_MAX]
 
 
 class SpeedError(RuntimeError):
@@ -187,17 +188,16 @@ def _brent_min(g: Callable[[float], float], a: float, b: float, c: float,
                 v, fv = u, fu
 
 
-def _bracket_and_minimize(g: Callable[[float], float], s_init: float,
-                          s_min: float, s_max: float, tol: float):
-    a = max(s_init, s_min)
+def _bracket_and_minimize(g: Callable[[float], float], s_init: float, tol: float):
+    a = max(s_init, S_MIN)
     fa = g(a)
-    b = min(2 * a, s_max)
+    b = min(2 * a, S_MAX)
     fb = g(b)
     if fb <= fa:
         while True:
             c = 2 * b
-            if c > s_max:
-                raise SpeedError(f"no bracket below s_max={s_max:g}")
+            if c > S_MAX:
+                raise SpeedError(f"no bracket below s={S_MAX:g}")
             fc = g(c)
             if fc >= fb:
                 break
@@ -207,8 +207,8 @@ def _bracket_and_minimize(g: Callable[[float], float], s_init: float,
         b, fb = a, fa
         while True:
             a = b / 2
-            if a < s_min:
-                raise SpeedError(f"no bracket above s_min={s_min:g}")
+            if a < S_MIN:
+                raise SpeedError(f"no bracket above s={S_MIN:g}")
             fa = g(a)
             if fa >= fb:
                 break
@@ -267,8 +267,8 @@ class _RayObjective:
 
 def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
                mean_diffusion: float, solver_kwargs: Optional[dict],
-               s_init: Optional[float], s_min: float, s_max: float, tol: float,
-               refine: bool = False) -> SpeedResult:
+               s_init: Optional[float], tol: float, refine: bool = False
+               ) -> SpeedResult:
     """c*_e over ``problem(s, xi)``: the coefficients (a `CoefficientSet` or
     its `CoefficientSamples` on grid) and the wavevector whose eigenvalue is
     k at lam = -s xi, for every solve, Richardson solves included.
@@ -309,7 +309,7 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
 
     obj = _RayObjective(solve, e)
     s_star, c_search = _bracket_and_minimize(lambda s: obj.value_for(s, e),
-                                             s_init, s_min, s_max, tol)
+                                             s_init, tol)
     profile = obj.ray_profile(e)
     _check_unimodal(profile)
     _check_minimum(profile, c_search)
@@ -327,7 +327,7 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
 
         for _ in range(3):
             s_cur, val = _bracket_and_minimize(
-                lambda s: obj.value_for(s, xi_of(theta)), s_cur, s_min, s_max, tol)
+                lambda s: obj.value_for(s, xi_of(theta)), s_cur, tol)
             theta, val = _golden_min(
                 lambda th: obj.value_for(s_cur, xi_of(th)),
                 theta - 0.6, theta + 0.6, 1e-5)
@@ -354,9 +354,8 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
 
 def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto",
                     richardson: bool = False, s_init: Optional[float] = None,
-                    s_min: float = 1e-4, s_max: float = 1e4, tol: float = 1e-6,
-                    refine: bool = False, solver_kwargs: Optional[dict] = None
-                    ) -> SpeedResult:
+                    tol: float = 1e-6, refine: bool = False,
+                    solver_kwargs: Optional[dict] = None) -> SpeedResult:
     """Ray search for c*_e = min_{lam.e<0} k_lam/(lam.e).
 
     Verifies k_0 < 0 first (no spreading regime otherwise).  The search
@@ -376,21 +375,20 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
     kw = dict(solver_kwargs or {}, route=route, richardson=richardson)
     return _ray_speed(lambda s, xi: (samples, -s * xi), grid, e, "ray-search",
                       mean_diffusion=samples.mean_diffusion(e),
-                      solver_kwargs=kw, s_init=s_init, s_min=s_min, s_max=s_max,
-                      tol=tol, refine=refine)
+                      solver_kwargs=kw, s_init=s_init, tol=tol, refine=refine)
 
 
 # --- closed form for space-independent coefficients ---------------------------
 
 
-def speed_x_independent(coeffs: CoefficientSet, e, n_t: int = 512) -> SpeedResult:
+def speed_x_independent(coeffs: CoefficientSet, e) -> SpeedResult:
     """Closed-form speed for space-independent coefficients:
     min over unit xi with xi.e > 0 of [2 sqrt(<xi A xi><mu>) + <q>.xi]/(xi.e)."""
     if not coeffs.space_independent:
         raise SpeedError("closed form requires space-independent coefficients")
     N = coeffs.geometry.dimension
     e = _unit(e, N)
-    A_bar, q_bar, mu_bar = _time_averages(coeffs, n_t)
+    A_bar, q_bar, mu_bar = _time_averages(coeffs)
     if mu_bar <= 0:
         raise NoSpreadingError(-mu_bar)
 
@@ -458,11 +456,12 @@ def shear_reduced_eigenvalue(a: PeriodicField, q1: PeriodicField, mu: PeriodicFi
     return principal_eigenvalue(reduced, [lam_scalar * e[1]], grid_y, **kw)
 
 
-def shear_full_coefficients(a: PeriodicField, q1: PeriodicField, mu: PeriodicField,
-                            lengths=(1.0, 1.0)) -> CoefficientSet:
-    """Lift (t,y) shear components to the full 2D cell: A = a I, q = (q1, 0)."""
+def shear_full_coefficients(a: PeriodicField, q1: PeriodicField, mu: PeriodicField
+                            ) -> CoefficientSet:
+    """Lift (t,y) shear components to the full 2D cell of x-length 1:
+    A = a I, q = (q1, 0)."""
     geo_y = a.geometry
-    geo2 = CellGeometry(geo_y.period, (lengths[0], geo_y.lengths[0]))
+    geo2 = CellGeometry(geo_y.period, (1.0, geo_y.lengths[0]))
 
     def lift(f):
         def fn(t, x1, y):
@@ -480,8 +479,7 @@ def shear_full_coefficients(a: PeriodicField, q1: PeriodicField, mu: PeriodicFie
 
 
 def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
-                grid_y: Grid, *, s_init: Optional[float] = None, s_min: float = 1e-4,
-                s_max: float = 1e4, tol: float = 1e-6,
+                grid_y: Grid, *, s_init: Optional[float] = None, tol: float = 1e-6,
                 solver_kwargs: Optional[dict] = None) -> SpeedResult:
     """Spreading speed of a 2D shear flow via the reduced problem in y.
 
@@ -500,4 +498,4 @@ def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
 
     return _ray_speed(problem, grid_y, e, "shear-reduced",
                       mean_diffusion=a_mean, solver_kwargs=solver_kwargs,
-                      s_init=s_init, s_min=s_min, s_max=s_max, tol=tol)
+                      s_init=s_init, tol=tol)

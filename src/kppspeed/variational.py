@@ -32,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
-from .fields import (CoefficientSet, FieldError, PeriodicField)
-from .operators import Grid, _centred, _faces, assemble_action
+from .fields import CoefficientSet, FieldError, PeriodicField, ellipticity_bounds
+from .operators import Grid, _centred, _csr_matrix, _faces, assemble_action
 
 __all__ = ["CellProblemResult", "effective_diffusivity", "k0_rayleigh",
            "rayleigh_upper_bound", "compjlambda_lower_bound"]
@@ -49,7 +49,8 @@ class CellProblemResult:
 
 
 def _diagonal_entries(A: PeriodicField, grid: Grid):
-    """Vertex samples of the diagonal entries; rejects mixed entries."""
+    """Vertex samples of the diagonal entries of a time-independent,
+    symmetric, uniformly elliptic A; rejects mixed entries."""
     if A.kind != "matrix":
         raise FieldError("effective diffusivity needs a matrix field")
     if not A.time_independent:
@@ -57,6 +58,8 @@ def _diagonal_entries(A: PeriodicField, grid: Grid):
     mesh = grid.meshgrid()
     if grid.dimension == 2 and np.any(A.eval_entry((0, 1), 0.0, *mesh)):
         raise NotImplementedError("cell problem implemented for diagonal A only")
+    A.check_symmetric()
+    ellipticity_bounds(A)  # raises NonEllipticError
     return [A.eval_entry((d, d), 0.0, *mesh) for d in range(grid.dimension)]
 
 
@@ -67,8 +70,9 @@ def _stiffness(A: PeriodicField, grid: Grid) -> sp.csr_array:
     return assemble_action(zero, [0.0] * grid.dimension, grid)
 
 
-def effective_diffusivity(A: PeriodicField, e, grid: Grid) -> CellProblemResult:
-    """Effective diffusivity D_e(A) and its zero-mean corrector."""
+def _cell_problem(a_diag, e, grid: Grid) -> CellProblemResult:
+    """D_e and the corrector of the diagonal diffusion with vertex samples
+    a_diag, one array per axis."""
     e = np.asarray(e, dtype=float).reshape(-1)
     if e.size != grid.dimension or not np.isfinite(e).all():
         raise ValueError("direction must be a spatial vector")
@@ -76,12 +80,14 @@ def effective_diffusivity(A: PeriodicField, e, grid: Grid) -> CellProblemResult:
     if nrm == 0:
         raise ValueError("direction must be nonzero")
     e = e / nrm
-    a_diag = _diagonal_entries(A, grid)
     faces = [_faces(a, d) for d, a in enumerate(a_diag)]
     h = grid.h
 
-    # Euler-Lagrange: K chi = -div(A e) with the same face fluxes as K
-    K = _stiffness(A, grid)
+    # Euler-Lagrange: K chi = -div(A e) with the same face fluxes as K, the
+    # stiffness div(A grad .) with zero drift and growth
+    zero = np.zeros((1,) + grid.n_space)
+    K = _csr_matrix({"a_faces": [f[None] for f in faces], "a12": None,
+                     "b": [zero] * grid.dimension, "c0": zero}, 0, grid)
     rhs = np.zeros(grid.n_space)
     for d in range(grid.dimension):
         rhs -= (faces[d] - np.roll(faces[d], 1, axis=d)) * (e[d] / h[d])
@@ -105,6 +111,11 @@ def effective_diffusivity(A: PeriodicField, e, grid: Grid) -> CellProblemResult:
     return CellProblemResult(chi, d_eff, e)
 
 
+def effective_diffusivity(A: PeriodicField, e, grid: Grid) -> CellProblemResult:
+    """Effective diffusivity D_e(A) and its zero-mean corrector."""
+    return _cell_problem(_diagonal_entries(A, grid), e, grid)
+
+
 def k0_rayleigh(A: PeriodicField, V, grid: Grid) -> float:
     """Smallest eigenvalue of -div(A grad .) - V (ARPACK shift-invert).
 
@@ -125,13 +136,6 @@ def k0_rayleigh(A: PeriodicField, V, grid: Grid) -> float:
     return float(vals[0])
 
 
-def _as_alpha_field(alpha, geometry, grid: Grid) -> PeriodicField:
-    if isinstance(alpha, PeriodicField):
-        return alpha
-    vals = np.asarray(alpha, dtype=float).reshape(grid.n_space)
-    return PeriodicField.tabulated(vals, geometry)
-
-
 def rayleigh_upper_bound(A: PeriodicField, mu: PeriodicField, kappa: float,
                          lam: float, e, alpha, grid: Grid) -> float:
     """Upper bound for k_{lambda e}(kappa A, 0, mu) from one test profile.
@@ -139,10 +143,11 @@ def rayleigh_upper_bound(A: PeriodicField, mu: PeriodicField, kappa: float,
     alpha may be a positive scalar PeriodicField or grid values; it is
     renormalized so the discrete integral of alpha^2 over C is 1.
     """
-    geometry = A.geometry
-    alpha_field = _as_alpha_field(alpha, geometry, grid)
     mesh = grid.meshgrid()
-    a_vals = alpha_field(0.0, *mesh)
+    if isinstance(alpha, PeriodicField):
+        a_vals = alpha(0.0, *mesh)
+    else:
+        a_vals = np.asarray(alpha, dtype=float).reshape(grid.n_space)
     if np.min(a_vals) <= 0:
         raise ValueError("test profile alpha must be strictly positive")
     scale = np.sqrt(grid.integrate(a_vals**2))
@@ -157,19 +162,7 @@ def rayleigh_upper_bound(A: PeriodicField, mu: PeriodicField, kappa: float,
     dirichlet = kappa * grid.integrate(
         sum(a_diag[d] * grads[d] ** 2 for d in range(grid.dimension)))
     growth = grid.integrate(mu_vals * a_vals**2)
-
-    alpha_sq = PeriodicField.tabulated(a_vals**2, geometry)
-    N = grid.dimension
-
-    def weighted(i, j):
-        def fn(t, *x):
-            return alpha_sq(t, *x) * A.eval_entry((i, j), t, *x)
-        return fn
-
-    weighted_A = PeriodicField.matrix([[weighted(i, j) for j in range(N)] for i in range(N)],
-                                      geometry, time_independent=True,
-                                      space_independent=False, check_flags=False)
-    d_eff = effective_diffusivity(weighted_A, e, grid).d_effective
+    d_eff = _cell_problem([a_vals**2 * a for a in a_diag], e, grid).d_effective
     return float(dirichlet - growth
                  - lam**2 * kappa * grid.geometry.cell_volume * d_eff)
 

@@ -161,6 +161,14 @@ def test_declared_flags_verified():
         PeriodicField.scalar("cos(2*pi*x)", GEO1, space_independent=True)
 
 
+@pytest.mark.parametrize("a", [np.int64(2), np.float32(2.0)], ids=["int64", "float32"])
+def test_numpy_scalar_matrix_is_a_times_identity(a):
+    A = PeriodicField.matrix(a, GEO2)
+    assert A.eval_entry((0, 0), 0.1, 0.3, 0.7) == 2.0
+    assert A.eval_entry((1, 1), 0.1, 0.3, 0.7) == 2.0
+    assert A.eval_entry((0, 1), 0.1, 0.3, 0.7) == 0.0
+
+
 def test_matrix_symmetry_enforced():
     asym = PeriodicField("matrix",
                          ((PeriodicField.scalar("1", GEO2).entries,
@@ -218,8 +226,7 @@ def test_combine_scalar_fields():
     PeriodicField.scalar("1 + 0.5*cos(2*pi*x)", GEO1),
     PeriodicField.scalar("1 + 0.5*sin(2*pi*t)", GEO1),
     PeriodicField.scalar(lambda t, x: 1.5, GEO1),
-    PeriodicField.tabulated(np.arange(12.0).reshape(3, 4), GEO1),
-], ids=["constant", "expression-in-x", "expression-in-t", "callable-float", "table"])
+], ids=["constant", "expression-in-x", "expression-in-t", "callable-float"])
 def test_every_entry_samples_to_the_broadcast_shape_in_float64(field):
     t = np.linspace(0.0, 1.3, 5)[:, None]
     x = np.linspace(-0.4, 2.2, 7)

@@ -93,6 +93,23 @@ def test_missing_file():
         load_scenario("/nonexistent/path.ini")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("scenario", "seed", "abc"), ("geometry", "T", "abc"), ("geometry", "L", "1 abc"),
+    ("grid", "n", "12.5"), ("grid", "nt", "x"), ("grid", "cap", "1e6"),
+    ("experiment", "margin_strict", "abc"), ("experiment", "e", "one"),
+    ("experiment", "kappa_grid", "1 2 three"), ("experiment", "pairs", "2.5"),
+])
+def test_non_numeric_value_names_file_section_and_key(tmp_path, section, key, value):
+    path = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError) as exc:
+        sc = load_scenario(path)
+        sc.opt_floats("e", [1.0])
+        sc.opt_float("margin_strict", 1e-4)
+        sc.opt_floats("kappa_grid", [1.0])
+        sc.opt_int("pairs", 10)
+    assert f"{path} [{section}] {key}:" in str(exc.value)
+
+
 @pytest.mark.parametrize("L, key", [("1", "a1"), ("1", "amp"), ("1", "a12"),
                                     ("1 1", "a13")])
 def test_malformed_matrix_key_named_in_error(tmp_path, L, key):
@@ -170,36 +187,6 @@ def test_identical_scenarios_produce_byte_identical_csv(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-SWEEP_SCENARIO = """
-[scenario]
-name = sweep-check
-experiment = diffusion-monotone
-
-[coefficients]
-A = 2 + cos(2*pi*x)
-mu = 1 + 0.5*cos(2*pi*x)
-
-[grid]
-n = 128
-
-[experiment]
-kappa_grid = 0.5 1 2
-lambda_probes = 1
-"""
-
-
-def test_parallel_rows_are_deterministic(tmp_path):
-    sc1 = load_scenario(_write(tmp_path, SWEEP_SCENARIO, "s1.ini"))
-    sc2 = load_scenario(_write(tmp_path, SWEEP_SCENARIO, "s2.ini"))
-    sc2.jobs = 2
-    r1 = run_experiment(sc1)
-    r2 = run_experiment(sc2)
-    assert r1.passed and r2.passed
-    p1 = write_report(r1, "csv", tmp_path / "j1")[0]
-    p2 = write_report(r2, "csv", tmp_path / "j2")[0]
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_cli_run_pass_and_fail_exit_codes(tmp_path, capsys):
     good = _write(tmp_path, FAST_SCENARIO, "good.ini")
     code = main(["run", str(good), "--out", str(tmp_path / "out"), "--format", "json"])
@@ -210,6 +197,16 @@ def test_cli_run_pass_and_fail_exit_codes(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eig", "--param", "a=abc"], "--param a"), (["eig", "--lam", "abc"], "--lam"),
+    (["speed", "--e", "1 abc"], "--e"), (["eig", "--L", "abc"], "--L"),
+    (["speed", "--n", "12.5"], "--n"),
+])
+def test_cli_non_numeric_value_names_the_flag(argv, flag):
+    with pytest.raises(SystemExit, match=f"^{flag}: not a number"):
+        main(argv[:1] + ["--n", "16"] + argv[1:])
 
 
 def test_cli_eig_one_shot(capsys):

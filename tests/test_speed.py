@@ -104,7 +104,7 @@ def test_unimodality_guard():
 
 
 def test_search_returning_a_non_minimum_raises(monkeypatch):
-    def not_the_minimum(g, s_init, s_min, s_max, tol):
+    def not_the_minimum(g, s_init, tol):
         samples = [(s, g(s)) for s in (0.5, 1.0, 2.0)]
         return max(samples, key=lambda p: p[1])
 

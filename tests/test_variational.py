@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kppspeed.fields import CoefficientSet, PeriodicField, ellipticity_bounds
+from kppspeed.fields import (CoefficientSet, FieldError, NonEllipticError, PeriodicField,
+                             ellipticity_bounds)
 from kppspeed.operators import build_grid
 from kppspeed.eigen import principal_eigen_steady
 from kppspeed.variational import (
@@ -62,6 +63,22 @@ def test_effective_diffusivity_2d_layered():
     along = effective_diffusivity(A2, [0.0, 1.0], g).d_effective
     assert across == pytest.approx(np.sqrt(3.0), abs=1e-3)
     assert along == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("dim, A, error", [
+    (2, [["2", "0"], ["0.5*cos(2*pi*x)", "2"]], FieldError),
+    (1, "cos(2*pi*x)", NonEllipticError),
+], ids=["asymmetric", "not-elliptic"])
+def test_cell_problem_and_upper_bound_reject_a_bad_diffusion(dim, A, error):
+    geo = CoefficientSet.from_expressions(L=(1.0,) * dim).geometry
+    A = PeriodicField.matrix(A, geo)
+    g = build_grid(geo, 16)
+    e = [1.0] + [0.0] * (dim - 1)
+    with pytest.raises(error):
+        effective_diffusivity(A, e, g)
+    with pytest.raises(error):
+        rayleigh_upper_bound(A, PeriodicField.scalar("1", geo), 1.0, 0.5, e,
+                             PeriodicField.scalar("1", geo), g)
 
 
 def test_k0_rayleigh_examples():
