@@ -4,7 +4,9 @@ A scenario is a flat key/value + sections text file (INI syntax, no value
 interpolation); see the repository README and the shipped ``scenarios/``
 directory for the format.  Coefficient entries are expression strings in the
 grammar of :mod:`kppspeed.expressions`; they are parsed eagerly so bad
-references fail at load time with the offending name.
+references fail at load time with the offending name.  So does a key that
+the loader does not read, in every section but [experiment] and
+[parameters].
 
 An `ExperimentReport` carries one row per parameter point plus a list of
 machine-checked assertions (name, left value, right value, tolerance,
@@ -83,6 +85,42 @@ def _numbers(convert, text, where: str) -> tuple:
     return tuple(_number(convert, tok, where) for tok in str(text).split())
 
 
+# keys of the sections that `load_scenario` reads itself; [experiment] keys
+# belong to the experiment and [parameters] names are free
+_SECTION_KEYS = {"scenario": ("name", "experiment", "seed"), "geometry": ("T", "L"),
+                 "grid": ("n", "nt", "cap"), "output": ("dir", "format")}
+
+
+def _section(cp, path, name: str):
+    """Section ``name`` of a parsed scenario ({} when absent); a ScenarioError
+    names any key in it that the loader does not read."""
+    if not cp.has_section(name):
+        return {}
+    for key in cp[name]:
+        if key not in _SECTION_KEYS[name]:
+            raise ScenarioError(f"{path} [{name}] {key}: unknown key "
+                                f"(one of {', '.join(_SECTION_KEYS[name])})")
+    return cp[name]
+
+
+def _coefficient_keys(cp, path, dimension: int) -> dict:
+    """The [coefficients] section with lower-cased keys: A (a, or aij
+    entries), the drift (q in 1D, q1..qN) and mu; a ScenarioError names any
+    other key."""
+    if not cp.has_section("coefficients"):
+        return {}
+    axes = range(1, dimension + 1)
+    allowed = {"a", "mu", *(f"a{i}{j}" for i in axes for j in axes),
+               *(f"q{i}" for i in axes), *(("q",) if dimension == 1 else ())}
+    co = {}
+    for key, value in cp["coefficients"].items():
+        if key.lower() not in allowed:
+            raise ScenarioError(f"{path} [coefficients] {key}: unknown key in "
+                                f"{dimension}D (a, aij, q or qi, mu)")
+        co[key.lower()] = value
+    return co
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file (expressions parsed eagerly)."""
     path = Path(path)
@@ -95,12 +133,12 @@ def load_scenario(path) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
-    sc = cp["scenario"] if cp.has_section("scenario") else {}
+    sc = _section(cp, path, "scenario")
     name = sc.get("name", path.stem)
     experiment = sc.get("experiment")
     seed = _number(int, sc.get("seed", 0), f"{path} [scenario] seed")
 
-    geo_sec = cp["geometry"] if cp.has_section("geometry") else {}
+    geo_sec = _section(cp, path, "geometry")
     T = _number(float, geo_sec.get("T", 1.0), f"{path} [geometry] T")
     L = _numbers(float, geo_sec.get("L", "1.0"), f"{path} [geometry] L")
     try:
@@ -113,9 +151,8 @@ def load_scenario(path) -> Scenario:
         for key, val in cp["parameters"].items():
             params[key] = _number(float, val, f"{path} [parameters] {key}")
 
-    co = {k.lower(): v for k, v in cp["coefficients"].items()} \
-        if cp.has_section("coefficients") else {}
     N = geometry.dimension
+    co = _coefficient_keys(cp, path, N)
     a_keys = {k: v for k, v in co.items() if k.startswith("a") and k != "a"}
     A_spec = dict(a_keys) if a_keys else co.get("a", "1")
     if N == 1:
@@ -130,7 +167,7 @@ def load_scenario(path) -> Scenario:
     except (ExpressionError, FieldError) as exc:
         raise ScenarioError(f"{path} [coefficients]: {exc}") from exc
 
-    gr = cp["grid"] if cp.has_section("grid") else {}
+    gr = _section(cp, path, "grid")
     n_space = _numbers(int, gr.get("n", "256"), f"{path} [grid] n")
     if len(n_space) == 1 and N > 1:
         n_space = n_space * N
@@ -144,7 +181,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path} [grid]: {exc}") from exc
 
     options = dict(cp["experiment"]) if cp.has_section("experiment") else {}
-    out = cp["output"] if cp.has_section("output") else {}
+    out = _section(cp, path, "output")
     output_dir = out.get("dir", "out")
     output_format = out.get("format", "csv")
     if output_format not in ("csv", "json", "both"):

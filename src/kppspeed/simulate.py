@@ -6,9 +6,17 @@ boundaries, by Strang splitting:
 
 * half-step reaction: the logistic ODE has the exact pointwise flow
   u -> u / (u + (1 - u) exp(-mu tau)), with mu frozen at the midpoint of the
-  half interval;
+  half interval and exp(-mu tau) cached per (t mod T, tau).  The exact flow
+  is a semigroup, so when mu does not depend on t the two half steps between
+  linear steps are one step of dt; they are split only where a snapshot is
+  taken and after the last step;
 * full linear Crank-Nicolson transport-diffusion step on `kernels.cn_levels`,
   factored once per run (once per level of a period when A or q depend on t).
+  With one level the step is u -> 2 (I - dt/2 E)^{-1} u - u, since
+  I + dt/2 E = 2I - (I - dt/2 E): one solve and no band product.  The
+  Dirichlet boundary values stay 0, so the couplings into them are dropped as
+  well; without drift the left-hand matrix is then symmetric positive
+  definite and `kernels.CyclicFactor` solves it with LAPACK ``dpttrs``.
 
 Ahead of the front the true solution is far below machine precision, and the
 linear solves inject roundoff of either sign which the reaction half-steps
@@ -90,7 +98,9 @@ def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, grid: Grid, periodic: b
     zeroth-order term, at t = 0 alone if A and q do not depend on time and at
     the n_t levels of a period otherwise.
 
-    Dirichlet: boundary rows and corners are zeroed (their values stay 0).
+    Dirichlet: boundary rows, corners and the couplings of rows 1 and n-2
+    into the boundary columns are zeroed (the boundary values stay 0), which
+    keeps the bands symmetric when q = 0.
     Periodic: the grid is a ring of cells and the wrap enters as corners.
     """
     time_dep = not (coeffs.A.time_independent and coeffs.q.time_independent)
@@ -99,13 +109,18 @@ def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, grid: Grid, periodic: b
     q = coeffs.q.eval_entry(0, t, x)
     dl, dd, du, c0, c1 = _bands_1d(a_faces, -q, 0.0, grid.h[0])
     if not periodic:
-        dl[:, -1] = dd[:, 0] = dd[:, -1] = du[:, 0] = c0[:] = c1[:] = 0.0
+        dl[:, 1] = dl[:, -1] = dd[:, 0] = dd[:, -1] = du[:, 0] = du[:, -2] = 0.0
+        c0[:] = c1[:] = 0.0
     return cn_levels(dl, dd, du, c0, c1, 0.5 * grid.dt)
 
 
-def _logistic_half(u: np.ndarray, mu: np.ndarray, tau: float) -> np.ndarray:
-    decay = np.exp(-mu * tau)
-    return u / (u + (1.0 - u) * decay)
+def _logistic(u: np.ndarray, decay: np.ndarray) -> None:
+    """The exact logistic flow u / (u + (1 - u) decay), decay = exp(-mu tau),
+    applied to u in place."""
+    w = 1.0 - u
+    w *= decay
+    w += u
+    u /= w
 
 
 def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Grid,
@@ -155,25 +170,37 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
     every = max(1, int(round(snapshot_dt / dt)))
     times = [0.0]
     snaps = [u.copy()]
-    mu_cache: dict[float, np.ndarray] = {}
+    merge = coeffs.mu.time_independent
+    mu_fixed = coeffs.mu(0.0, x) if merge else None
+    decays: dict[tuple[float, float], np.ndarray] = {}
 
-    def mu_at(t):
-        key = round(t % coeffs.geometry.period, 12)
-        if key not in mu_cache:
-            mu_cache[key] = coeffs.mu(t, x)
-        return mu_cache[key]
+    def decay(t, tau):
+        key = (0.0 if merge else round(t % coeffs.geometry.period, 12), tau)
+        if key not in decays:
+            decays[key] = np.exp(-(mu_fixed if merge else coeffs.mu(t, x)) * tau)
+        return decays[key]
 
+    merged = False  # the last reaction step also covered this step's first half
     for step in range(n_steps):
         t = step * dt
-        u = _logistic_half(u, mu_at(t + 0.25 * dt), 0.5 * dt)
-        u = lhs[(step + 1) % len(lhs)].solve(rhs[step % len(rhs)](u))
+        if not merged:
+            _logistic(u, decay(t + 0.25 * dt, 0.5 * dt))
+        if len(lhs) == 1:
+            v = lhs[0].solve(u)
+            v *= 2.0
+            v -= u
+            u = v
+        else:
+            u = lhs[(step + 1) % len(lhs)].solve(rhs[step % len(rhs)](u))
         # written so that a NaN fails it
         if not (INSTABILITY_LOW <= u.min() and u.max() <= cap + INSTABILITY_HIGH):
             raise SimulationError(
                 f"instability at t={t + dt:.4f}: range [{u.min():.3e}, {u.max():.3e}]")
         np.maximum(u, 0.0, out=u)  # roundoff floor ahead of the front
-        u = _logistic_half(u, mu_at(t + 0.75 * dt), 0.5 * dt)
-        if (step + 1) % every == 0 or step == n_steps - 1:
+        snapshot = (step + 1) % every == 0 or step == n_steps - 1
+        merged = merge and not snapshot
+        _logistic(u, decay(t + 0.75 * dt, dt if merged else 0.5 * dt))
+        if snapshot:
             times.append((step + 1) * dt)
             snaps.append(u.copy())
 

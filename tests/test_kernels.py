@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from kppspeed.kernels import (
@@ -60,6 +61,73 @@ def test_cyclic_factor_with_zero_leading_diagonal():
     b = rng.standard_normal(8)
     np.testing.assert_allclose(CyclicFactor(dl, d, du, c0, c1).solve(b),
                                np.linalg.solve(M, b), rtol=1e-12, atol=1e-12)
+
+
+def random_symmetric(rng, n, signs=(1.0,)):
+    """Bands of a random symmetric, diagonally dominant tridiagonal matrix
+    whose diagonal entries have random signs from ``signs``."""
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    d = rng.uniform(2.5, 4.0, n) * rng.choice(signs, n)
+    return np.append(0.0, e), d, np.append(e, 0.0)
+
+
+def dgttrf_solve(dl, d, du, b, trans):
+    *lu, info = dgttrf(dl[1:], d, du[:-1])
+    assert info == 0
+    return dgttrs(*lu, b, trans=trans)[0]
+
+
+@pytest.mark.parametrize("n", [3, 8, 65])
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_symmetric_positive_definite_bands_solve_by_dpttrs(n, trans):
+    rng = np.random.default_rng(20 + n)
+    for _ in range(4):
+        bands = random_symmetric(rng, n)
+        factor = CyclicFactor(*bands, 0.0, 0.0)
+        assert factor._ldl is not None  # the L D L^T path ran
+        b = rng.standard_normal(n)
+        x = factor.solve(b, trans=trans)
+        M = dense(*bands)  # symmetric: M^T = M
+        np.testing.assert_allclose(x, np.linalg.solve(M, b), rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(x, dgttrf_solve(*bands, b, trans), rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_symmetric_indefinite_bands_fall_back_to_dgttrf(trans):
+    rng = np.random.default_rng(31)
+    bands = random_symmetric(rng, 40, signs=(-1.0, 1.0))
+    assert np.any(bands[1] < 0)
+    factor = CyclicFactor(*bands, 0.0, 0.0)
+    assert factor._ldl is None  # dpttrf found a non-positive pivot
+    b = rng.standard_normal(40)
+    x = factor.solve(b, trans=trans)
+    np.testing.assert_allclose(x, np.linalg.solve(dense(*bands), b), rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(x, dgttrf_solve(*bands, b, trans))
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_symmetric_cyclic_bands_keep_dgttrf(trans):
+    # the reference is the Sherman-Morrison solve of the class docstring,
+    # written out with dgttrf and dgttrs, so the results are equal bit for bit
+    rng = np.random.default_rng(32)
+    dl, d, du = random_symmetric(rng, 12)
+    c = float(rng.uniform(-1.0, 1.0))
+    b = rng.standard_normal(12)
+    x = CyclicFactor(dl, d, du, c, c).solve(b, trans=trans)
+    gamma = -d[0]
+    t_diag = d.copy()
+    t_diag[0] -= gamma
+    t_diag[-1] -= c * c / gamma
+    u = np.zeros(12)
+    u[0], u[-1] = (gamma, c) if trans == "N" else (1.0, c / gamma)
+    v0, v1 = (1.0, c / gamma) if trans == "N" else (gamma, c)
+    z = dgttrf_solve(dl, t_diag, du, u, trans)
+    z = z / (1.0 + v0 * z[0] + v1 * z[-1])
+    y = dgttrf_solve(dl, t_diag, du, b, trans)
+    y -= (v0 * y[0] + v1 * y[-1]) * z
+    np.testing.assert_array_equal(x, y)
+    np.testing.assert_allclose(x, np.linalg.solve(dense(dl, d, du, c, c), b),
+                               rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("trans", ["N", "T"])

@@ -119,6 +119,26 @@ def test_malformed_matrix_key_named_in_error(tmp_path, L, key):
         load_scenario(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("section, key", [
+    ("coefficients", "muu"), ("coefficients", "q2"), ("coefficients", "A13"),
+    ("scenario", "experimnet"), ("geometry", "t"), ("grid", "nx"), ("output", "formats"),
+])
+def test_unknown_key_names_file_section_and_key(tmp_path, section, key):
+    # a misspelt key would otherwise fall back to its default without a word
+    path = _write(tmp_path, f"[{section}]\n{key} = 2\n")
+    with pytest.raises(ScenarioError, match="unknown key") as exc:
+        load_scenario(path)
+    assert f"{path} [{section}] {key}:" in str(exc.value)
+
+
+def test_coefficient_keys_are_case_insensitive(tmp_path):
+    text = "[geometry]\nL = 1 1\n[coefficients]\nA11 = 2\nA22 = 3\nQ1 = 0.5\nMU = 4\n"
+    cs = load_scenario(_write(tmp_path, text)).coefficients
+    assert cs.A.eval_entry((1, 1), 0.0, 0.3, 0.2) == 3.0
+    assert cs.q.eval_entry(0, 0.0, 0.3, 0.2) == 0.5
+    assert cs.mu(0.0, 0.3, 0.2) == 4.0
+
+
 def test_shipped_scenarios_all_load():
     names = {p.stem for p in SCENARIOS.glob("*.ini")}
     assert len(names) == 11

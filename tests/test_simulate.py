@@ -68,6 +68,56 @@ def test_time_dependent_steps_match_dense_crank_nicolson():
         np.testing.assert_allclose(run.snapshots[step + 1], u, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("q", ["0", "0.7*sin(2*pi*x)"])
+def test_dirichlet_steps_match_dense_crank_nicolson(q):
+    # time-independent A and q: one factored level, a step of one solve and,
+    # for q = 0, the symmetric positive definite path; the dense reference
+    # keeps the couplings into the boundary columns and identity boundary rows
+    cs = CoefficientSet.from_expressions(A="1 + 0.4*cos(2*pi*x)", q=q,
+                                         mu="1 + 0.5*cos(2*pi*x)")
+    grid = build_grid(cs.geometry, 8, 64)
+    dt, h = grid.dt, grid.h[0]
+    run = solve_cauchy(cs, lambda x: 0.6 * (1.0 - x ** 2), cells=2, t_end=13 * dt,
+                       grid=grid, snapshot_dt=dt)
+    x = run.x
+    n = x.size
+    a = 1 + 0.4 * np.cos(2 * np.pi * x)
+    af = 0.5 * (a[:-1] + a[1:])  # face i, i+1
+    drift = 0.7 * np.sin(2 * np.pi * x) if q != "0" else np.zeros(n)
+    E = np.zeros((n, n))
+    for i in range(1, n - 1):
+        E[i, i - 1] = af[i - 1] / h**2 + drift[i] / (2 * h)
+        E[i, i + 1] = af[i] / h**2 - drift[i] / (2 * h)
+        E[i, i] = -(af[i - 1] + af[i]) / h**2
+    eye = np.eye(n)
+    decay = np.exp(-0.5 * dt * (1 + 0.5 * np.cos(2 * np.pi * x)))
+
+    def reaction(u):
+        return u / (u + (1 - u) * decay)
+
+    u = run.snapshots[0]
+    for step in range(13):
+        u = np.linalg.solve(eye - 0.5 * dt * E, (eye + 0.5 * dt * E) @ reaction(u))
+        u = reaction(np.maximum(u, 0.0))
+        assert u[0] == u[-1] == 0.0
+        np.testing.assert_allclose(run.snapshots[step + 1], u, rtol=0, atol=1e-12)
+    assert run.snapshots[:, [0, -1]].max() == 0.0
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_merged_reaction_steps_match_split_steps(boundary):
+    # between snapshots the two logistic half steps of a time-independent mu
+    # merge into one; with a snapshot at every step none merge
+    cs = coeffs(A="1 + 0.3*cos(2*pi*x)", q="0.4*sin(2*pi*x)", mu="1 + 0.5*cos(2*pi*x)")
+    kw = dict(cells=16, t_end=2.0, grid=GRID, boundary=boundary)
+    merged = solve_cauchy(cs, smooth_bump(0.0, 1.0, 1.0), **kw)
+    split = solve_cauchy(cs, smooth_bump(0.0, 1.0, 1.0), snapshot_dt=GRID.dt, **kw)
+    every = int(round(0.5 / GRID.dt))
+    np.testing.assert_array_equal(merged.times, split.times[::every])
+    np.testing.assert_allclose(merged.snapshots, split.snapshots[::every], rtol=0, atol=1e-13)
+    assert merged.snapshots[-1].max() > 0.5
+
+
 def test_local_convergence_to_one():
     run = solve_cauchy(coeffs(), smooth_bump(0.0, 1.0, 1.0), cells=100, t_end=20.0,
                        grid=GRID)
