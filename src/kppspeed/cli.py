@@ -7,8 +7,8 @@
                     --e "1[ 0]" [--n ...] [--nt ...] [--refine] [--richardson]
 
 The run subcommand executes the scenario's named experiment, writes the
-report, prints the verdict summary, and exits nonzero iff any assertion
-FAILed.
+report, prints the verdict summary, and exits 1 iff any assertion FAILed.
+A bad scenario is one line on stderr and exit code 2, with no report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .eigen import adjoint_eigenpair, principal_eigenvalue
 from .fields import CoefficientSet
 from .operators import build_grid
-from .scenario import load_scenario, write_report
+from .scenario import ScenarioError, load_scenario, write_report
 from .speed import spreading_speed
 
 
@@ -111,15 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    sc = load_scenario(args.scenario)
-    if args.seed is not None:
-        sc.seed = args.seed
-    if args.out is not None:
-        sc.output_dir = args.out
-    if args.format is not None:
-        sc.output_format = args.format
     from .experiments import run_experiment
-    report = run_experiment(sc)
+    try:
+        sc = load_scenario(args.scenario)
+        if args.seed is not None:
+            sc.seed = args.seed
+        if args.out is not None:
+            sc.output_dir = args.out
+        if args.format is not None:
+            sc.output_format = args.format
+        report = run_experiment(sc)
+    except ScenarioError as exc:
+        print(f"kpp-speed run: {exc}", file=sys.stderr)
+        return 2
     paths = write_report(report, sc.output_format, sc.output_dir)
     for line in report.summary_lines():
         print(line)

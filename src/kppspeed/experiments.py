@@ -3,13 +3,15 @@ machine-checked verdicts.
 
 `run_experiment` makes the ExperimentReport of a Scenario, names it after
 the scenario's experiment, times the run and returns it.  An experiment
-``run_*(sc, rep)`` runs its parameter sweep and fills that report in place:
-it sets ``rep.inputs`` and ``rep.columns``, appends ``rep.rows``, asserts
-through ``rep.check`` with exactly the theorem's inequality direction, and
-passes every eigenpair or speed it reports through ``rep.record``, which
-keeps the eigen ledger.  Strict inequalities use the scenario's
-``margin_strict`` (default 1e-4 in speed units) and equality cases
-``tol_equality`` (default 1e-5).
+``run_*(sc, rep)`` reads its options through ``sc.opt_*``, runs its
+parameter sweep and fills that report in place: it sets ``rep.columns``,
+appends ``rep.rows``, asserts through ``rep.check`` with exactly the
+theorem's inequality direction, and passes every eigenpair or speed it
+reports through ``rep.record``, which keeps the eigen ledger.  After the
+run, `run_experiment` rejects an [experiment] key the experiment did not
+read and sets ``rep.inputs`` to every value it read, defaults included.
+Strict inequalities use the scenario's ``margin_strict`` (default 1e-4 in
+speed units) and equality cases ``tol_equality`` (default 1e-5).
 
 Registry keys: spatial-average, temporal-average, growth-monotone, amplitude,
 concavity, derivative, diffusion-monotone, shear, potential-drift,
@@ -27,7 +29,7 @@ from .eigen import adjoint_eigenpair, dk_dB_at_zero, principal_eigen_steady, \
 from .fields import (CoefficientSet, PeriodicField, combine_scalar_fields,
                      gradient_drift, spatial_average, temporal_average)
 from .operators import build_grid
-from .scenario import ExperimentReport, Scenario
+from .scenario import ExperimentReport, Scenario, ScenarioError
 from .simulate import front_speed, smooth_bump, solve_cauchy
 from .speed import shear_full_coefficients, shear_reduced_eigenvalue, shear_speed, \
     spreading_speed
@@ -45,8 +47,10 @@ def _map_rows(rep: ExperimentReport, context: str, fn, points) -> list:
     return [rep.record(context.format(p), fn(p)) for p in points]
 
 
-def _direction(sc: Scenario):
-    return np.asarray(sc.opt_floats("e", [1.0] + [0.0] * (sc.geometry.dimension - 1)))
+def _direction(sc: Scenario, default=None):
+    """The [experiment] direction e, by default the first axis of the cell."""
+    first = [1.0] + [0.0] * (sc.geometry.dimension - 1)
+    return np.asarray(sc.opt_floats("e", default or first))
 
 
 def _check_increasing(rep: ExperimentReport, label: str, points, values, margin: float,
@@ -78,8 +82,6 @@ def run_spatial_average(sc: Scenario, rep: ExperimentReport) -> None:
     """c*(mu) >= c*(spatial average of mu), strict iff mu depends on x."""
     margin = sc.opt_float("margin_strict", MARGIN_STRICT)
     tol_eq = sc.opt_float("tol_equality", TOL_EQUALITY)
-    rep.inputs = {"e": _direction(sc).tolist(), "margin_strict": margin,
-                  "tol_equality": tol_eq}
     rep.columns = ["case", "c_mu", "c_avg", "difference"]
     rep.check("c*(mu) - c*(mu_bar) strict gain", "strict",
               *_average_row(rep, sc, "strict", sc.coefficients, spatial_average), margin)
@@ -103,8 +105,6 @@ def run_temporal_average(sc: Scenario, rep: ExperimentReport) -> None:
     """
     tol_ineq = sc.opt_float("tol_inequality", 1e-8)
     tol_eq = sc.opt_float("tol_equality", TOL_EQUALITY)
-    rep.inputs = {"e": _direction(sc).tolist(), "tol_inequality": tol_ineq,
-                  "tol_equality": tol_eq}
     rep.columns = ["case", "c_mu", "c_avg", "difference"]
     speed_kw = dict(route="floquet", richardson=True, tol=1e-7)
     cs = sc.coefficients  # scenario default is separable
@@ -124,7 +124,6 @@ def run_growth_monotone(sc: Scenario, rep: ExperimentReport) -> None:
     """mu_1 >= mu_2 pointwise implies c*(mu_1) >= c*(mu_2), strictly here."""
     margin = sc.opt_float("margin_strict", MARGIN_STRICT)
     e = _direction(sc)
-    rep.inputs = {"e": e.tolist(), "margin_strict": margin}
     rep.columns = ["case", "c_star"]
     cs2 = sc.coefficients
     bump = PeriodicField.scalar(sc.opt_str("increment", "0.1*(1 + cos(2*pi*x))"),
@@ -142,7 +141,6 @@ def run_amplitude(sc: Scenario, rep: ExperimentReport) -> None:
     margin = sc.opt_float("margin_strict", MARGIN_STRICT)
     b_grid = sc.opt_floats("b_grid", (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
     e = _direction(sc)
-    rep.inputs = {"e": e.tolist(), "b_grid": list(b_grid), "margin_strict": margin}
     rep.columns = ["case", "B", "c_star"]
     eta = PeriodicField.scalar(
         sc.opt_str("eta", "(0.2 + cos(2*pi*x))*(1 + 0.5*sin(2*pi*t))"),
@@ -174,7 +172,6 @@ def run_concavity(sc: Scenario, rep: ExperimentReport) -> None:
     n_pairs = sc.opt_int("pairs", 10)
     tol = sc.opt_float("tol_violation", 1e-8)
     tol_eq = sc.opt_float("tol_equality_k", 1e-8)
-    rep.inputs = {"pairs": n_pairs, "tol_violation": tol}
     rep.columns = ["case", "lambda", "k_mu1", "k_mu2", "k_mid", "concavity_gap"]
     rng = np.random.default_rng(sc.seed)
 
@@ -220,7 +217,6 @@ def run_derivative(sc: Scenario, rep: ExperimentReport) -> None:
     h = sc.opt_float("fd_step", 1e-4)
     tol_rel = sc.opt_float("tol_relative", 1e-3)
     lam_list = sc.opt_floats("lambda_probes", (0.0, 1.0))
-    rep.inputs = {"fd_step": h, "tol_relative": tol_rel, "lambda_probes": list(lam_list)}
     rep.columns = ["lambda", "dk_formula", "dk_fd", "k0", "abs_error"]
     eta = PeriodicField.scalar(sc.opt_str("eta", "cos(4*pi*x)"), sc.geometry, sc.params)
     cs = sc.coefficients
@@ -249,8 +245,6 @@ def run_diffusion_monotone(sc: Scenario, rep: ExperimentReport) -> None:
     kappa_grid = sc.opt_floats("kappa_grid", (0.25, 0.5, 1.0, 2.0, 4.0))
     lam_probes = sc.opt_floats("lambda_probes", (0.5, 1.0, 2.0))
     e = _direction(sc)
-    rep.inputs = {"kappa_grid": list(kappa_grid), "lambda_probes": list(lam_probes),
-                  "margin_strict": margin, "e": e.tolist()}
     rep.columns = ["case", "kappa", "lambda", "c_star", "k", "k0"]
 
     def one(kappa):
@@ -281,9 +275,7 @@ def run_shear(sc: Scenario, rep: ExperimentReport) -> None:
     probe_lam = sc.opt_float("lambda_probe", 0.7)
     probe_B = sc.opt_float("b_probe", 1.0)
     tol_probe = sc.opt_float("tol_probe", 1e-5)
-    e2 = _direction(sc) if sc.options.get("e") else np.array([1.0, 0.0])
-    rep.inputs = {"b_grid": list(b_grid), "lambda_probe": probe_lam,
-                  "margin_strict": margin, "e": e2.tolist()}
+    e2 = _direction(sc, [1.0, 0.0])
     rep.columns = ["case", "B", "c_star", "k_reduced", "k_full"]
     cs = sc.coefficients
     a = cs.A.component(0, 0)
@@ -326,8 +318,6 @@ def run_potential_drift(sc: Scenario, rep: ExperimentReport) -> None:
     tol_transform = sc.opt_float("tol_transform", 1e-6)
     mu0 = sc.opt_float("mu0", 1.0)
     e = _direction(sc)
-    rep.inputs = {"b_grid": list(b_grid), "mu0": mu0, "tol_cap": tol_cap,
-                  "tol_transform": tol_transform, "e": e.tolist()}
     rep.columns = ["case", "B", "lambda", "c_star", "value_drift", "value_potential"]
     Q = PeriodicField.scalar(sc.opt_str("potential", "0.3*cos(2*pi*x)"),
                              sc.geometry, sc.params)
@@ -390,7 +380,6 @@ def run_compjlambda(sc: Scenario, rep: ExperimentReport) -> None:
     randomized time-independent trigonometric instances with q = grad Q."""
     n_cases = sc.opt_int("cases", 20)
     tol = sc.opt_float("tol_margin", 1e-8)
-    rep.inputs = {"cases": n_cases, "tol_margin": tol, "seed": sc.seed}
     rep.columns = ["case", "lambda", "k", "lower_bound", "margin"]
     rng = np.random.default_rng(sc.seed)
     geometry = sc.geometry
@@ -420,8 +409,6 @@ def run_simulate_validate(sc: Scenario, rep: ExperimentReport) -> None:
     rel_tol = sc.opt_float("tol_relative", 0.05)
     t_end = sc.opt_float("t_end", 40.0)
     n_prop = sc.opt_int("property_runs", 10)
-    rep.inputs = {"tol_relative": rel_tol, "t_end": t_end, "property_runs": n_prop,
-                  "seed": sc.seed}
     rep.columns = ["case", "c_star", "measured", "ratio", "fit_residual", "valid"]
     sim_grid = build_grid(sc.geometry, sc.opt_int("points_per_cell", 64),
                           sc.opt_int("steps_per_period", 100))
@@ -491,14 +478,21 @@ EXPERIMENTS = {
 
 
 def run_experiment(sc: Scenario) -> ExperimentReport:
-    """Run a scenario's named experiment into a new report, timed."""
-    if not sc.experiment:
-        raise ValueError("scenario does not name an experiment")
+    """Run a scenario's named experiment into a new report, timed; a
+    ScenarioError names an [experiment] key that the experiment never read.
+    The report's ``inputs`` are the values it read, defaults included, and
+    the seed, grid, geometry, coefficient texts and parameters."""
     if sc.experiment not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
-        raise ValueError(f"unknown experiment {sc.experiment!r} (known: {known})")
+        raise ScenarioError(f"{sc.path} [scenario] experiment: unknown experiment "
+                            f"{sc.experiment!r} (known: {known})")
     rep = ExperimentReport(sc.experiment, sc.name, sc.seed)
     t0 = time.perf_counter()
     EXPERIMENTS[sc.experiment](sc, rep)
     rep.elapsed_seconds = time.perf_counter() - t0
+    sc.options.check()
+    rep.inputs = {**sc.options.read, "seed": sc.seed, "n": list(sc.grid.n_space),
+                  "n_t": sc.grid.n_t, "T": sc.geometry.period,
+                  "L": list(sc.geometry.lengths), "coefficients": sc.coefficient_texts,
+                  "parameters": sc.params}
     return rep

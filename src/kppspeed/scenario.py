@@ -2,11 +2,11 @@
 
 A scenario is a flat key/value + sections text file (INI syntax, no value
 interpolation); see the repository README and the shipped ``scenarios/``
-directory for the format.  Coefficient entries are expression strings in the
-grammar of :mod:`kppspeed.expressions`; they are parsed eagerly so bad
-references fail at load time with the offending name.  So does a key that
-the loader does not read, in every section but [experiment] and
-[parameters].
+directory for the format.  Every section is read through `_Section.get`;
+a key it never asked for is a ScenarioError naming the file, the section
+and the key.  Coefficient entries are expression strings in the grammar of
+:mod:`kppspeed.expressions`; they are parsed eagerly so bad references fail
+at load time with the offending name.
 
 An `ExperimentReport` carries one row per parameter point plus a list of
 machine-checked assertions (name, left value, right value, tolerance,
@@ -37,6 +37,58 @@ class ScenarioError(ValueError):
     pass
 
 
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split()]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split()]
+
+
+class _Section:
+    """One section, taken out of the parsed file and read through `get`,
+    which records each key asked for with its value in ``read``; `check`
+    rejects a key never asked for.  ``fold_case`` compares keys in lower
+    case."""
+
+    def __init__(self, cp, path, name: str, fold_case: bool = False):
+        self.where = f"{path} [{name}]"
+        self.texts, self.names, self.read = {}, {}, {}
+        for key, text in (cp[name].items() if cp.has_section(name) else ()):
+            folded = key.lower() if fold_case else key
+            if folded in self.names:
+                raise ScenarioError(f"{self.where} {self.names[folded]}, {key}: "
+                                    "ambiguous keys, give one")
+            self.texts[folded], self.names[folded] = text, key
+        cp.remove_section(name)
+
+    def exclusive(self, key: str, others) -> None:
+        """A ScenarioError naming key and one of others when both are given."""
+        for other in others:
+            if key in self.names and other in self.names:
+                raise ScenarioError(f"{self.where} {self.names[key]}, "
+                                    f"{self.names[other]}: ambiguous keys, give one")
+
+    def get(self, key: str, default=None, parse=str):
+        """parse(text) of the key, else the default; recorded either way."""
+        text = self.texts.get(key)
+        try:
+            value = default if text is None else parse(text)
+        except ValueError:
+            what = "an integer" if parse in (int, _ints) else "a number"
+            raise ScenarioError(f"{self.where} {self.names[key]}: "
+                                f"not {what} ({text!r})") from None
+        self.read[key] = value
+        return value
+
+    def check(self) -> None:
+        """A ScenarioError naming a key never asked for and the keys asked."""
+        for key, name in self.names.items():
+            if key not in self.read:
+                raise ScenarioError(f"{self.where} {name}: unknown key "
+                                    f"(read: {', '.join(self.read) or 'none'})")
+
+
 @dataclass
 class Scenario:
     name: str
@@ -45,84 +97,30 @@ class Scenario:
     coefficients: CoefficientSet
     grid: Grid
     params: dict
-    options: dict            # raw [experiment] section (strings)
+    options: _Section        # [experiment], read through the opt_* methods
+    coefficient_texts: dict  # the A, q and mu specs the coefficients were built from
     seed: int
     output_dir: str
     output_format: str
     path: str | None = None
 
-    def _where(self, key: str) -> str:
-        return f"{self.path} [experiment] {key}"
-
     def opt_float(self, key: str, default: float) -> float:
-        return _number(float, self.options.get(key, default), self._where(key))
+        return self.options.get(key, float(default), float)
 
     def opt_floats(self, key: str, default) -> list[float]:
-        raw = self.options.get(key)
-        if raw is None:
-            return list(default)
-        return list(_numbers(float, raw, self._where(key)))
+        return list(self.options.get(key, list(default), _floats))
 
     def opt_int(self, key: str, default: int) -> int:
-        return _number(int, self.options.get(key, default), self._where(key))
+        return self.options.get(key, int(default), int)
 
     def opt_str(self, key: str, default: str) -> str:
-        return str(self.options.get(key, default))
-
-
-def _number(convert, text, where: str):
-    """convert(text), float or int, for the value of a scenario key; a
-    ScenarioError naming the key (``where``) when it is not a number."""
-    try:
-        return convert(text)
-    except ValueError as exc:
-        what = "an integer" if convert is int else "a number"
-        raise ScenarioError(f"{where}: not {what} ({text!r})") from exc
-
-
-def _numbers(convert, text, where: str) -> tuple:
-    """The whitespace-separated numbers of a scenario value, as `_number`."""
-    return tuple(_number(convert, tok, where) for tok in str(text).split())
-
-
-# keys of the sections that `load_scenario` reads itself; [experiment] keys
-# belong to the experiment and [parameters] names are free
-_SECTION_KEYS = {"scenario": ("name", "experiment", "seed"), "geometry": ("T", "L"),
-                 "grid": ("n", "nt", "cap"), "output": ("dir", "format")}
-
-
-def _section(cp, path, name: str):
-    """Section ``name`` of a parsed scenario ({} when absent); a ScenarioError
-    names any key in it that the loader does not read."""
-    if not cp.has_section(name):
-        return {}
-    for key in cp[name]:
-        if key not in _SECTION_KEYS[name]:
-            raise ScenarioError(f"{path} [{name}] {key}: unknown key "
-                                f"(one of {', '.join(_SECTION_KEYS[name])})")
-    return cp[name]
-
-
-def _coefficient_keys(cp, path, dimension: int) -> dict:
-    """The [coefficients] section with lower-cased keys: A (a, or aij
-    entries), the drift (q in 1D, q1..qN) and mu; a ScenarioError names any
-    other key."""
-    if not cp.has_section("coefficients"):
-        return {}
-    axes = range(1, dimension + 1)
-    allowed = {"a", "mu", *(f"a{i}{j}" for i in axes for j in axes),
-               *(f"q{i}" for i in axes), *(("q",) if dimension == 1 else ())}
-    co = {}
-    for key, value in cp["coefficients"].items():
-        if key.lower() not in allowed:
-            raise ScenarioError(f"{path} [coefficients] {key}: unknown key in "
-                                f"{dimension}D (a, aij, q or qi, mu)")
-        co[key.lower()] = value
-    return co
+        return self.options.get(key, str(default))
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file (expressions parsed eagerly)."""
+    """Parse and validate a scenario file (expressions parsed eagerly).  A
+    section or key (but in [experiment]) that the loader does not read is a
+    ScenarioError, and so are two [coefficients] keys for one coefficient."""
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
@@ -130,35 +128,37 @@ def load_scenario(path) -> Scenario:
     cp.optionxform = str  # parameter names are case-sensitive
     try:
         cp.read(path)
-    except configparser.Error as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    except configparser.Error as exc:  # its messages span lines
+        raise ScenarioError(f"{path}: {' '.join(str(exc).split())}") from exc
 
-    sc = _section(cp, path, "scenario")
-    name = sc.get("name", path.stem)
-    experiment = sc.get("experiment")
-    seed = _number(int, sc.get("seed", 0), f"{path} [scenario] seed")
+    sec = _Section(cp, path, "scenario")
+    name = sec.get("name", path.stem)
+    experiment = sec.get("experiment")
+    seed = sec.get("seed", 0, int)
 
-    geo_sec = _section(cp, path, "geometry")
-    T = _number(float, geo_sec.get("T", 1.0), f"{path} [geometry] T")
-    L = _numbers(float, geo_sec.get("L", "1.0"), f"{path} [geometry] L")
+    geo = _Section(cp, path, "geometry")
+    T = geo.get("T", 1.0, float)
+    L = geo.get("L", [1.0], _floats)
     try:
         geometry = CellGeometry(T, L)
     except FieldError as exc:
         raise ScenarioError(f"{path} [geometry]: {exc}") from exc
 
-    params = {}
-    if cp.has_section("parameters"):
-        for key, val in cp["parameters"].items():
-            params[key] = _number(float, val, f"{path} [parameters] {key}")
+    par = _Section(cp, path, "parameters")
+    params = {key: par.get(key, parse=float) for key in par.texts}
 
     N = geometry.dimension
-    co = _coefficient_keys(cp, path, N)
-    a_keys = {k: v for k, v in co.items() if k.startswith("a") and k != "a"}
-    A_spec = dict(a_keys) if a_keys else co.get("a", "1")
+    axes = range(1, N + 1)
+    co = _Section(cp, path, "coefficients", fold_case=True)
+    a_keys = [f"a{i}{j}" for i in axes for j in axes]
+    co.exclusive("a", a_keys)
+    entries = {key: co.get(key) for key in a_keys}
+    A_spec = {k: v for k, v in entries.items() if v is not None} or co.get("a", "1")
     if N == 1:
+        co.exclusive("q", ["q1"])
         q_spec = (co.get("q", co.get("q1", "0")),)
     else:
-        q_spec = tuple(co.get(f"q{i + 1}", "0") for i in range(N))
+        q_spec = tuple(co.get(f"q{i}", "0") for i in axes)
     mu_spec = co.get("mu", "1")
     try:
         coefficients = CoefficientSet.from_expressions(
@@ -167,28 +167,31 @@ def load_scenario(path) -> Scenario:
     except (ExpressionError, FieldError) as exc:
         raise ScenarioError(f"{path} [coefficients]: {exc}") from exc
 
-    gr = _section(cp, path, "grid")
-    n_space = _numbers(int, gr.get("n", "256"), f"{path} [grid] n")
+    gr = _Section(cp, path, "grid")
+    n_space = gr.get("n", [256], _ints)
+    n_t = gr.get("nt", None, int)
+    cap = gr.get("cap", DEFAULT_CAP, int)
     if len(n_space) == 1 and N > 1:
         n_space = n_space * N
-    n_t = gr.get("nt")
-    if n_t is not None:
-        n_t = _number(int, n_t, f"{path} [grid] nt")
-    cap = _number(int, gr.get("cap", DEFAULT_CAP), f"{path} [grid] cap")
     try:
         grid = build_grid(geometry, n_space, n_t, cap=cap)
     except GridError as exc:
         raise ScenarioError(f"{path} [grid]: {exc}") from exc
 
-    options = dict(cp["experiment"]) if cp.has_section("experiment") else {}
-    out = _section(cp, path, "output")
+    out = _Section(cp, path, "output")
     output_dir = out.get("dir", "out")
     output_format = out.get("format", "csv")
     if output_format not in ("csv", "json", "both"):
         raise ScenarioError(f"{path} [output]: format must be csv|json|both")
 
-    return Scenario(name, experiment, geometry, coefficients, grid, params,
-                    options, seed, output_dir, output_format, str(path))
+    for section in (sec, geo, co, gr, out):
+        section.check()
+    options = _Section(cp, path, "experiment")
+    if cp.sections():
+        raise ScenarioError(f"{path} [{cp.sections()[0]}]: unknown section")
+    texts = {"A": A_spec, "q": list(q_spec), "mu": mu_spec}
+    return Scenario(name, experiment, geometry, coefficients, grid, params, options,
+                    texts, seed, output_dir, output_format, str(path))
 
 
 # --- reports -------------------------------------------------------------------
@@ -229,9 +232,9 @@ class Assertion:
 @dataclass
 class ExperimentReport:
     """The report of one experiment, filled in place: the experiment sets
-    ``inputs`` and ``columns``, appends ``rows``, asserts through `check` and
-    enters every reported eigenpair or speed in the eigen ledger through
-    `record`; `experiments.run_experiment` makes it and times the run."""
+    ``columns``, appends ``rows``, asserts through `check` and enters every
+    reported eigenpair or speed in the eigen ledger through `record`;
+    `experiments.run_experiment` makes it, times the run, sets ``inputs``."""
 
     experiment: str
     scenario: str

@@ -266,40 +266,37 @@ class _RayObjective:
 
 
 def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
-               mean_diffusion: float, solver_kwargs: Optional[dict],
+               eigen_route: str, richardson: bool, mean_diffusion: float,
                s_init: Optional[float], tol: float, refine: bool = False
                ) -> SpeedResult:
     """c*_e over ``problem(s, xi)``: the coefficients (a `CoefficientSet` or
     its `CoefficientSamples` on grid) and the wavevector whose eigenvalue is
     k at lam = -s xi, for every solve, Richardson solves included.
 
-    ``solver_kwargs`` go to `principal_eigenvalue`; with ``"richardson":
-    True`` on the Floquet route the search runs on the coarse eigenvalues
-    and `richardson_in_time` extrapolates k_0 and the eigenvalue at the
-    minimizer.  Checks k_0 < 0 (extrapolated), brackets and minimizes along
-    the ray xi = e from ``s_init``, by default the minimizer
+    Every solve takes ``eigen_route`` in `principal_eigenvalue`; with
+    ``richardson`` on the Floquet route the search runs on the coarse
+    eigenvalues and `richardson_in_time` extrapolates k_0 and the eigenvalue
+    at the minimizer.  Checks k_0 < 0 (extrapolated), brackets and minimizes
+    along the ray xi = e from ``s_init``, by default the minimizer
     sqrt(-k_0 / <e.A.e>) of the homogeneous problem with ``mean_diffusion``
     = <e.A.e>, checks that the searched profile is unimodal, that the
     search kept its least value and that this value is k_lam/(lam.e) at the
     reported minimizer, and optionally refines the direction (2D).
     """
-    kw = dict(solver_kwargs or {})
-    eigen_route = kw.pop("route", "auto")
-    richardson = kw.pop("richardson", False)
     solves = 0
 
     def solve(s, xi, v0):
         nonlocal solves
         solves += 1
         coeffs, lam = problem(s, xi)
-        return principal_eigenvalue(coeffs, lam, grid, route=eigen_route, v0=v0, **kw)
+        return principal_eigenvalue(coeffs, lam, grid, route=eigen_route, v0=v0)
 
     def extrapolated(s, xi, coarse):
         nonlocal solves
         if not richardson or coarse.route != "floquet":
             return coarse
         solves += 1
-        return richardson_in_time(problem(s, xi)[0], coarse, **kw)
+        return richardson_in_time(problem(s, xi)[0], coarse)
 
     k0 = extrapolated(0.0, e, solve(0.0, e, None)).k_extrapolated
     if k0 >= 0:
@@ -354,8 +351,7 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
 
 def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto",
                     richardson: bool = False, s_init: Optional[float] = None,
-                    tol: float = 1e-6, refine: bool = False,
-                    solver_kwargs: Optional[dict] = None) -> SpeedResult:
+                    tol: float = 1e-6, refine: bool = False) -> SpeedResult:
     """Ray search for c*_e = min_{lam.e<0} k_lam/(lam.e).
 
     Verifies k_0 < 0 first (no spreading regime otherwise).  The search
@@ -372,10 +368,10 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
     """
     e = _unit(e, grid.dimension)
     samples = CoefficientSamples(coeffs, grid)
-    kw = dict(solver_kwargs or {}, route=route, richardson=richardson)
     return _ray_speed(lambda s, xi: (samples, -s * xi), grid, e, "ray-search",
+                      eigen_route=route, richardson=richardson,
                       mean_diffusion=samples.mean_diffusion(e),
-                      solver_kwargs=kw, s_init=s_init, tol=tol, refine=refine)
+                      s_init=s_init, tol=tol, refine=refine)
 
 
 # --- closed form for space-independent coefficients ---------------------------
@@ -479,14 +475,14 @@ def shear_full_coefficients(a: PeriodicField, q1: PeriodicField, mu: PeriodicFie
 
 
 def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
-                grid_y: Grid, *, s_init: Optional[float] = None, tol: float = 1e-6,
-                solver_kwargs: Optional[dict] = None) -> SpeedResult:
+                grid_y: Grid, *, richardson: bool = False, s_init: Optional[float] = None,
+                tol: float = 1e-6) -> SpeedResult:
     """Spreading speed of a 2D shear flow via the reduced problem in y.
 
-    ``solver_kwargs`` go to `principal_eigenvalue`; ``"richardson": True``
-    extrapolates at the minimizer as in `spreading_speed`, and the bracket
-    starts as there, with <e.A.e> = <a>.  Each solve samples the reduced
-    coefficients at its s, which share A and its ellipticity check.
+    ``richardson=True`` extrapolates at the minimizer as in `spreading_speed`
+    (on the Floquet route, taken for time-dependent coefficients), and the
+    bracket starts as there, with <e.A.e> = <a>.  Each solve samples the
+    reduced coefficients at its s, which share A and its ellipticity check.
     """
     _require_ty_fields(a, q1, mu)
     e = _unit(e, 2)
@@ -496,6 +492,6 @@ def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
     def problem(s, xi):  # with_mu keeps the ellipticity bounds of A
         return base.with_mu(_reduced_mu(a, q1, mu, s, xi[0])), [-s * xi[1]]
 
-    return _ray_speed(problem, grid_y, e, "shear-reduced",
-                      mean_diffusion=a_mean, solver_kwargs=solver_kwargs,
+    return _ray_speed(problem, grid_y, e, "shear-reduced", eigen_route="auto",
+                      richardson=richardson, mean_diffusion=a_mean,
                       s_init=s_init, tol=tol)

@@ -131,6 +131,75 @@ def test_unknown_key_names_file_section_and_key(tmp_path, section, key):
     assert f"{path} [{section}] {key}:" in str(exc.value)
 
 
+@pytest.mark.parametrize("L, keys", [
+    ("1", "A a"), ("1", "mu MU"), ("1", "q q1"), ("1", "a a11"),
+    ("1 1", "A A12"), ("1 1", "a22 A"), ("1 1", "q2 Q2"),
+])
+def test_ambiguous_coefficient_keys_name_both(tmp_path, L, keys):
+    # one of the two would otherwise win without a word
+    keys = keys.split()
+    lines = "".join(f"{key} = {i + 2}\n" for i, key in enumerate(keys))
+    path = _write(tmp_path, f"[geometry]\nL = {L}\n[coefficients]\n{lines}")
+    with pytest.raises(ScenarioError, match="ambiguous") as exc:
+        load_scenario(path)
+    assert f"{path} [coefficients] " in str(exc.value)
+    assert all(key in str(exc.value) for key in keys)
+
+
+def test_unknown_key_message_lists_the_keys_read(tmp_path):
+    path = _write(tmp_path, "[grid]\nnx = 64\n")
+    with pytest.raises(ScenarioError, match=r"nx: unknown key \(read: n, nt, cap\)"):
+        load_scenario(path)
+
+
+def test_unknown_section_is_named(tmp_path):
+    path = _write(tmp_path, MINIMAL + "\n[experimnet]\nmargin_strict = 10\n")
+    with pytest.raises(ScenarioError, match=r"\[experimnet\]: unknown section"):
+        load_scenario(path)
+
+
+def test_unread_experiment_key_fails_the_run(tmp_path):
+    # the verdict would otherwise be made at the default margin
+    path = _write(tmp_path, FAST_SCENARIO + "margin_strikt = 10\n")
+    sc = load_scenario(path)
+    with pytest.raises(ScenarioError) as exc:
+        run_experiment(sc)
+    message = str(exc.value)
+    assert f"{path} [experiment] margin_strikt: unknown key" in message
+    assert "(read: margin_strict, e, increment)" in message
+
+
+def test_report_inputs_hold_every_value_read(tmp_path):
+    report = run_experiment(load_scenario(_write(tmp_path, FAST_SCENARIO)))
+    paths = write_report(report, "json", tmp_path / "out")
+    inputs = json.loads(paths[0].read_text())["inputs"]
+    assert inputs == {
+        "e": [1.0], "margin_strict": 1e-4, "increment": "0.1*(1 + cos(2*pi*x))",
+        "seed": 0, "n": [128], "n_t": 128, "T": 1.0, "L": [1.0],
+        "coefficients": {"A": "1", "q": ["0"], "mu": "1 + eps*sin(2*pi*x)"},
+        "parameters": {"eps": 0.2}}
+
+
+def test_cli_run_bad_scenario_is_one_line_and_no_report(tmp_path, capsys):
+    bad = _write(tmp_path, FAST_SCENARIO + "margin_strikt = 10\n", "typo.ini")
+    out_dir = tmp_path / "out"
+    code = main(["run", str(bad), "--out", str(out_dir), "--format", "both"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{bad} [experiment] margin_strikt: unknown key" in captured.err
+    assert not out_dir.exists()
+    for text, message in (("[grid]\nn = x\n", "[grid] n: not an integer"),
+                          ("n = 64\n", "no section headers"),
+                          ("[scenario]\nexperiment = nope\n", "unknown experiment 'nope'")):
+        code = main(["run", str(_write(tmp_path, text)), "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_coefficient_keys_are_case_insensitive(tmp_path):
     text = "[geometry]\nL = 1 1\n[coefficients]\nA11 = 2\nA22 = 3\nQ1 = 0.5\nMU = 4\n"
     cs = load_scenario(_write(tmp_path, text)).coefficients

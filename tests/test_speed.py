@@ -267,8 +267,7 @@ def test_shear_speed_uses_the_richardson_value():
     q1 = PeriodicField.scalar("1.5*cos(2*pi*(x - t))", geo)
     mu = PeriodicField.scalar("1", geo)
     e = np.array([1.0, 0.0])
-    r = shear_speed(a, q1, mu, e, build_grid(geo, 32, 16),
-                    solver_kwargs={"route": "floquet", "richardson": True})
+    r = shear_speed(a, q1, mu, e, build_grid(geo, 32, 16), richardson=True)
     assert r.eigen.k_extrapolated != r.eigen.k
     c_of_k = r.eigen.k_extrapolated / float(np.dot(r.lam_star, e))
     assert abs(r.c_star - c_of_k) <= 1e-12 * abs(r.c_star)
