@@ -8,7 +8,8 @@
 
 The run subcommand executes the scenario's named experiment, writes the
 report, prints the verdict summary, and exits 1 iff any assertion FAILed.
-A bad scenario is one line on stderr and exit code 2, with no report.
+A bad scenario is one line on stderr and exit code 2, with no report; a bad
+flag of eig or speed is one line that names the flag.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import sys
 import numpy as np
 
 from .eigen import adjoint_eigenpair, principal_eigenvalue
-from .fields import CoefficientSet
-from .operators import build_grid
+from .expressions import ExpressionError
+from .fields import CellGeometry, CoefficientSet, FieldError, PeriodicField
+from .operators import GridError, build_grid
 from .scenario import ScenarioError, load_scenario, write_report
 from .speed import spreading_speed
 
@@ -47,12 +49,28 @@ def _parse_params(tokens) -> dict:
     return out
 
 
+def _checked(flag: str, make):
+    """make(), or exit with its expression, field or grid error after the flag."""
+    try:
+        return make()
+    except (ExpressionError, FieldError, GridError) as exc:
+        raise SystemExit(f"{flag}: {exc}") from None
+
+
 def _coeffs_from_args(args) -> CoefficientSet:
     L = _parse_vector(args.L, "--L")
-    q = _parse_vector_or_exprs(args.q, len(L)) if args.q else None
-    return CoefficientSet.from_expressions(
-        A=args.A, q=q, mu=args.mu, T=args.T, L=(L[0] if len(L) == 1 else L),
-        params=_parse_params(args.param))
+    q = _parse_vector_or_exprs(args.q, len(L)) if args.q else (0.0,) * len(L)
+    params = _parse_params(args.param)
+    geo = _checked("--T, --L", lambda: CellGeometry(args.T, L))
+
+    def field(flag, value):  # parsed on its own, so that an error names its flag
+        return _checked(flag, lambda: PeriodicField.scalar(value, geo, params))
+
+    coeffs = CoefficientSet(PeriodicField.matrix(field("--A", args.A).entries, geo),
+                            PeriodicField.vector([field("--q", v).entries for v in q], geo),
+                            field("--mu", args.mu), geo)
+    _checked("--A", coeffs.ellipticity)
+    return coeffs
 
 
 def _parse_vector_or_exprs(text: str, dim: int):
@@ -66,7 +84,8 @@ def _parse_vector_or_exprs(text: str, dim: int):
 
 def _grid_from_args(args, geometry):
     n = [_number(int, t, "--n") for t in str(args.n).split()]
-    return build_grid(geometry, n[0] if len(n) == 1 else n, args.nt)
+    return _checked("--n, --nt",
+                    lambda: build_grid(geometry, n[0] if len(n) == 1 else n, args.nt))
 
 
 def _add_coeff_flags(p: argparse.ArgumentParser):

@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 EIG_TOL = 1e-10
+MAX_ITER = 200  # power iterations before a solver gives up
 WIDTH_TARGET = 1e-6  # the widest sandwich a steady solve stops at
 MISMATCH_TOL = 1e-6  # the largest gap between direct and adjoint eigenvalues
 AVERAGE_STEPS = 512  # trapezoid steps of the closed-form time averages
@@ -190,8 +191,7 @@ def _steady_action(coeffs, lam, grid: Grid) -> SteadyAction:
 
 
 def _inverse_iterate(op: SteadyAction, shift: _Shift, v: np.ndarray, *,
-                     trans: str = "N", width_target: float, tol: float,
-                     max_iter: int, what: str):
+                     trans: str = "N", width_target: float, what: str):
     """Inverse iteration with the factors of sigma I - E held by ``shift``
     (trans='T': with E^T); it also waits for a sandwich width of at most
     ``width_target``.  Returns k, the bounds, the positive iterate (max 1)
@@ -228,7 +228,7 @@ def _inverse_iterate(op: SteadyAction, shift: _Shift, v: np.ndarray, *,
                 closer = sigma
         return k, ready
 
-    _, v, it = _power_iterate(step, v, measure, tol=tol, max_iter=max_iter, what=what)
+    _, v, it = _power_iterate(step, v, measure, tol=EIG_TOL, max_iter=MAX_ITER, what=what)
     if np.min(v) <= 0:
         raise PositivityError(f"{what}: eigenfunction has nonpositive entries; "
                               "refine the grid")
@@ -236,8 +236,7 @@ def _inverse_iterate(op: SteadyAction, shift: _Shift, v: np.ndarray, *,
 
 
 def principal_eigen_steady(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid,
-                           *, tol: float = EIG_TOL, max_iter: int = 200,
-                           v0: Optional[np.ndarray] = None) -> EigenResult:
+                           *, v0: Optional[np.ndarray] = None) -> EigenResult:
     """Principal eigenvalue of the steady problem -E_lam phi = k phi.
 
     ``coeffs`` is a `CoefficientSet` or its `CoefficientSamples` on grid
@@ -251,8 +250,7 @@ def principal_eigen_steady(coeffs: CoefficientSet | CoefficientSamples, lam, gri
     shift = _Shift(op)
     v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     k, lower, upper, phi, it = _inverse_iterate(
-        op, shift, v, width_target=WIDTH_TARGET, tol=tol, max_iter=max_iter,
-        what="steady inverse iteration")
+        op, shift, v, width_target=WIDTH_TARGET, what="steady inverse iteration")
     return EigenResult(k, phi, lower, upper, it, "steady", grid, op.lam,
                        diagnostics={"gershgorin": op.gershgorin, "sigma": shift.sigma,
                                     "shifts": shift.moves})
@@ -272,8 +270,7 @@ def _floquet_ratios(family: ActionFamily, psi: np.ndarray, adjoint: bool = False
     return r
 
 
-def _floquet_iterate(family: ActionFamily, v: np.ndarray, *, tol: float,
-                     max_iter: int, adjoint: bool = False):
+def _floquet_iterate(family: ActionFamily, v: np.ndarray, adjoint: bool = False):
     """Power iteration on the period map (adjoint: on its transpose), then
     the periodic eigenfunction from the levels of its fixed direction.
 
@@ -285,7 +282,7 @@ def _floquet_iterate(family: ActionFamily, v: np.ndarray, *, tol: float,
     rho, v, it = _power_iterate(
         lambda u: family.step_period(u, transpose=adjoint), v,
         lambda u, w, _: (float(np.dot(w, u) / np.dot(u, u)), True),
-        tol=tol, max_iter=max_iter, what=what)
+        tol=EIG_TOL, max_iter=MAX_ITER, what=what)
     if not np.isfinite(rho) or rho <= 0:
         raise EigenError("nonpositive principal multiplier: invalid discretization")
     levels = family.step_period(v, transpose=adjoint, store_levels=True)
@@ -304,20 +301,18 @@ def _floquet_iterate(family: ActionFamily, v: np.ndarray, *, tol: float,
 
 
 def principal_eigen_floquet(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid,
-                            *, tol: float = EIG_TOL, max_iter: int = 200,
-                            v0: Optional[np.ndarray] = None) -> EigenResult:
+                            *, v0: Optional[np.ndarray] = None) -> EigenResult:
     """Principal eigenvalue via power iteration on the one-period map;
     ``coeffs`` as in `principal_eigen_steady`."""
     family = ActionFamily(sample(coeffs, grid), lam)
     v = np.ones(grid.npoints) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
-    k, psi, lower, upper, k_log, rho, it = _floquet_iterate(family, v, tol=tol,
-                                                            max_iter=max_iter)
+    k, psi, lower, upper, k_log, rho, it = _floquet_iterate(family, v)
     return EigenResult(k, psi, lower, upper, it, "floquet", grid, family.lam,
                        diagnostics={"rho": rho, "k_log_multiplier": k_log})
 
 
-def richardson_in_time(coeffs: CoefficientSet | CoefficientSamples, coarse: EigenResult,
-                       **kw) -> EigenResult:
+def richardson_in_time(coeffs: CoefficientSet | CoefficientSamples,
+                       coarse: EigenResult) -> EigenResult:
     """The Floquet eigenpair at doubled time steps, warm-started from the
     coarse one at the same lam, with the dt^2-extrapolated eigenvalue
     (4 k_fine - k_coarse)/3 in ``k_extrapolated`` and the coarse k in
@@ -326,7 +321,7 @@ def richardson_in_time(coeffs: CoefficientSet | CoefficientSamples, coarse: Eige
     on the coarse grid; the fine solve takes the `doubled_in_time` samples."""
     fine_samples = sample(coeffs, coarse.grid).doubled_in_time()
     fine = principal_eigen_floquet(fine_samples, coarse.lam, fine_samples.grid,
-                                   v0=coarse.phi[0], **kw)
+                                   v0=coarse.phi[0])
     fine.diagnostics["k_extrapolated"] = (4.0 * fine.k - coarse.k) / 3.0
     fine.diagnostics["k_coarse"] = coarse.k
     return fine
@@ -334,7 +329,7 @@ def richardson_in_time(coeffs: CoefficientSet | CoefficientSamples, coarse: Eige
 
 def principal_eigenvalue(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid,
                          *, route: str = "auto", richardson: bool = False,
-                         v0: Optional[np.ndarray] = None, **kw) -> EigenResult:
+                         v0: Optional[np.ndarray] = None) -> EigenResult:
     """Route to the steady or Floquet solver; ``coeffs`` as in
     `principal_eigen_steady`, sampled once for every solve.
 
@@ -347,18 +342,18 @@ def principal_eigenvalue(coeffs: CoefficientSet | CoefficientSamples, lam, grid:
     if route == "auto":
         route = "steady" if samples.coeffs.time_independent else "floquet"
     if route == "steady":
-        return principal_eigen_steady(samples, lam, grid, v0=v0, **kw)
+        return principal_eigen_steady(samples, lam, grid, v0=v0)
     if route != "floquet":
         raise ValueError(f"unknown route {route!r}")
-    res = principal_eigen_floquet(samples, lam, grid, v0=v0, **kw)
-    return richardson_in_time(samples, res, **kw) if richardson else res
+    res = principal_eigen_floquet(samples, lam, grid, v0=v0)
+    return richardson_in_time(samples, res) if richardson else res
 
 
 # --- adjoint pair ---------------------------------------------------------------
 
 
-def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Grid, *,
-                      tol: float = EIG_TOL, max_iter: int = 200) -> AdjointPair:
+def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam,
+                      grid: Grid) -> AdjointPair:
     """Direct and adjoint principal eigenfunctions with unit pairing.
 
     The discrete adjoint is the exact transpose, so its principal eigenvalue
@@ -375,12 +370,11 @@ def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Gr
         shift = _Shift(op)
         ones = np.ones(grid.npoints)
         k, _, _, phi, _ = _inverse_iterate(
-            op, shift, ones, width_target=WIDTH_TARGET, tol=tol, max_iter=max_iter,
-            what="steady inverse iteration")
+            op, shift, ones, width_target=WIDTH_TARGET, what="steady inverse iteration")
         # the adjoint iteration starts from the direct one's final shift
         k_adj, _, _, w, _ = _inverse_iterate(
-            op, shift, ones, trans="T", width_target=np.inf, tol=tol,
-            max_iter=max_iter, what="adjoint steady inverse iteration")
+            op, shift, ones, trans="T", width_target=np.inf,
+            what="adjoint steady inverse iteration")
         if abs(k_adj - k) > MISMATCH_TOL:
             raise EigenError(f"adjoint eigenvalue mismatch: {k_adj} vs {k}")
         # pairing integral over (0,T) x C for time-constant functions
@@ -389,9 +383,8 @@ def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam, grid: Gr
 
     family = ActionFamily(samples, lam)
     ones = np.ones(grid.npoints)
-    k, psi, _, _, k_log, _, _ = _floquet_iterate(family, ones, tol=tol, max_iter=max_iter)
-    k_adj, psi_t, _, _, k_log_adj, _, _ = _floquet_iterate(
-        family, ones, tol=tol, max_iter=max_iter, adjoint=True)
+    k, psi, _, _, k_log, _, _ = _floquet_iterate(family, ones)
+    k_adj, psi_t, _, _, k_log_adj, _, _ = _floquet_iterate(family, ones, adjoint=True)
     if abs(k_log_adj - k_log) > MISMATCH_TOL:
         raise EigenError(f"adjoint log-multiplier mismatch: {k_log_adj} vs {k_log}")
     pairing = grid.dt * grid.cell_measure() * float(np.sum(psi * psi_t))

@@ -41,6 +41,7 @@ __all__ = [
 
 FLAG_TOL = 1e-12
 AVERAGE_SAMPLES = 256   # quadrature points per axis of the cell averages
+ELLIPTICITY_SAMPLES = 64  # sample points per axis of the ellipticity bounds
 DRIFT_MEAN_TOL = 1e-10  # largest cell mean of grad Q taken as zero
 
 
@@ -164,15 +165,12 @@ class PeriodicField:
 
     @classmethod
     def matrix(cls, values, geometry, params=None, **flags) -> "PeriodicField":
-        """`values`: any 0-d value (a -> a*I), sequence of diagonal entries,
-        full nested sequence, or mapping of "aij" keys in which an entry whose
-        transpose is not given mirrors to it."""
+        """`values`: one value a (a -> a*I), or a mapping of "aij" keys in
+        which an entry whose transpose is not given mirrors to it.  A
+        sequence is a FieldError."""
         N = geometry.dimension
         zero = _ConstantEntry(0.0)
-        if not isinstance(values, Mapping) and np.ndim(values) == 0:
-            diag = _as_entry(values, params, N)
-            rows = tuple(tuple(diag if i == j else zero for j in range(N)) for i in range(N))
-        elif isinstance(values, Mapping):
+        if isinstance(values, Mapping):
             given: dict[tuple[int, int], _Entry] = {}
             for key, v in values.items():
                 match = re.fullmatch(r"[aA]?([1-9])([1-9])", str(key))  # "11" or "a11"
@@ -180,17 +178,13 @@ class PeriodicField:
                     raise FieldError(f"matrix entry key {key!r} is not aij with "
                                      f"1 <= i, j <= {N}")
                 given[(int(match[1]) - 1, int(match[2]) - 1)] = _as_entry(v, params, N)
-            rows = tuple(tuple(given.get((i, j), given.get((j, i), zero)) for j in range(N))
-                         for i in range(N))
+        elif np.ndim(values) == 0:
+            given = dict.fromkeys(((i, i) for i in range(N)), _as_entry(values, params, N))
         else:
-            vals = list(values)
-            if all(np.ndim(v) == 0 and not isinstance(v, (list, tuple)) for v in vals):
-                # diagonal entries
-                diag = [_as_entry(v, params, N) for v in vals]
-                rows = tuple(tuple(diag[i] if i == j else zero for j in range(N)) for i in range(N))
-            else:
-                rows = tuple(tuple(_as_entry(vals[i][j], params, N) for j in range(N))
-                             for i in range(N))
+            raise FieldError("a matrix field is one value a (a*I) or a mapping of "
+                             "'aij' keys, not a sequence")
+        rows = tuple(tuple(given.get((i, j), given.get((j, i), zero)) for j in range(N))
+                     for i in range(N))
         return cls("matrix", rows, geometry, **flags)
 
     # -- evaluation
@@ -295,9 +289,8 @@ class PeriodicField:
                     raise FieldError("matrix field is not symmetric")
 
 
-def combine_scalar_fields(terms: Sequence[tuple[float, PeriodicField]],
-                          constant: float = 0.0) -> PeriodicField:
-    """Pointwise linear combination  constant + sum_k c_k * f_k  of scalar fields."""
+def combine_scalar_fields(terms: Sequence[tuple[float, PeriodicField]]) -> PeriodicField:
+    """Pointwise linear combination  sum_k c_k * f_k  of scalar fields."""
     fields = [f for _, f in terms]
     if not fields:
         raise FieldError("need at least one field")
@@ -307,8 +300,7 @@ def combine_scalar_fields(terms: Sequence[tuple[float, PeriodicField]],
     coefs = [float(c) for c, _ in terms]
 
     def fn(t, *x):
-        out = sum(c * f(t, *x) for c, f in zip(coefs, fields))
-        return out + constant
+        return sum(c * f(t, *x) for c, f in zip(coefs, fields))
 
     return PeriodicField(
         "scalar", _CallableEntry(fn), geometry,
@@ -411,21 +403,20 @@ def gradient_drift(Q: PeriodicField):
     return q, V
 
 
-def ellipticity_bounds(A: PeriodicField, samples: int = 64):
+def ellipticity_bounds(A: PeriodicField):
     """Sampled uniform ellipticity constants (gamma, Gamma) of a matrix field.
 
-    gamma is the minimum over sample points of the smallest eigenvalue of
+    gamma is the minimum over ELLIPTICITY_SAMPLES points per axis (and in
+    time, unless A is time-independent) of the smallest eigenvalue of
     A(t,x), Gamma the maximum of the largest.  Raises NonEllipticError when
     gamma <= 0.
     """
     if A.kind != "matrix":
         raise FieldError("ellipticity_bounds takes a matrix field")
-    if samples < 2:
-        raise FieldError("need at least 2 samples per axis")
     g = A.geometry
     N = g.dimension
-    nt = 1 if A.time_independent else samples
-    axes = [np.linspace(0, L, samples, endpoint=False) for L in g.lengths]
+    nt = 1 if A.time_independent else ELLIPTICITY_SAMPLES
+    axes = [np.linspace(0, L, ELLIPTICITY_SAMPLES, endpoint=False) for L in g.lengths]
     coords = np.meshgrid(*axes, indexing="ij")
     gamma, Gamma = np.inf, -np.inf
     for t in np.linspace(0, g.period, nt, endpoint=False):  # one level at a time

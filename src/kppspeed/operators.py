@@ -34,8 +34,8 @@ variational routines use them too.
 The steady eigen route takes E_lam as a `SteadyAction`: in 1D the cyclic
 tridiagonal bands, with LAPACK factors of sigma I - E_lam
 (`kernels.CyclicFactor`) and band products, and in 2D a CSR matrix with
-sparse LU.  `assemble_action` returns the CSR matrix of any dimension at one
-time level.
+sparse LU.  `assemble_action` returns the CSR matrix of any dimension at
+t = 0.
 
 Time stepping over one period is Crank-Nicolson,
 
@@ -100,10 +100,6 @@ class Grid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*self.axes(), indexing="ij"))
 
-    def times(self) -> np.ndarray:
-        """Time levels t_0..t_{n_t}; coefficients are sampled at t_m mod T."""
-        return np.arange(self.n_t + 1) * self.dt
-
     def cell_measure(self) -> float:
         return float(np.prod(self.h))
 
@@ -148,22 +144,19 @@ class CoefficientSamples:
     """A, q and mu of one coefficient set sampled once on a grid.
 
     The samples are taken at the Crank-Nicolson levels t_m = m dt of one
-    period (one level when the coefficients do not depend on time) or at the
-    given times, kept in ``times`` (``on_levels`` tells whether they are the
-    period levels), and stored as C-ordered stacks with the levels on the
+    period (one level when the coefficients do not depend on time), at no
+    other times, and stored as C-ordered stacks with the levels on the
     leading axis.  E_lam is a quadratic polynomial in lam, so `stencil`
     redoes only the lam algebra: a ray search samples its coefficients once,
     not once per eigensolve.
     """
 
-    def __init__(self, coeffs: CoefficientSet, grid: Grid, times=None):
+    def __init__(self, coeffs: CoefficientSet, grid: Grid):
         coeffs.ellipticity()  # raises NonEllipticError for bad A
         N = grid.dimension
-        levels = np.arange(1 if coeffs.time_independent else grid.n_t) * grid.dt
-        self.times = levels if times is None else np.asarray(times, dtype=float).reshape(-1)
-        self.on_levels = np.array_equal(self.times, levels)
         mesh = grid.meshgrid()
-        t = self.times.reshape((-1,) + (1,) * N)
+        t = (np.arange(1 if coeffs.time_independent else grid.n_t) * grid.dt
+             ).reshape((-1,) + (1,) * N)
         A, q = coeffs.A, coeffs.q
         self.coeffs, self.grid = coeffs, grid
         self.a_diag = [np.ascontiguousarray(A.eval_entry((d, d), t, *mesh))
@@ -231,8 +224,8 @@ def sample(coeffs, grid: Grid) -> CoefficientSamples:
     `CoefficientSet` is sampled here, samples made on grid pass through."""
     if not isinstance(coeffs, CoefficientSamples):
         return CoefficientSamples(coeffs, grid)
-    if coeffs.grid != grid or not coeffs.on_levels:
-        raise ValueError("samples of another grid or at other times")
+    if coeffs.grid != grid:
+        raise ValueError("samples of another grid")
     return coeffs
 
 
@@ -303,12 +296,11 @@ def _csr_matvec(M, v, trans: str = "N") -> np.ndarray:
     return (M.T if trans == "T" else M) @ v
 
 
-def assemble_action(coeffs: CoefficientSet, lam, grid: Grid,
-                    adjoint: bool = False, t: float = 0.0) -> sp.csr_array:
-    """E_lam (adjoint: its exact transpose) at time level t as a CSR matrix."""
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    M = _csr_matrix(CoefficientSamples(coeffs, grid, [t]).stencil(lam), 0, grid)
-    return M.T.tocsr() if adjoint else M
+def assemble_action(coeffs: CoefficientSet | CoefficientSamples, lam,
+                    grid: Grid) -> sp.csr_array:
+    """E_lam at t = 0 as a CSR matrix; ``coeffs`` is a `CoefficientSet` or
+    its samples on grid (`sample`).  Its transpose ``.T`` is the adjoint."""
+    return _csr_matrix(sample(coeffs, grid).stencil(lam), 0, grid)
 
 
 class SteadyAction:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .eigen import EigenResult
 from .expressions import ExpressionError
-from .fields import CellGeometry, CoefficientSet, FieldError
+from .fields import CellGeometry, CoefficientSet, FieldError, PeriodicField
 from .operators import DEFAULT_CAP, Grid, GridError, build_grid
 
 __all__ = ["Scenario", "ScenarioError", "ExperimentReport", "Assertion",
@@ -43,6 +43,14 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split()]
+
+
+def _field(where: str, key: str, text: str, geometry, params) -> PeriodicField:
+    """The scalar field of one expression text; its errors name the key."""
+    try:
+        return PeriodicField.scalar(text, geometry, params)
+    except (ExpressionError, FieldError) as exc:
+        raise ScenarioError(f"{where} {key}: {exc}") from exc
 
 
 class _Section:
@@ -116,6 +124,12 @@ class Scenario:
     def opt_str(self, key: str, default: str) -> str:
         return self.options.get(key, str(default))
 
+    def opt_field(self, key: str, default: str) -> PeriodicField:
+        """The scalar field of an [experiment] expression; a bad one is a
+        ScenarioError naming the key."""
+        return _field(self.options.where, key, self.opt_str(key, default),
+                      self.geometry, self.params)
+
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file (expressions parsed eagerly).  A
@@ -160,6 +174,9 @@ def load_scenario(path) -> Scenario:
     else:
         q_spec = tuple(co.get(f"q{i}", "0") for i in axes)
     mu_spec = co.get("mu", "1")
+    co.check()
+    for key, text in co.texts.items():  # an error in one text names its key
+        _field(co.where, co.names[key], text, geometry, params)
     try:
         coefficients = CoefficientSet.from_expressions(
             A=A_spec, q=q_spec, mu=mu_spec, T=T, L=(L[0] if N == 1 else L),
@@ -184,7 +201,7 @@ def load_scenario(path) -> Scenario:
     if output_format not in ("csv", "json", "both"):
         raise ScenarioError(f"{path} [output]: format must be csv|json|both")
 
-    for section in (sec, geo, co, gr, out):
+    for section in (sec, geo, gr, out):
         section.check()
     options = _Section(cp, path, "experiment")
     if cp.sections():

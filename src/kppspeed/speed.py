@@ -267,8 +267,7 @@ class _RayObjective:
 
 def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
                eigen_route: str, richardson: bool, mean_diffusion: float,
-               s_init: Optional[float], tol: float, refine: bool = False
-               ) -> SpeedResult:
+               tol: float, refine: bool = False) -> SpeedResult:
     """c*_e over ``problem(s, xi)``: the coefficients (a `CoefficientSet` or
     its `CoefficientSamples` on grid) and the wavevector whose eigenvalue is
     k at lam = -s xi, for every solve, Richardson solves included.
@@ -277,9 +276,8 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
     ``richardson`` on the Floquet route the search runs on the coarse
     eigenvalues and `richardson_in_time` extrapolates k_0 and the eigenvalue
     at the minimizer.  Checks k_0 < 0 (extrapolated), brackets and minimizes
-    along the ray xi = e from ``s_init``, by default the minimizer
-    sqrt(-k_0 / <e.A.e>) of the homogeneous problem with ``mean_diffusion``
-    = <e.A.e>, checks that the searched profile is unimodal, that the
+    along the ray xi = e from the minimizer sqrt(-k_0 / <e.A.e>) of the
+    homogeneous problem with ``mean_diffusion`` = <e.A.e>, checks that the searched profile is unimodal, that the
     search kept its least value and that this value is k_lam/(lam.e) at the
     reported minimizer, and optionally refines the direction (2D).
     """
@@ -301,12 +299,10 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
     k0 = extrapolated(0.0, e, solve(0.0, e, None)).k_extrapolated
     if k0 >= 0:
         raise NoSpreadingError(k0)
-    if s_init is None:
-        s_init = math.sqrt(-k0 / mean_diffusion)
 
     obj = _RayObjective(solve, e)
     s_star, c_search = _bracket_and_minimize(lambda s: obj.value_for(s, e),
-                                             s_init, tol)
+                                             math.sqrt(-k0 / mean_diffusion), tol)
     profile = obj.ray_profile(e)
     _check_unimodal(profile)
     _check_minimum(profile, c_search)
@@ -350,13 +346,13 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
 
 
 def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto",
-                    richardson: bool = False, s_init: Optional[float] = None,
-                    tol: float = 1e-6, refine: bool = False) -> SpeedResult:
+                    richardson: bool = False, tol: float = 1e-6,
+                    refine: bool = False) -> SpeedResult:
     """Ray search for c*_e = min_{lam.e<0} k_lam/(lam.e).
 
     Verifies k_0 < 0 first (no spreading regime otherwise).  The search
-    brackets the minimizer along the ray, from ``s_init`` or by default from
-    the homogeneous estimate sqrt(-k_0 / <e.A.e>), and closes in on it with
+    brackets the minimizer along the ray, from the homogeneous estimate
+    sqrt(-k_0 / <e.A.e>), and closes in on it with
     Brent's method; it samples the coefficients once.  With
     ``richardson=True`` (Floquet route) it searches on the n_t eigenvalues
     and reports the Richardson-extrapolated speed at their
@@ -371,7 +367,7 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
     return _ray_speed(lambda s, xi: (samples, -s * xi), grid, e, "ray-search",
                       eigen_route=route, richardson=richardson,
                       mean_diffusion=samples.mean_diffusion(e),
-                      s_init=s_init, tol=tol, refine=refine)
+                      tol=tol, refine=refine)
 
 
 # --- closed form for space-independent coefficients ---------------------------
@@ -475,7 +471,7 @@ def shear_full_coefficients(a: PeriodicField, q1: PeriodicField, mu: PeriodicFie
 
 
 def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
-                grid_y: Grid, *, richardson: bool = False, s_init: Optional[float] = None,
+                grid_y: Grid, *, richardson: bool = False,
                 tol: float = 1e-6) -> SpeedResult:
     """Spreading speed of a 2D shear flow via the reduced problem in y.
 
@@ -494,4 +490,4 @@ def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
 
     return _ray_speed(problem, grid_y, e, "shear-reduced", eigen_route="auto",
                       richardson=richardson, mean_diffusion=a_mean,
-                      s_init=s_init, tol=tol)
+                      tol=tol)

@@ -61,8 +61,8 @@ def test_dk_db_floquet_pair_finite_difference():
 
 
 def test_k_x_independent_2d():
-    cs = CoefficientSet.from_expressions(A=("2", "3"), q=("0.5", "0"), mu="1",
-                                         L=(1.0, 1.0))
+    cs = CoefficientSet.from_expressions(A={"a11": "2", "a22": "3"}, q=("0.5", "0"),
+                                         mu="1", L=(1.0, 1.0))
     lam = [0.4, -0.3]
     expected = -((0.4**2 * 2 + 0.3**2 * 3) - 0.4 * 0.5 + 1)
     assert k_x_independent(cs, lam) == pytest.approx(expected, abs=1e-12)

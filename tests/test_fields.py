@@ -135,21 +135,21 @@ def test_gradient_drift_rejects_bad_potentials():
 
 def test_ellipticity_bounds_examples():
     A = PeriodicField.matrix("2 + cos(2*pi*x)", GEO1)
-    gamma, Gamma = ellipticity_bounds(A, samples=64)
+    gamma, Gamma = ellipticity_bounds(A)
     assert gamma == pytest.approx(1.0, abs=1e-6)
     assert Gamma == pytest.approx(3.0, abs=1e-6)
 
     I2 = PeriodicField.matrix("1", GEO2)
-    assert ellipticity_bounds(I2, samples=8) == (1.0, 1.0)
+    assert ellipticity_bounds(I2) == (1.0, 1.0)
 
     bad = PeriodicField.matrix("-1", GEO1)
     with pytest.raises(NonEllipticError):
-        ellipticity_bounds(bad, samples=8)
+        ellipticity_bounds(bad)
 
 
 def test_ellipticity_2d_off_diagonal():
     A = PeriodicField.matrix({"11": "2", "22": "2", "12": "0.5*cos(2*pi*x)"}, GEO2)
-    gamma, Gamma = ellipticity_bounds(A, samples=32)
+    gamma, Gamma = ellipticity_bounds(A)
     assert gamma == pytest.approx(1.5, abs=1e-6)
     assert Gamma == pytest.approx(2.5, abs=1e-6)
 
@@ -180,15 +180,21 @@ def test_matrix_symmetry_enforced():
         asym.check_symmetric()
 
 
-@pytest.mark.parametrize("A", [{"a11": "2", "a22": "2", "a12": "0.1", "a21": "0.5"},
-                               [["2", "0.1"], ["0.5", "2"]]],
-                         ids=["mapping", "nested"])
+@pytest.mark.parametrize("A", [{"a11": "2", "a22": "2", "a12": "0.1", "a21": "0.5"}],
+                         ids=["mapping"])
 def test_asymmetric_matrix_is_rejected_not_symmetrized(A):
     field = PeriodicField.matrix(A, GEO2)
     assert field.eval_entry((0, 1), 0.0, 0.3, 0.7) == 0.1
     assert field.eval_entry((1, 0), 0.0, 0.3, 0.7) == 0.5
     with pytest.raises(FieldError, match="not symmetric"):
         CoefficientSet.from_expressions(A=A, L=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("A", [["2", "3"], [["2", "0.1"], ["0.1", "2"]]],
+                         ids=["diagonal", "nested"])
+def test_matrix_sequence_is_rejected(A):
+    with pytest.raises(FieldError, match="one value a .* or a mapping of 'aij' keys"):
+        PeriodicField.matrix(A, GEO2)
 
 
 def test_matrix_mapping_mirrors_an_entry_given_on_one_side():
@@ -214,7 +220,7 @@ def test_coefficient_set_construction_and_flags():
 def test_combine_scalar_fields():
     f = PeriodicField.scalar("cos(2*pi*x)", GEO1)
     g = PeriodicField.scalar("sin(2*pi*t)", GEO1)
-    h = combine_scalar_fields([(2.0, f), (-1.0, g)], constant=0.5)
+    h = combine_scalar_fields([(2.0, f), (-1.0, g), (0.5, PeriodicField.scalar(1.0, GEO1))])
     t, x = 0.3, 0.7
     expected = 0.5 + 2 * math.cos(2 * math.pi * x) - math.sin(2 * math.pi * t)
     assert h(t, x) == pytest.approx(expected, rel=1e-14)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from kppspeed.cli import main
-from kppspeed.eigen import principal_eigen_steady
+from kppspeed.eigen import dk_dB_at_zero, principal_eigen_steady
 from kppspeed.experiments import run_experiment
 from kppspeed.fields import CoefficientSet
 from kppspeed.operators import build_grid
@@ -171,6 +171,7 @@ def test_unread_experiment_key_fails_the_run(tmp_path):
 
 def test_report_inputs_hold_every_value_read(tmp_path):
     report = run_experiment(load_scenario(_write(tmp_path, FAST_SCENARIO)))
+    assert report.scenario == "fast-check"
     paths = write_report(report, "json", tmp_path / "out")
     inputs = json.loads(paths[0].read_text())["inputs"]
     assert inputs == {
@@ -198,6 +199,55 @@ def test_cli_run_bad_scenario_is_one_line_and_no_report(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("L, line, message", [
+    ("1", "mu = 1 + beta*cos(2*pi*x)", "mu: unknown identifier 'beta' at offset 5"),
+    ("1", "MU = 1 + beta", "MU: unknown identifier 'beta'"),
+    ("1 1", "a12 = 0.1*gamma", "a12: unknown identifier 'gamma'"),
+    ("1 1", "q2 = 1 + z", "q2: unknown identifier 'z'"),
+    ("1", "q1 = cos(2*pi*y)", "q1: variable 'y' is not available in a 1-dimensional cell"),
+])
+def test_coefficient_expression_error_names_its_key(tmp_path, L, line, message):
+    path = _write(tmp_path, f"[geometry]\nL = {L}\n[coefficients]\n{line}\n")
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value).startswith(f"{path} [coefficients] {message}")
+
+
+def test_asymmetric_matrix_error_names_the_section(tmp_path):
+    # an error of two keys keeps the section-level message
+    path = _write(tmp_path, "[geometry]\nL = 1 1\n[coefficients]\na12 = 0.1\na21 = 0.5\n")
+    with pytest.raises(ScenarioError, match="not symmetric") as exc:
+        load_scenario(path)
+    assert str(exc.value).startswith(f"{path} [coefficients]: ")
+
+
+def test_experiment_expression_error_names_its_key(tmp_path, capsys):
+    # a bad expression in [experiment] is a bad scenario: exit 2, no report
+    path = _write(tmp_path, FAST_SCENARIO + "increment = 0.1*(1 + cos(2*pi*z))\n")
+    with pytest.raises(ScenarioError) as exc:
+        run_experiment(load_scenario(path))
+    assert str(exc.value).startswith(
+        f"{path} [experiment] increment: unknown identifier 'z'")
+    with pytest.raises(ScenarioError, match=r"\[experiment\] eta: variable 'y'"):
+        load_scenario(path).opt_field("eta", "1 + y")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "[experiment] increment: unknown identifier 'z'" in captured.err
+    assert not out_dir.exists()
+
+
+def test_derivative_check_fails_a_wrong_formula(monkeypatch):
+    # the negated formula is as far from the centred quotient as the
+    # derivative is large, far beyond tol_relative * |dk/dB| + 1e-9
+    monkeypatch.setattr("kppspeed.experiments.dk_dB_at_zero",
+                        lambda *a, **kw: -dk_dB_at_zero(*a, **kw))
+    report = run_experiment(load_scenario(SCENARIOS / "derivative.ini"))
+    assert len(report.assertions) == 2
+    assert all(a.verdict == "FAIL" for a in report.assertions)
 
 
 def test_coefficient_keys_are_case_insensitive(tmp_path):
@@ -296,6 +346,20 @@ def test_cli_run_pass_and_fail_exit_codes(tmp_path, capsys):
 def test_cli_non_numeric_value_names_the_flag(argv, flag):
     with pytest.raises(SystemExit, match=f"^{flag}: not a number"):
         main(argv[:1] + ["--n", "16"] + argv[1:])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eig", "--A", "1 + beta"], "--A: unknown identifier 'beta' at offset 5"),
+    (["eig", "--q", "sin(2*pi*z)"], "--q: unknown identifier 'z'"),
+    (["speed", "--mu", "1 + y"], "--mu: variable 'y' is not available"),
+    (["eig", "--n", "4"], "--n, --nt: grid needs at least 8 points per axis"),
+    (["speed", "--A", "-1"], "--A: diffusion matrix is not uniformly elliptic"),
+])
+def test_cli_bad_input_is_one_line(argv, message):
+    # SystemExit with a message: one line on stderr, no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--n", "16"] + argv[1:])
+    assert str(exc.value).startswith(message) and "\n" not in str(exc.value)
 
 
 def test_cli_eig_one_shot(capsys):

@@ -215,14 +215,18 @@ def test_steady_search_counts_its_solves():
 def test_ray_bracket_starts_at_the_homogeneous_minimizer():
     # constant coefficients: k_0 = -1 and <e.A.e> = 2, so the first point of
     # the search is s = sqrt(1/2), the exact minimizer; the shear search
-    # starts the same way with <a>; an explicit s_init is honoured
+    # starts the same way with <a>; a search told <e.A.e> = 1e4 starts cold,
+    # at sqrt(1/1e4) = 1e-2
     cs = coeffs(A="2")
     g = build_grid(cs.geometry, 64)
     r = spreading_speed(cs, [1.0], g)
     assert r.records[0]["s"] == pytest.approx(math.sqrt(0.5), rel=1e-9)
     assert r.c_star == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-6)
-    cold = spreading_speed(cs, [1.0], g, s_init=1e-2)
-    assert cold.records[0]["s"] == 1e-2
+    samples = CoefficientSamples(cs, g)
+    cold = speed._ray_speed(lambda s, xi: (samples, -s * xi), g, np.array([1.0]),
+                            "ray-search", eigen_route="auto", richardson=False,
+                            mean_diffusion=1e4, tol=1e-6)
+    assert cold.records[0]["s"] == pytest.approx(1e-2, rel=1e-9)
     assert r.diagnostics["solves"] < cold.diagnostics["solves"]
     assert r.c_star == pytest.approx(cold.c_star, abs=1e-9)
     geo = cs.geometry
