@@ -9,7 +9,8 @@
 The run subcommand executes the scenario's named experiment, writes the
 report, prints the verdict summary, and exits 1 iff any assertion FAILed.
 A bad scenario is one line on stderr and exit code 2, with no report; a bad
-flag of eig or speed is one line that names the flag.
+flag of eig or speed is one line that names the flag, and an eigensolve or
+speed search that fails is one line that names the command.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import sys
 
 import numpy as np
 
-from .eigen import adjoint_eigenpair, principal_eigenvalue
+from .eigen import EigenError, adjoint_eigenpair, principal_eigenvalue
 from .expressions import ExpressionError
 from .fields import CellGeometry, CoefficientSet, FieldError, PeriodicField
 from .operators import GridError, build_grid
 from .scenario import ScenarioError, load_scenario, write_report
-from .speed import spreading_speed
+from .speed import SpeedError, spreading_speed
 
 
 def _number(convert, text: str, flag: str):
@@ -37,6 +38,14 @@ def _number(convert, text: str, flag: str):
 
 def _parse_vector(text: str, flag: str) -> list[float]:
     return [_number(float, tok, flag) for tok in str(text).replace(",", " ").split()]
+
+
+def _parse_wavevector(text: str, flag: str, dim: int) -> list[float]:
+    """--lam or --e: one component per spatial dimension of the cell."""
+    v = _parse_vector(text, flag)
+    if len(v) != dim:
+        raise SystemExit(f"{flag}: needs {dim} component(s) in a {dim}D cell, got {len(v)}")
+    return v
 
 
 def _parse_params(tokens) -> dict:
@@ -158,7 +167,7 @@ def _cmd_run(args) -> int:
 def _cmd_eig(args) -> int:
     coeffs = _coeffs_from_args(args)
     grid = _grid_from_args(args, coeffs.geometry)
-    lam = _parse_vector(args.lam, "--lam")
+    lam = _parse_wavevector(args.lam, "--lam", coeffs.dimension)
     res = principal_eigenvalue(coeffs, lam, grid, route=args.route)
     print(f"k = {res.k!r}")
     print(f"route = {res.route}, iterations = {res.iterations}")
@@ -173,7 +182,9 @@ def _cmd_eig(args) -> int:
 def _cmd_speed(args) -> int:
     coeffs = _coeffs_from_args(args)
     grid = _grid_from_args(args, coeffs.geometry)
-    e = _parse_vector(args.e, "--e")
+    e = _parse_wavevector(args.e, "--e", coeffs.dimension)
+    if not any(e):
+        raise SystemExit("--e: direction must be nonzero")
     res = spreading_speed(coeffs, e, grid, refine=args.refine,
                           richardson=args.richardson)
     print(f"c* = {res.c_star!r}")
@@ -190,11 +201,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "eig":
-        return _cmd_eig(args)
-    if args.command == "speed":
-        return _cmd_speed(args)
-    raise AssertionError(args.command)
+    command = {"eig": _cmd_eig, "speed": _cmd_speed}[args.command]
+    try:
+        return command(args)
+    except (EigenError, SpeedError) as exc:
+        raise SystemExit(f"kpp-speed {args.command}: {exc}") from None
 
 
 def entrypoint() -> None:  # console_scripts hook

@@ -11,7 +11,7 @@ Grammar (EBNF)::
 ``^`` binds tightest and is right-associative, then unary minus, then
 ``*``/``/``, then ``+``/``-``.  Identifiers are the variables ``t``, ``x``,
 ``y``, the constant ``pi``, the functions ``sin``, ``cos``, ``exp``, ``log``,
-``sqrt``, ``abs``, plus any named parameters supplied at parse time.  Unknown
+``sqrt``, ``abs``, plus named parameters, bound as numbers when parsed.  Unknown
 identifiers are rejected while parsing, with a 1-based character offset.
 
 Expressions evaluate vectorized over numpy arrays and support exact symbolic
@@ -82,7 +82,7 @@ class NonDifferentiableError(ExpressionError):
 
 # --- AST -------------------------------------------------------------------
 
-Node = Union["Num", "Var", "Param", "Neg", "Bin", "Call"]
+Node = Union["Num", "Var", "Neg", "Bin", "Call"]
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,6 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     name: str  # one of VARIABLES
-
-
-@dataclass(frozen=True)
-class Param:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -118,18 +113,16 @@ class Call:
     arg: Node
 
 
-def _evaluate(node: Node, env: Mapping[str, object], params: Mapping[str, float]):
+def _evaluate(node: Node, env: Mapping[str, object]):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
-    if isinstance(node, Param):
-        return params[node.name]
     if isinstance(node, Neg):
-        return -_evaluate(node.arg, env, params)
+        return -_evaluate(node.arg, env)
     if isinstance(node, Bin):
-        a = _evaluate(node.left, env, params)
-        b = _evaluate(node.right, env, params)
+        a = _evaluate(node.left, env)
+        b = _evaluate(node.right, env)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -142,7 +135,7 @@ def _evaluate(node: Node, env: Mapping[str, object], params: Mapping[str, float]
             return a ** b
         raise AssertionError(node.op)
     if isinstance(node, Call):
-        return _FUNC_IMPL[node.func](_evaluate(node.arg, env, params))
+        return _FUNC_IMPL[node.func](_evaluate(node.arg, env))
     raise AssertionError(type(node))
 
 
@@ -206,7 +199,7 @@ def _div(a: Node, b: Node) -> Node:
 
 
 def _differentiate(node: Node, var: str) -> Node:
-    if isinstance(node, (Num, Param)):
+    if isinstance(node, Num):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0) if node.name == var else Num(0.0)
@@ -260,8 +253,9 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 def _to_string(node: Node, parent_prec: int = 0, right_of_pow: bool = False) -> str:
     if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Var, Param)):
+        # a negative value (a bound parameter) prints as an atom: -1.0^2 is -1
+        return f"({node.value!r})" if math.copysign(1.0, node.value) < 0 else repr(node.value)
+    if isinstance(node, Var):
         return node.name
     if isinstance(node, Call):
         return f"{node.func}({_to_string(node.arg)})"
@@ -287,16 +281,13 @@ def _to_string(node: Node, parent_prec: int = 0, right_of_pow: bool = False) -> 
 
 
 class Expression:
-    """A parsed formula over (t, x, y) and named parameters."""
+    """A parsed formula over (t, x, y); its parameters are bound as numbers."""
 
-    def __init__(self, root: Node, params: Mapping[str, float]):
+    def __init__(self, root: Node):
         self.root = root
-        self.params = dict(params)
 
-    def __call__(self, t=0.0, x=0.0, y=0.0, params: Mapping[str, float] | None = None):
-        env = {"t": t, "x": x, "y": y}
-        p = self.params if params is None else {**self.params, **params}
-        return _evaluate(self.root, env, p)
+    def __call__(self, t=0.0, x=0.0, y=0.0):
+        return _evaluate(self.root, {"t": t, "x": x, "y": y})
 
     def variables(self) -> set:
         return _variables(self.root, set())
@@ -307,19 +298,13 @@ class Expression:
     def differentiate(self, var: str) -> "Expression":
         if var not in VARIABLES:
             raise ValueError(f"can only differentiate in one of {VARIABLES}")
-        return Expression(_differentiate(self.root, var), self.params)
+        return Expression(_differentiate(self.root, var))
 
     def to_string(self) -> str:
         return _to_string(self.root)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Expression({self.to_string()!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Expression) and self.root == other.root
-
-    def __hash__(self):
-        return hash(self.to_string())
 
 
 # --- tokenizer / parser ----------------------------------------------------
@@ -360,10 +345,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], param_names: set):
+    def __init__(self, tokens: list[_Token], params: Mapping[str, float]):
         self.tokens = tokens
         self.pos = 0
-        self.param_names = param_names
+        self.params = params
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -441,8 +426,8 @@ class _Parser:
                 return Var(name)
             if name in CONSTANTS:
                 return Num(CONSTANTS[name])
-            if name in self.param_names:
-                return Param(name)
+            if name in self.params:
+                return Num(self.params[name])
             raise UnknownIdentifierError(name, tok.offset)
         what = "end of input" if tok.kind == "eof" else repr(tok.text)
         raise ExpressionSyntaxError(f"expected a value, found {what}", tok.offset)
@@ -452,7 +437,7 @@ def parse_expression(text: str, params: Mapping[str, float] | None = None) -> Ex
     """Parse `text` into an :class:`Expression`.
 
     `params` maps parameter names to values; the names become valid
-    identifiers and the values are substituted at evaluation time.
+    identifiers and each is bound into the tree as the number it maps to.
     """
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 1)
@@ -460,5 +445,4 @@ def parse_expression(text: str, params: Mapping[str, float] | None = None) -> Ex
     clashes = set(params) & (set(VARIABLES) | set(FUNCTIONS) | set(CONSTANTS))
     if clashes:
         raise ExpressionError(f"parameter names shadow builtins: {sorted(clashes)}")
-    root = _Parser(_tokenize(text), set(params)).parse()
-    return Expression(root, params)
+    return Expression(_Parser(_tokenize(text), params).parse())

@@ -39,7 +39,8 @@ __all__ = [
     "combine_scalar_fields",
 ]
 
-FLAG_TOL = 1e-12
+SYMMETRY_TOL = 1e-12
+SYMMETRY_SAMPLES = 5    # lattice points per axis (and in time) of the symmetry check
 AVERAGE_SAMPLES = 256   # quadrature points per axis of the cell averages
 ELLIPTICITY_SAMPLES = 64  # sample points per axis of the ellipticity bounds
 DRIFT_MEAN_TOL = 1e-10  # largest cell mean of grad Q taken as zero
@@ -133,12 +134,15 @@ def _as_entry(value, params=None, dimension=1) -> _Entry:
 
 
 class PeriodicField:
-    """A scalar, vector, or symmetric-matrix valued (T, L)-periodic field."""
+    """A scalar, vector, or symmetric-matrix valued (T, L)-periodic field.
+
+    `scalar`, `vector` and `matrix` derive the independence flags from the
+    entries.  Only the package's derived fields pass flags to this raw
+    constructor, inherited from the fields they are built from."""
 
     def __init__(self, kind: str, entries, geometry: CellGeometry,
                  time_independent: bool | None = None,
-                 space_independent: bool | None = None,
-                 check_flags: bool = True):
+                 space_independent: bool | None = None):
         if kind not in ("scalar", "vector", "matrix"):
             raise FieldError(f"unknown field kind {kind!r}")
         self.kind = kind
@@ -147,24 +151,22 @@ class PeriodicField:
         derived_t, derived_x = self._derived_flags()
         self.time_independent = derived_t if time_independent is None else time_independent
         self.space_independent = derived_x if space_independent is None else space_independent
-        if check_flags and (self.time_independent or self.space_independent):
-            self._verify_flags()
 
     # -- construction helpers
 
     @classmethod
-    def scalar(cls, value, geometry, params=None, **flags) -> "PeriodicField":
-        return cls("scalar", _as_entry(value, params, geometry.dimension), geometry, **flags)
+    def scalar(cls, value, geometry, params=None) -> "PeriodicField":
+        return cls("scalar", _as_entry(value, params, geometry.dimension), geometry)
 
     @classmethod
-    def vector(cls, values: Sequence, geometry, params=None, **flags) -> "PeriodicField":
+    def vector(cls, values: Sequence, geometry, params=None) -> "PeriodicField":
         if len(values) != geometry.dimension:
             raise FieldError("vector field needs one entry per spatial dimension")
         entries = tuple(_as_entry(v, params, geometry.dimension) for v in values)
-        return cls("vector", entries, geometry, **flags)
+        return cls("vector", entries, geometry)
 
     @classmethod
-    def matrix(cls, values, geometry, params=None, **flags) -> "PeriodicField":
+    def matrix(cls, values, geometry, params=None) -> "PeriodicField":
         """`values`: one value a (a -> a*I), or a mapping of "aij" keys in
         which an entry whose transpose is not given mirrors to it.  A
         sequence is a FieldError."""
@@ -185,7 +187,7 @@ class PeriodicField:
                              "'aij' keys, not a sequence")
         rows = tuple(tuple(given.get((i, j), given.get((j, i), zero)) for j in range(N))
                      for i in range(N))
-        return cls("matrix", rows, geometry, **flags)
+        return cls("matrix", rows, geometry)
 
     # -- evaluation
 
@@ -236,8 +238,7 @@ class PeriodicField:
             return self
         return PeriodicField("scalar", self._entry(*index), self.geometry,
                              time_independent=self.time_independent,
-                             space_independent=self.space_independent,
-                             check_flags=False)
+                             space_independent=self.space_independent)
 
     def entry_expression(self, *index) -> Expression | None:
         return self._entry(*index).expression
@@ -247,7 +248,7 @@ class PeriodicField:
     def _derived_flags(self):
         entries = self._flat_entries()
         if any(isinstance(e, _CallableEntry) for e in entries):
-            return False, False  # callables: unknown unless declared
+            return False, False  # callables: unknown
         t_indep = all(isinstance(e, _ConstantEntry) or not e.expression.depends_on("t")
                       for e in entries)
         x_indep = all(isinstance(e, _ConstantEntry)
@@ -255,37 +256,19 @@ class PeriodicField:
                       for e in entries)
         return t_indep, x_indep
 
-    def _sample_lattice(self, n=7):
-        g = self.geometry
-        ts = np.linspace(0, g.period, n, endpoint=False)
-        axes = [np.linspace(0, L, n, endpoint=False) for L in g.lengths]
-        grids = np.meshgrid(ts, *axes, indexing="ij")
-        return grids[0], tuple(grids[1:])
-
-    def _verify_flags(self):
-        t, coords = self._sample_lattice()
-        for entry in self._flat_entries():
-            vals = self._sample(entry, t, coords)
-            if self.time_independent:
-                dev = np.max(np.abs(vals - vals[:1]))
-                if dev > FLAG_TOL:
-                    raise FieldError(f"field declared time-independent varies by {dev:.2e}")
-            if self.space_independent:
-                ref = vals[(slice(None),) + (0,) * (vals.ndim - 1)]
-                dev = np.max(np.abs(vals - ref.reshape((-1,) + (1,) * (vals.ndim - 1))))
-                if dev > FLAG_TOL:
-                    raise FieldError(f"field declared space-independent varies by {dev:.2e}")
-
     def check_symmetric(self):
         if self.kind != "matrix":
             return
-        t, coords = self._sample_lattice(5)
-        N = self.geometry.dimension
+        g = self.geometry
+        axes = [np.linspace(0, P, SYMMETRY_SAMPLES, endpoint=False)
+                for P in (g.period, *g.lengths)]
+        t, *coords = np.meshgrid(*axes, indexing="ij")
+        N = g.dimension
         for i in range(N):
             for j in range(i + 1, N):
                 a = self._sample(self.entries[i][j], t, coords)
                 b = self._sample(self.entries[j][i], t, coords)
-                if np.max(np.abs(a - b)) > FLAG_TOL:
+                if np.max(np.abs(a - b)) > SYMMETRY_TOL:
                     raise FieldError("matrix field is not symmetric")
 
 
@@ -305,8 +288,7 @@ def combine_scalar_fields(terms: Sequence[tuple[float, PeriodicField]]) -> Perio
     return PeriodicField(
         "scalar", _CallableEntry(fn), geometry,
         time_independent=all(f.time_independent for f in fields),
-        space_independent=all(f.space_independent for f in fields),
-        check_flags=False)
+        space_independent=all(f.space_independent for f in fields))
 
 
 # --- averages ---------------------------------------------------------------
@@ -334,7 +316,7 @@ def spatial_average(f: PeriodicField) -> PeriodicField:
 
     return PeriodicField("scalar", _CallableEntry(fn), g,
                          time_independent=f.time_independent,
-                         space_independent=True, check_flags=False)
+                         space_independent=True)
 
 
 def temporal_average(f: PeriodicField) -> PeriodicField:
@@ -351,7 +333,7 @@ def temporal_average(f: PeriodicField) -> PeriodicField:
 
     return PeriodicField("scalar", _CallableEntry(fn), g,
                          time_independent=True,
-                         space_independent=f.space_independent, check_flags=False)
+                         space_independent=f.space_independent)
 
 
 def space_time_mean(f: PeriodicField) -> float:
@@ -393,8 +375,7 @@ def gradient_drift(Q: PeriodicField):
         return 0.5 * lap - 0.25 * grad_sq
 
     V = PeriodicField("scalar", _CallableEntry(v_fn), geometry,
-                      time_independent=True, space_independent=Q.space_independent,
-                      check_flags=False)
+                      time_independent=True, space_independent=Q.space_independent)
 
     for i in range(N):
         mean = space_time_mean(q.component(i))
@@ -493,25 +474,13 @@ class CoefficientSet:
     def with_scaled(self, *, kappa: float = 1.0, drift_B: float = 1.0) -> "CoefficientSet":
         """Coefficients (kappa*A, drift_B*q, mu)."""
         N = self.dimension
-        A = self.A
 
-        def scaled_matrix_entry(i, j):
-            def fn(t, *x):
-                return kappa * A.eval_entry((i, j), t, *x)
-            return _CallableEntry(fn)
+        def scaled(c, f, *index):
+            return combine_scalar_fields([(c, f.component(*index))]).entries
 
-        rows = tuple(tuple(scaled_matrix_entry(i, j) for j in range(N)) for i in range(N))
-        A2 = PeriodicField("matrix", rows, self.geometry,
-                           time_independent=A.time_independent,
-                           space_independent=A.space_independent, check_flags=False)
-        qf = self.q
-
-        def scaled_q_entry(i):
-            def fn(t, *x):
-                return drift_B * qf.eval_entry(i, t, *x)
-            return _CallableEntry(fn)
-
-        q2 = PeriodicField("vector", tuple(scaled_q_entry(i) for i in range(N)), self.geometry,
-                           time_independent=qf.time_independent,
-                           space_independent=qf.space_independent, check_flags=False)
-        return CoefficientSet(A2, q2, self.mu, self.geometry)
+        A = PeriodicField("matrix", tuple(tuple(scaled(kappa, self.A, i, j) for j in range(N))
+                                          for i in range(N)), self.geometry,
+                          self.A.time_independent, self.A.space_independent)
+        q = PeriodicField("vector", tuple(scaled(drift_B, self.q, i) for i in range(N)),
+                          self.geometry, self.q.time_independent, self.q.space_independent)
+        return CoefficientSet(A, q, self.mu, self.geometry)

@@ -53,21 +53,14 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class CauchyRun:
+    """Snapshots of one `solve_cauchy` run; `front_speed` tracks either
+    direction.  ``diagnostics["dt"]`` is the time step."""
+
     times: np.ndarray          # snapshot times
     snapshots: np.ndarray      # (n_snapshots, n_points)
     x: np.ndarray              # extended domain coordinates
-    direction: int             # +1 or -1: which way the tracked front moves
     valid: bool                # front stayed >= 2 cells away from the boundary
-    cells: int
     diagnostics: dict = field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        """Dump snapshots as rows `t,x_index,u` (one line per grid point)."""
-        with open(path, "w") as fh:
-            fh.write("t,x_index,u\n")
-            for t, snap in zip(self.times, self.snapshots):
-                for i, u in enumerate(snap):
-                    fh.write(f"{t!r},{i},{u!r}\n")
 
 
 @dataclass
@@ -204,8 +197,7 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
             times.append((step + 1) * dt)
             snaps.append(u.copy())
 
-    run = CauchyRun(np.asarray(times), np.asarray(snaps), x, +1, True, cells,
-                    diagnostics={"dt": dt, "h": h, "boundary": boundary})
+    run = CauchyRun(np.asarray(times), np.asarray(snaps), x, True, diagnostics={"dt": dt})
     if not periodic:
         run.valid = _front_clear_of_boundary(run, L)
     return run

@@ -434,24 +434,25 @@ def _reduced_coeffs(a, q1, mu, s, e1) -> CoefficientSet:
     zero_q = PeriodicField.vector([0.0] * geometry.dimension, geometry)
     A = PeriodicField("matrix", ((a.entries,),), geometry,
                       time_independent=a.time_independent,
-                      space_independent=a.space_independent, check_flags=False)
+                      space_independent=a.space_independent)
     return CoefficientSet(A, zero_q, _reduced_mu(a, q1, mu, s, e1), geometry)
 
 
 def shear_reduced_eigenvalue(a: PeriodicField, q1: PeriodicField, mu: PeriodicField,
-                             e, lam_scalar: float, grid_y: Grid, **kw) -> EigenResult:
+                             e, lam_scalar: float, grid_y: Grid) -> EigenResult:
     """k of the reduced (N-1)-dimensional shear problem at wavevector
     lam_scalar * e (full space), via the equivalent 1D growth-rate shift."""
     _require_ty_fields(a, q1, mu)
     e = _unit(e, 2)
     reduced = _reduced_coeffs(a, q1, mu, -lam_scalar, e[0])
-    return principal_eigenvalue(reduced, [lam_scalar * e[1]], grid_y, **kw)
+    return principal_eigenvalue(reduced, [lam_scalar * e[1]], grid_y)
 
 
 def shear_full_coefficients(a: PeriodicField, q1: PeriodicField, mu: PeriodicField
                             ) -> CoefficientSet:
     """Lift (t,y) shear components to the full 2D cell of x-length 1:
-    A = a I, q = (q1, 0)."""
+    A = a I, q = (q1, 0).  Each lifted field keeps the time independence of
+    its (t, y) component and is not flagged space-independent."""
     geo_y = a.geometry
     geo2 = CellGeometry(geo_y.period, (1.0, geo_y.lengths[0]))
 
@@ -460,19 +461,18 @@ def shear_full_coefficients(a: PeriodicField, q1: PeriodicField, mu: PeriodicFie
             return f(t, y) + 0.0 * x1
         return fn
 
-    A2 = PeriodicField.matrix(lift(a), geo2, time_independent=a.time_independent,
-                              space_independent=False, check_flags=False)
-    q2 = PeriodicField.vector([lift(q1), 0.0], geo2,
-                              time_independent=q1.time_independent,
-                              space_independent=False, check_flags=False)
-    mu2 = PeriodicField.scalar(lift(mu), geo2, time_independent=mu.time_independent,
-                               space_independent=False, check_flags=False)
+    def flagged(f, lifted):
+        return PeriodicField(lifted.kind, lifted.entries, geo2,
+                             time_independent=f.time_independent, space_independent=False)
+
+    A2 = flagged(a, PeriodicField.matrix(lift(a), geo2))
+    q2 = flagged(q1, PeriodicField.vector([lift(q1), 0.0], geo2))
+    mu2 = flagged(mu, PeriodicField.scalar(lift(mu), geo2))
     return CoefficientSet(A2, q2, mu2, geo2)
 
 
 def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
-                grid_y: Grid, *, richardson: bool = False,
-                tol: float = 1e-6) -> SpeedResult:
+                grid_y: Grid, *, richardson: bool = False) -> SpeedResult:
     """Spreading speed of a 2D shear flow via the reduced problem in y.
 
     ``richardson=True`` extrapolates at the minimizer as in `spreading_speed`
@@ -489,5 +489,4 @@ def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,
         return base.with_mu(_reduced_mu(a, q1, mu, s, xi[0])), [-s * xi[1]]
 
     return _ray_speed(problem, grid_y, e, "shear-reduced", eigen_route="auto",
-                      richardson=richardson, mean_diffusion=a_mean,
-                      tol=tol)
+                      richardson=richardson, mean_diffusion=a_mean, tol=1e-6)

@@ -50,3 +50,28 @@ def test_dump_keeps_lists_of_values_on_one_line():
     text = bench_pairs.dump(report)
     assert json.loads(text) == report
     assert '"round_wall_s": [0.5, 0.25]' in text and '"names": ["a", "b"]' in text
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    ([1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0], [0.8] * 10, "better"),
+    ([1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0], [1.3] * 10, "worse"),
+    ([1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0], [1.05] * 10, "no worse"),
+    ([0.6, 1.4] * 5, [1.0] * 10, "unresolved"),
+    ([0.6, 1.4] * 5, [0.1] * 10, "better"),
+    ([0.6, 1.4] * 5, [0.5] * 10, "no worse"),
+], ids=["better", "worse", "no-worse", "unresolved", "better-despite-spread",
+        "all-change-runs-beat-all-parent-runs"])
+def test_verdict_follows_pairs_spread_and_bound(parent, change, expected):
+    assert bench_pairs.verdict(parent, change, 0.25, "lower")["verdict"] == expected
+
+
+def test_verdict_counts_pairs_won_without_ties_and_reads_the_bound():
+    runs = {side: [bench_pairs.parse_run(_output([w], [0.4], {})) for w in walls]
+            for side, walls in (("parent", (1.0, 2.0, 3.0, 4.0)), ("change", (0.5, 2.0, 3.5, 3.0)))}
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    out = bench_pairs.verdicts(runs, end_to_end)
+    assert out["wall_s"]["pairs_won"] == 2 and out["wall_s"]["pairs"] == 4
+    assert out["wall_s"]["parent_spread"] == pytest.approx((3.25 - 1.75) / 2.5)
+    assert out["wall_s"]["bound"] == 0.25 and out["wall_s"]["verdict"] == "unresolved"
+    assert out["setup_s"]["pairs_won"] == 0 and out["setup_s"]["verdict"] == "no worse"

@@ -14,18 +14,14 @@ from kppspeed.expressions import (  # noqa: E402
     Expression,
     Neg,
     Num,
-    Param,
     Var,
     parse_expression,
 )
-
-PARAMS = {"a": 0.5, "B": 2.0}
 
 # the parser reads a literal without its sign; a negative value is Neg(Num)
 leaves = st.one_of(
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Num),
     st.sampled_from(VARIABLES).map(Var),
-    st.sampled_from(sorted(PARAMS)).map(Param),
 )
 
 
@@ -43,7 +39,7 @@ trees = st.recursive(leaves, _extend, max_leaves=24)
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(trees)
 def test_print_parse_round_trip(root):
-    printed = Expression(root, PARAMS).to_string()
-    again = parse_expression(printed, PARAMS)
+    printed = Expression(root).to_string()
+    again = parse_expression(printed)
     assert again.root == root
     assert again.to_string() == printed

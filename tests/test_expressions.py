@@ -45,8 +45,11 @@ def test_unknown_identifier():
 def test_parameters_substituted():
     e = parse_expression("amp*sin(2*pi*t)", {"amp": 3.0})
     assert e(t=0.25) == pytest.approx(3.0, rel=1e-14)
-    # override at evaluation
-    assert e(t=0.25, params={"amp": -1.0}) == pytest.approx(-1.0, rel=1e-14)
+
+
+def test_bound_negative_parameters_print_as_atoms():
+    printed = parse_expression("a^2 + -b", {"a": -1.0, "b": -2.0}).to_string()
+    assert parse_expression(printed)() == 3.0
 
 
 def test_arity_errors():

@@ -15,6 +15,7 @@ from kppspeed.fields import (
     spatial_average,
     temporal_average,
 )
+from kppspeed.speed import shear_full_coefficients
 
 GEO1 = CellGeometry(1.0, (1.0,))
 GEO2 = CellGeometry(1.0, (1.0, 1.0))
@@ -154,11 +155,49 @@ def test_ellipticity_2d_off_diagonal():
     assert Gamma == pytest.approx(2.5, abs=1e-6)
 
 
-def test_declared_flags_verified():
-    with pytest.raises(FieldError):
-        PeriodicField.scalar("sin(2*pi*t)", GEO1, time_independent=True)
-    with pytest.raises(FieldError):
-        PeriodicField.scalar("cos(2*pi*x)", GEO1, space_independent=True)
+def _derived_fields():
+    """(field, (time_independent, space_independent)) of each derived
+    construction, with inputs chosen so that inheriting the flags differs
+    from deriving them (a callable entry derives both as False)."""
+    x_only = PeriodicField.scalar("1 + 0.5*cos(2*pi*x)", GEO1)
+    t_only = PeriodicField.scalar("1 + 0.5*sin(2*pi*t)", GEO1)
+    const = PeriodicField.scalar("2", GEO1)
+    scaled = CoefficientSet.from_expressions(A="1", q="sin(2*pi*t)", mu="1").with_scaled(
+        kappa=2.0, drift_B=3.0)
+    lifted = shear_full_coefficients(const, t_only, x_only)
+    return {
+        "component": (PeriodicField.vector(["cos(2*pi*x)", "1"], GEO2).component(1),
+                      (True, False)),
+        "combine": (combine_scalar_fields([(2.0, x_only), (1.0, const)]), (True, False)),
+        "spatial-average": (spatial_average(x_only), (True, True)),
+        "temporal-average": (temporal_average(t_only), (True, True)),
+        "gradient-drift-V": (gradient_drift(const)[1], (True, True)),
+        "scaled-A": (scaled.A, (True, True)),
+        "scaled-q": (scaled.q, (False, True)),
+        "lifted-A": (lifted.A, (True, False)),
+        "lifted-q": (lifted.q, (False, False)),
+        "lifted-mu": (lifted.mu, (True, False)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_derived_fields()))
+def test_derived_fields_inherit_independence_flags(name):
+    field, expected = _derived_fields()[name]
+    assert (field.time_independent, field.space_independent) == expected
+
+
+def test_with_scaled_samples_the_scaled_coefficients():
+    cs = CoefficientSet.from_expressions(
+        A={"a11": "1 + 0.3*cos(2*pi*x)", "a22": "2", "a12": "0.2*sin(2*pi*y)"},
+        q=("sin(2*pi*t)*cos(2*pi*y)", "cos(2*pi*x)"), L=(1.0, 1.0))
+    scaled = cs.with_scaled(kappa=2.5, drift_B=3)
+    t, x, y = np.meshgrid(np.linspace(0, 1, 4), np.linspace(0, 1, 9),
+                          np.linspace(-0.5, 1.5, 11), indexing="ij")
+    for ij in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        assert np.array_equal(scaled.A.eval_entry(ij, t, x, y), 2.5 * cs.A.eval_entry(ij, t, x, y))
+    for i in (0, 1):
+        assert np.array_equal(scaled.q.eval_entry(i, t, x, y), 3 * cs.q.eval_entry(i, t, x, y))
+    assert scaled.mu is cs.mu
 
 
 @pytest.mark.parametrize("a", [np.int64(2), np.float32(2.0)], ids=["int64", "float32"])
@@ -175,7 +214,7 @@ def test_matrix_symmetry_enforced():
                            PeriodicField.scalar("x", GEO2).entries),
                           (PeriodicField.scalar("y", GEO2).entries,
                            PeriodicField.scalar("1", GEO2).entries)),
-                         GEO2, check_flags=False)
+                         GEO2)
     with pytest.raises(FieldError):
         asym.check_symmetric()
 

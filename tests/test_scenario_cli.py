@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kppspeed
 from kppspeed.cli import main
 from kppspeed.eigen import dk_dB_at_zero, principal_eigen_steady
 from kppspeed.experiments import run_experiment
@@ -362,6 +366,31 @@ def test_cli_bad_input_is_one_line(argv, message):
     assert str(exc.value).startswith(message) and "\n" not in str(exc.value)
 
 
+def _run_module(*argv):
+    """`python -m kppspeed argv` in a subprocess that imports the same
+    kppspeed as this test, installed or not."""
+    src = str(Path(kppspeed.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "kppspeed", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eig", "--lam", "0.5 0.3"], "--lam: needs 1 component(s) in a 1D cell, got 2"),
+    (["speed", "--e", "1 2"], "--e: needs 1 component(s) in a 1D cell, got 2"),
+    (["speed", "--L", "1 1", "--e", "0 0"], "--e: direction must be nonzero"),
+    (["speed", "--mu", "-1"], "kpp-speed speed: k_0 = 1 >= 0: outside the spreading regime"),
+    (["eig", "--route", "steady", "--mu", "1+cos(2*pi*t)"],
+     "kpp-speed eig: steady route requires time-independent coefficients"),
+], ids=["lam-length", "e-length", "e-zero", "no-spreading", "steady-time-dependent"])
+def test_cli_failure_below_the_flags_is_one_line(argv, message):
+    proc = _run_module(*argv, "--n", "16")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [message]
+
+
 def test_cli_eig_one_shot(capsys):
     code = main(["eig", "--A", "1", "--mu", "1", "--lam", "1", "--n", "64"])
     assert code == 0
@@ -389,19 +418,7 @@ def test_cli_speed_one_shot(capsys):
 
 
 def test_cli_module_entry(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    import kppspeed
     good = _write(tmp_path, FAST_SCENARIO)
-    # the subprocess imports the same kppspeed as this test, installed or not
-    src = str(Path(kppspeed.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kppspeed", "run", str(good),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env)
+    proc = _run_module("run", str(good), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout

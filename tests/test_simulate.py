@@ -189,16 +189,6 @@ def test_comparison_principle_and_invariance_random_runs():
         assert np.max(run_b.snapshots) <= 1.0 + 1e-8
 
 
-def test_snapshot_csv_dump(tmp_path):
-    run = solve_cauchy(coeffs(), smooth_bump(0.0, 0.8, 0.5), cells=8, t_end=0.2,
-                       grid=GRID, boundary="periodic", snapshot_dt=0.1)
-    path = tmp_path / "snaps.csv"
-    run.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x_index,u"
-    assert len(lines) == 1 + run.snapshots.size
-
-
 def test_rejects_bad_initial_data():
     with pytest.raises(SimulationError):
         solve_cauchy(coeffs(), lambda x: -smooth_bump()(x), cells=16, t_end=1.0,

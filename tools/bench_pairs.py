@@ -11,9 +11,11 @@ spell of the machine hits both sides.  From each run it
 keeps what run.py prints: the per-round ``wall_s`` and the ``setup_s``
 samples, the per-operation median times and the final JSON object (verdict
 and end-to-end metrics).  Each metric is summarized over the runs of a side
-as median [q1, q3], so that a bimodal run shows as one.  The file is written
-to ``BENCH_<tag>.json`` in the current directory unless ``--out`` is given,
-and rewritten after each workload.
+as median [q1, q3], so that a bimodal run shows as one.  Each end-to-end
+metric of PARENT's BENCHMARK.json gets a verdict (see `verdict`), with the
+pairs the change won, the parent's spread and the metric's bound.  The file
+is written to ``BENCH_<tag>.json`` in the current directory unless ``--out``
+is given, and rewritten after each workload.
 Standard library only.
 """
 
@@ -69,6 +71,46 @@ def summarize(runs: list) -> dict:
             "failed": sum(r["failed"] for r in runs)}
 
 
+def verdict(parent: list, change: list, bound: float, better: str) -> dict:
+    """The verdict on one end-to-end metric from its values in the runs of
+    each side, paired by index.
+
+    ``better``: the change won at least nine tenths of the pairs (ties count
+    for neither) and its median beats the parent's by more than the parent's
+    q3 - q1.  ``worse``: its median is worse than the parent's by more than
+    ``bound``, relative.  ``unresolved``: neither, and the parent's spread
+    (q3 - q1)/median is wider than ``bound``, unless every run of the change
+    beats every run of the parent.  ``no worse`` otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * (p - c) > 0: c beats p
+    won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    qp, qc = quartiles(parent), quartiles(change)
+    iqr = qp["q3"] - qp["q1"]
+    spread = iqr / qp["median"]
+    gain = sign * (qp["median"] - qc["median"])
+    if won >= 0.9 * len(parent) and gain > iqr:
+        result = "better"
+    elif -gain > bound * qp["median"]:
+        result = "worse"
+    elif spread > bound and not all(sign * (p - c) > 0 for p in parent for c in change):
+        result = "unresolved"
+    else:
+        result = "no worse"
+    return {"verdict": result, "pairs_won": won, "pairs": len(parent),
+            "parent_spread": spread, "bound": bound}
+
+
+def verdicts(runs: dict, end_to_end: list) -> dict:
+    """`verdict` per end-to-end metric of BENCHMARK.json over the runs of
+    each side."""
+    out = {}
+    for m in end_to_end:
+        parent, change = ([r["metrics"][m["name"]]["value"] for r in runs[side]]
+                          for side in SIDES)
+        out[m["name"]] = verdict(parent, change, m["bound"], m["better"])
+    return out
+
+
 def dump(report: dict) -> str:
     """Indented JSON with each list of plain values on one line."""
     text = json.dumps(report, indent=1)
@@ -102,6 +144,7 @@ def main(argv=None) -> int:
                        "python": platform.python_version()},
               "workloads": {}}
     out = args.out or Path(f"BENCH_{args.tag}.json")
+    end_to_end = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
     for workload in args.workload:
         runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
@@ -116,6 +159,7 @@ def main(argv=None) -> int:
             name: entry["change"]["summary"]["metrics"][name]["median"]
             / entry["parent"]["summary"]["metrics"][name]["median"] - 1.0
             for name in entry["parent"]["summary"]["metrics"]}
+        entry["verdicts"] = verdicts(runs, end_to_end)
         report["workloads"][workload] = entry
         out.write_text(dump(report))  # after each workload
     return 0
