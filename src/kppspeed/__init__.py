@@ -9,13 +9,10 @@ from .fields import (CellGeometry, CoefficientSet, PeriodicField,
                      temporal_average)
 from .operators import ActionFamily, Grid, assemble_action, build_grid
 from .eigen import (AdjointPair, EigenResult, adjoint_eigenpair, dk_dB_at_zero,
-                    eigen_sandwich, k_x_independent, principal_eigen_floquet,
-                    principal_eigen_steady, principal_eigenvalue)
-from .variational import (CellProblemResult, compjlambda_lower_bound,
-                          effective_diffusivity, k0_rayleigh,
-                          rayleigh_upper_bound)
-from .speed import (SpeedResult, shear_speed, speed_x_independent,
-                    spreading_speed)
+                    principal_eigen_floquet, principal_eigen_steady,
+                    principal_eigenvalue)
+from .variational import compjlambda_lower_bound, k0_rayleigh
+from .speed import SpeedResult, shear_speed, spreading_speed
 from .simulate import CauchyRun, FrontEstimate, front_speed, smooth_bump, solve_cauchy
 from .scenario import ExperimentReport, Scenario, load_scenario, write_report
 from .experiments import EXPERIMENTS, run_experiment
@@ -28,11 +25,9 @@ __all__ = [
     "gradient_drift", "spatial_average", "temporal_average",
     "ActionFamily", "Grid", "assemble_action", "build_grid",
     "AdjointPair", "EigenResult", "adjoint_eigenpair", "dk_dB_at_zero",
-    "eigen_sandwich", "k_x_independent", "principal_eigen_floquet",
-    "principal_eigen_steady", "principal_eigenvalue",
-    "CellProblemResult", "compjlambda_lower_bound", "effective_diffusivity",
-    "k0_rayleigh", "rayleigh_upper_bound",
-    "SpeedResult", "shear_speed", "speed_x_independent", "spreading_speed",
+    "principal_eigen_floquet", "principal_eigen_steady", "principal_eigenvalue",
+    "compjlambda_lower_bound", "k0_rayleigh",
+    "SpeedResult", "shear_speed", "spreading_speed",
     "CauchyRun", "FrontEstimate", "front_speed", "smooth_bump", "solve_cauchy",
     "ExperimentReport", "Scenario", "load_scenario", "write_report",
     "EXPERIMENTS", "run_experiment",

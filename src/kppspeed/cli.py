@@ -29,11 +29,14 @@ from .speed import SpeedError, spreading_speed
 
 
 def _number(convert, text: str, flag: str):
-    """convert(text), or exit with a message naming the flag."""
+    """convert(text) if finite, or exit with a message naming the flag."""
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError:
         raise SystemExit(f"{flag}: not a number ({text!r})") from None
+    if not np.isfinite(value):
+        raise SystemExit(f"{flag}: not a finite number ({text!r})")
+    return value
 
 
 def _parse_vector(text: str, flag: str) -> list[float]:

@@ -51,14 +51,13 @@ __all__ = [
     "EigenResult", "AdjointPair", "EigenError", "EigenConvergenceError",
     "PositivityError", "principal_eigen_steady", "principal_eigen_floquet",
     "principal_eigenvalue", "richardson_in_time", "adjoint_eigenpair",
-    "k_x_independent", "eigen_sandwich", "dk_dB_at_zero",
+    "dk_dB_at_zero",
 ]
 
 EIG_TOL = 1e-10
 MAX_ITER = 200  # power iterations before a solver gives up
 WIDTH_TARGET = 1e-6  # the widest sandwich a steady solve stops at
 MISMATCH_TOL = 1e-6  # the largest gap between direct and adjoint eigenvalues
-AVERAGE_STEPS = 512  # trapezoid steps of the closed-form time averages
 
 
 class EigenError(RuntimeError):
@@ -391,54 +390,7 @@ def adjoint_eigenpair(coeffs: CoefficientSet | CoefficientSamples, lam,
     return AdjointPair(k, psi, psi_t / pairing, grid, family.lam, "floquet", k_adj)
 
 
-# --- closed form, sandwich, derivative -------------------------------------------
-
-
-def _time_averages(coeffs: CoefficientSet):
-    """Trapezoid time averages (A_bar, q_bar, mu_bar) over AVERAGE_STEPS steps
-    of one period of the samples at the cell origin."""
-    g = coeffs.geometry
-    N = g.dimension
-    ts = np.linspace(0.0, g.period, AVERAGE_STEPS + 1)
-    origin = (0.0,) * N
-
-    def avg(vals):
-        return float(np.trapezoid(vals, ts) / g.period)
-
-    A_bar = np.array([[avg(coeffs.A.eval_entry((i, j), ts, *origin))
-                       for j in range(N)] for i in range(N)])
-    q_bar = np.array([avg(coeffs.q.eval_entry(d, ts, *origin)) for d in range(N)])
-    mu_bar = avg(coeffs.mu(ts, *origin))
-    return A_bar, q_bar, mu_bar
-
-
-def k_x_independent(coeffs: CoefficientSet, lam) -> float:
-    """k for space-independent coefficients, -(lam.A_bar.lam - q_bar.lam + mu_bar),
-    from the trapezoid time averages `_time_averages` that
-    `speed.speed_x_independent` reads too."""
-    if not coeffs.space_independent:
-        raise EigenError("closed form requires space-independent coefficients")
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    A_bar, q_bar, mu_bar = _time_averages(coeffs)
-    return float(-(lam @ A_bar @ lam - q_bar @ lam + mu_bar))
-
-
-def eigen_sandwich(coeffs: CoefficientSet | CoefficientSamples, lam, phi: np.ndarray,
-                   grid: Grid):
-    """Bounds  min (L_lam phi)/phi <= k <= max (L_lam phi)/phi  for any
-    positive periodic candidate phi: (n_t, npoints) levels whose time
-    derivative is taken by centered differences, or one level, the candidate
-    constant in time, whose ratios -(E_lam(t_m) phi)/phi are taken at every
-    level t_m.  ``coeffs`` as in `principal_eigen_steady`."""
-    phi = np.asarray(phi, dtype=float)
-    if np.min(phi) <= 0:
-        raise PositivityError("sandwich candidate must be strictly positive")
-    if phi.ndim == 1:
-        phi = np.broadcast_to(phi, (grid.n_t, phi.size))
-    if phi.shape[0] != grid.n_t:
-        raise ValueError(f"expected {grid.n_t} time levels, got {phi.shape[0]}")
-    r = _floquet_ratios(ActionFamily(sample(coeffs, grid), lam), phi)
-    return float(r.min()), float(r.max())
+# --- derivative in the growth rate ----------------------------------------------
 
 
 def dk_dB_at_zero(coeffs: CoefficientSet, lam, eta: PeriodicField, grid: Grid,

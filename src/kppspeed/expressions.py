@@ -251,7 +251,7 @@ def _differentiate(node: Node, var: str) -> Node:
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
-def _to_string(node: Node, parent_prec: int = 0, right_of_pow: bool = False) -> str:
+def _to_string(node: Node, parent_prec: int = 0) -> str:
     if isinstance(node, Num):
         # a negative value (a bound parameter) prints as an atom: -1.0^2 is -1
         return f"({node.value!r})" if math.copysign(1.0, node.value) < 0 else repr(node.value)

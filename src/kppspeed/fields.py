@@ -62,21 +62,18 @@ class CellGeometry:
     lengths: tuple[float, ...]
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise FieldError("time period must be strictly positive")
+        # chained comparisons reject nan and inf too, which <= 0 lets through
+        if not 0 < self.period < np.inf:
+            raise FieldError("time period must be finite and strictly positive")
         if len(self.lengths) < 1:
             raise FieldError("need at least one spatial dimension")
-        if any(L <= 0 for L in self.lengths):
-            raise FieldError("cell lengths must be strictly positive")
+        if not all(0 < L < np.inf for L in self.lengths):
+            raise FieldError("cell lengths must be finite and strictly positive")
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
 
     @property
     def dimension(self) -> int:
         return len(self.lengths)
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.lengths))
 
 
 # --- entries ----------------------------------------------------------------
@@ -456,10 +453,6 @@ class CoefficientSet:
     @property
     def time_independent(self) -> bool:
         return all(f.time_independent for f in (self.A, self.q, self.mu))
-
-    @property
-    def space_independent(self) -> bool:
-        return all(f.space_independent for f in (self.A, self.q, self.mu))
 
     def ellipticity(self) -> tuple[float, float]:
         if self._ellipticity is None:

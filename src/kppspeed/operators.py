@@ -103,10 +103,6 @@ class Grid:
     def cell_measure(self) -> float:
         return float(np.prod(self.h))
 
-    def integrate(self, v: np.ndarray) -> float:
-        """Cell integral of a grid function (periodic trapezoid = rectangle)."""
-        return float(np.sum(v) * self.cell_measure())
-
 
 def build_grid(geometry: CellGeometry, n_space, n_t: int | None = None,
                cap: int = DEFAULT_CAP) -> Grid:

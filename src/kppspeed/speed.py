@@ -19,18 +19,11 @@ c* = k_extrapolated/(lam*.e).  The coarse s* is O(dt^2) from the minimizer
 of the extrapolated objective, where that objective is flat, so c* moves by
 O(dt^4) against extrapolating at every point of the search.
 
-`speed_x_independent` evaluates the closed form for space-independent
-coefficients: substituting lam = -s xi into
-k = -(1/T) integral (lam.A.lam - lam.q + mu) and minimizing over s gives
-
-    c*_e = min over unit xi with xi.e > 0 of
-           [2 sqrt(<xi.A.xi> <mu>) + <q>.xi] / (xi.e),
-
-with <.> the time average.  `shear_speed` reduces a shear flow
-q = (q1(t,y), 0) with A = a(t,y) I and mu(t,y) to the (N-1)-dimensional
-eigenproblem in y: for lam = s*e the reduced growth rate picks up the
--lam q1 e1 zeroth-order term, i.e. mu + s^2 e1^2 a - s e1 q1, with the
-reduced wavevector s times the transverse part of e.
+`shear_speed` reduces a shear flow q = (q1(t,y), 0) with A = a(t,y) I and
+mu(t,y) to the (N-1)-dimensional eigenproblem in y: for lam = s*e the
+reduced growth rate picks up the -lam q1 e1 zeroth-order term, i.e.
+mu + s^2 e1^2 a - s e1 q1, with the reduced wavevector s times the
+transverse part of e.
 """
 
 from __future__ import annotations
@@ -41,14 +34,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigen import EigenResult, _time_averages, principal_eigenvalue, richardson_in_time
+from .eigen import EigenResult, principal_eigenvalue, richardson_in_time
 from .fields import (CellGeometry, CoefficientSet, PeriodicField,
                      combine_scalar_fields)
 from .operators import CoefficientSamples, Grid
 
 __all__ = ["SpeedResult", "SpeedError", "NoSpreadingError", "UnimodalityError",
-           "spreading_speed", "speed_x_independent", "shear_speed",
-           "shear_full_coefficients", "shear_reduced_eigenvalue"]
+           "spreading_speed", "shear_speed", "shear_full_coefficients",
+           "shear_reduced_eigenvalue"]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 CGOLD = 1.0 - GOLDEN  # golden-section step into the larger part of a bracket
@@ -368,50 +361,6 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
                       eigen_route=route, richardson=richardson,
                       mean_diffusion=samples.mean_diffusion(e),
                       tol=tol, refine=refine)
-
-
-# --- closed form for space-independent coefficients ---------------------------
-
-
-def speed_x_independent(coeffs: CoefficientSet, e) -> SpeedResult:
-    """Closed-form speed for space-independent coefficients:
-    min over unit xi with xi.e > 0 of [2 sqrt(<xi A xi><mu>) + <q>.xi]/(xi.e)."""
-    if not coeffs.space_independent:
-        raise SpeedError("closed form requires space-independent coefficients")
-    N = coeffs.geometry.dimension
-    e = _unit(e, N)
-    A_bar, q_bar, mu_bar = _time_averages(coeffs)
-    if mu_bar <= 0:
-        raise NoSpreadingError(-mu_bar)
-
-    def value(xi):
-        xAx = float(xi @ A_bar @ xi)
-        return (2.0 * math.sqrt(xAx * mu_bar) + float(q_bar @ xi)) / float(xi @ e)
-
-    profile = []
-    if N == 1:
-        xi_star, c_star = e, value(e)
-    else:
-        perp = np.array([-e[1], e[0]])
-
-        def xi_of(th):
-            return math.cos(th) * e + math.sin(th) * perp
-
-        thetas = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 721)
-        vals = [value(xi_of(th)) for th in thetas]
-        profile = list(zip(thetas.tolist(), vals))
-        i = int(np.argmin(vals))
-        lo = thetas[max(i - 1, 0)]
-        hi = thetas[min(i + 1, len(thetas) - 1)]
-        th_star, c_star = _golden_min(lambda th: value(xi_of(th)), lo, hi, 1e-10)
-        xi_star = xi_of(th_star)
-    xAx = float(xi_star @ A_bar @ xi_star)
-    s_star = math.sqrt(mu_bar / xAx)
-    if not profile:
-        profile = [(s_star, c_star)]
-    return SpeedResult(c_star, -s_star * xi_star, e, profile, "closed-form",
-                       diagnostics={"A_bar": A_bar.tolist(), "q_bar": q_bar.tolist(),
-                                    "mu_bar": mu_bar})
 
 
 # --- shear flows ----------------------------------------------------------------

@@ -1,19 +1,14 @@
 """Cross-dimension and Floquet-branch coverage: the 2D monodromy lane, the
-time-dependent adjoint weighting, the oblique closed form, and the half-space
-refinement against its closed-form oracle."""
+time-dependent adjoint weighting, and the half-space refinement against its
+closed-form oracle."""
 
 import numpy as np
 import pytest
 
 from kppspeed.fields import CoefficientSet, PeriodicField
 from kppspeed.operators import build_grid
-from kppspeed.eigen import (
-    dk_dB_at_zero,
-    k_x_independent,
-    principal_eigen_floquet,
-    principal_eigen_steady,
-)
-from kppspeed.speed import speed_x_independent, spreading_speed
+from kppspeed.eigen import dk_dB_at_zero, principal_eigen_floquet, principal_eigen_steady
+from kppspeed.speed import spreading_speed
 
 
 def test_2d_floquet_time_dependent_contained():
@@ -60,28 +55,11 @@ def test_dk_db_floquet_pair_finite_difference():
     assert abs(d - fd) <= 1e-3 * abs(k0)
 
 
-def test_k_x_independent_2d():
-    cs = CoefficientSet.from_expressions(A={"a11": "2", "a22": "3"}, q=("0.5", "0"),
-                                         mu="1", L=(1.0, 1.0))
-    lam = [0.4, -0.3]
-    expected = -((0.4**2 * 2 + 0.3**2 * 3) - 0.4 * 0.5 + 1)
-    assert k_x_independent(cs, lam) == pytest.approx(expected, abs=1e-12)
-
-
-def test_oblique_drift_closed_form():
-    # A = I, q = (0, 1), mu = 1, e = e1: minimize (2 + sin th)/cos th over
-    # the half-space; the minimum sqrt(3) sits at th = -pi/6
-    cs = CoefficientSet.from_expressions(A="1", q=("0", "1"), mu="1", L=(1.0, 1.0))
-    r = speed_x_independent(cs, [1.0, 0.0])
-    assert r.c_star == pytest.approx(np.sqrt(3.0), abs=1e-10)
-    xi = -r.lam_star / np.linalg.norm(r.lam_star)
-    assert xi[0] == pytest.approx(np.cos(-np.pi / 6), abs=1e-6)
-    assert xi[1] == pytest.approx(np.sin(-np.pi / 6), abs=1e-6)
-
-
 def test_half_space_refinement_beats_axial_ray():
-    # same medium: the axial ray gives (2 + 0)/1 = 2, the true half-space
-    # minimum is sqrt(3); the coordinate-descent refinement must find it
+    # A = I, q = (0, 1), mu = 1, e = e1: the axial ray gives (2 + 0)/1 = 2;
+    # minimizing (2 + sin th)/cos th over the half-space gives sqrt(3) at
+    # th = -pi/6, and the coordinate-descent refinement must find that
+    # minimum and its direction
     cs = CoefficientSet.from_expressions(A="1", q=("0", "1"), mu="1", L=(1.0, 1.0))
     g = build_grid(cs.geometry, (16, 16))
     ray = spreading_speed(cs, [1.0, 0.0], g)
@@ -90,3 +68,6 @@ def test_half_space_refinement_beats_axial_ray():
     assert refined.c_star == pytest.approx(np.sqrt(3.0), abs=1e-6)
     assert refined.diagnostics["c_star_ray"] == pytest.approx(2.0, abs=1e-6)
     assert float(np.dot(refined.lam_star, [1.0, 0.0])) < 0
+    xi = -refined.lam_star / np.linalg.norm(refined.lam_star)
+    assert xi[0] == pytest.approx(np.cos(-np.pi / 6), abs=1e-6)
+    assert xi[1] == pytest.approx(np.sin(-np.pi / 6), abs=1e-6)

@@ -17,7 +17,7 @@ from kppspeed.fields import CoefficientSet
 from kppspeed.operators import build_grid
 from kppspeed.scenario import load_scenario
 from kppspeed.experiments import run_experiment
-from kppspeed.speed import speed_x_independent, spreading_speed
+from kppspeed.speed import spreading_speed
 
 from pathlib import Path
 
@@ -120,17 +120,17 @@ def test_criterion_01_homogeneous_speed():
 
 
 def test_criterion_02_closed_form_agreement():
+    # space-independent coefficients: c* = 2 sqrt(<A> mu) = 2 sqrt(2)
     cs = CoefficientSet.from_expressions(A="2 + cos(2*pi*t)", q="0", mu="1")
-    closed = speed_x_independent(cs, [1.0])
     # n_t=768 keeps the sandwich width of the widest bracketing sample
     # (s ~ 1.3, where the oscillation amplitude grows with s^2) under 1e-4
     ray = spreading_speed(cs, [1.0], build_grid(cs.geometry, 32, 768),
                           route="floquet")
     _note_speed("crit2", ray)
-    diff = abs(ray.c_star - closed.c_star)
-    ok = diff <= 1e-3 and abs(closed.c_star - 2 * np.sqrt(2.0)) <= 1e-9
+    diff = abs(ray.c_star - 2 * np.sqrt(2.0))
+    ok = diff <= 1e-3
     _verdict(2, "time-periodic diffusion: ray search matches closed form", ok,
-             f"|diff|={diff:.2e}, closed={closed.c_star:.8f}")
+             f"|diff|={diff:.2e}, c*={ray.c_star:.8f}")
 
 
 def test_criterion_03_constant_drift_oracle():

@@ -6,12 +6,8 @@ from kppspeed.operators import CoefficientSamples, assemble_action, build_grid
 from kppspeed.eigen import (
     WIDTH_TARGET,
     EigenConvergenceError,
-    EigenError,
-    PositivityError,
     adjoint_eigenpair,
     dk_dB_at_zero,
-    eigen_sandwich,
-    k_x_independent,
     principal_eigen_floquet,
     principal_eigen_steady,
     principal_eigenvalue,
@@ -141,8 +137,7 @@ def test_principal_eigenvalue_router():
     lambda cs, g: principal_eigenvalue(cs, [0.5], g, richardson=True),
     lambda cs, g: spreading_speed(cs, [1.0], g),
     lambda cs, g: adjoint_eigenpair(cs, [0.5], g),
-    lambda cs, g: eigen_sandwich(cs, [0.5], np.ones(g.npoints), g),
-], ids=["floquet", "richardson", "spreading_speed", "adjoint", "sandwich"])
+], ids=["floquet", "richardson", "spreading_speed", "adjoint"])
 def test_floquet_entry_points_reject_a_non_elliptic_A(entry):
     # A changes sign; the steady route raised NonEllipticError, and the
     # Floquet entry points must name the same cause
@@ -160,7 +155,8 @@ def test_adjoint_and_sandwich_take_samples(mu):
     a, b = adjoint_eigenpair(cs, [0.5], g), adjoint_eigenpair(samples, [0.5], g)
     assert (a.k, a.k_adjoint, a.route) == (b.k, b.k_adjoint, b.route)
     assert np.array_equal(a.phi, b.phi) and np.array_equal(a.phi_tilde, b.phi_tilde)
-    assert eigen_sandwich(samples, [0.5], a.phi, g) == eigen_sandwich(cs, [0.5], a.phi, g)
+    a, b = principal_eigenvalue(cs, [0.5], g), principal_eigenvalue(samples, [0.5], g)
+    assert (a.k, a.lower, a.upper) == (b.k, b.lower, b.upper)
 
 
 def test_richardson_extrapolation_tightens_floquet():
@@ -259,59 +255,20 @@ def test_power_iterate_waits_for_the_extra_condition():
     np.testing.assert_array_equal(np.abs(v), 1.0)
 
 
-def test_k_x_independent_examples():
-    assert k_x_independent(coeffs(A="1", mu="1"), [1.0]) == pytest.approx(-2.0, abs=1e-12)
-    s, q0, mu0 = 1.0, 1.0, 1.0
-    val = k_x_independent(coeffs(A="1", q=str(q0), mu=str(mu0)), [-s])
-    assert val == pytest.approx(-(s**2 + s * q0 + mu0), abs=1e-12)
-    val = k_x_independent(coeffs(A="2 + cos(2*pi*t)", mu="0"), [1.0])
-    assert val == pytest.approx(-2.0, abs=1e-10)
-    with pytest.raises(EigenError):
-        k_x_independent(coeffs(mu=COS_MU), [0.0])
-
-
 def test_sandwich_constant_coefficients_exact():
     cs = coeffs(A="1", q="0.3", mu="1")
-    g = build_grid(cs.geometry, 64)
-    lam = [0.7]
-    lo, up = eigen_sandwich(cs, lam, np.ones(g.npoints), g)
+    r = principal_eigen_floquet(cs, [0.7], build_grid(cs.geometry, 64, 16))
     expected = -(0.7**2 - 0.3 * 0.7 + 1)
-    assert lo == pytest.approx(expected, abs=1e-10)
-    assert up == pytest.approx(expected, abs=1e-10)
+    assert r.lower == pytest.approx(expected, abs=1e-10)
+    assert r.upper == pytest.approx(expected, abs=1e-10)
 
 
 def test_sandwich_on_computed_floquet_eigenfunction():
     cs = coeffs(mu=COS_MU)
     g = build_grid(cs.geometry, 256, 256)
     r = principal_eigen_floquet(cs, [0.0], g)
-    lo, up = eigen_sandwich(cs, [0.0], r.phi, g)
-    assert up - lo <= 1e-5
-    assert lo <= r.k <= up
-
-
-def test_sandwich_takes_a_one_level_candidate_at_every_level():
-    # time-constant candidate phi = 1: the ratios are -mu(t_m), so the bounds
-    # are the extremes of -mu over the period around k = -<mu> = -1
-    cs = coeffs(A="1", mu="1 + cos(2*pi*t)")
-    g = build_grid(cs.geometry, 16, 16)
-    assert k_x_independent(cs, [0.0]) == pytest.approx(-1.0, abs=1e-12)
-    stacked = eigen_sandwich(cs, [0.0], np.ones((g.n_t, g.npoints)), g)
-    lo, up = eigen_sandwich(cs, [0.0], np.ones(g.npoints), g)
-    assert (lo, up) == stacked
-    assert lo == pytest.approx(-2.0, abs=1e-12)
-    assert up == pytest.approx(0.0, abs=1e-12)
-
-
-def test_sandwich_rough_candidate_brackets():
-    cs = coeffs(A="1", mu="1")
-    g = build_grid(cs.geometry, 64)
-    x = g.axes()[0]
-    cand = 1 + 0.5 * np.cos(2 * np.pi * x)
-    lo, up = eigen_sandwich(cs, [0.0], cand, g)
-    assert lo < -1.0 < up
-    assert up - lo > 0.1
-    with pytest.raises(PositivityError):
-        eigen_sandwich(cs, [0.0], cand - 2.0, g)
+    assert r.upper - r.lower <= 1e-5
+    assert r.lower <= r.k <= r.upper
 
 
 def test_dk_db_constant_base_is_minus_mean():

@@ -26,7 +26,13 @@ def test_geometry_validation():
         CellGeometry(0.0, (1.0,))
     with pytest.raises(FieldError):
         CellGeometry(1.0, (1.0, -2.0))
-    assert CellGeometry(2.0, (1.0, 3.0)).cell_volume == 3.0
+    # nan <= 0 is False, so a sign test alone lets these through
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FieldError, match="time period must be finite"):
+            CellGeometry(bad, (1.0,))
+        with pytest.raises(FieldError, match="cell lengths must be finite"):
+            CellGeometry(1.0, (1.0, bad))
+    assert CellGeometry(2.0, (1.0, 3.0)).dimension == 2
 
 
 def test_periodic_wrap_exact_on_dyadic_points():
@@ -246,7 +252,7 @@ def test_matrix_mapping_mirrors_an_entry_given_on_one_side():
 def test_coefficient_set_construction_and_flags():
     cs = CoefficientSet.from_expressions(A="1", q="0", mu="1 + 0.5*cos(2*pi*x)",
                                          T=1.0, L=1.0)
-    assert cs.time_independent and not cs.space_independent
+    assert cs.time_independent and not cs.mu.space_independent
     gamma, Gamma = cs.ellipticity()
     assert gamma == Gamma == 1.0
 

@@ -159,7 +159,8 @@ def test_step_period_mass_conservation():
     fam = ActionFamily(CoefficientSamples(coeffs, grid), [0.0])
     phi0 = smooth_positive(grid, rng)
     phiT = fam.step_period(phi0)
-    assert abs(grid.integrate(phiT) - grid.integrate(phi0)) <= 1e-10 * grid.integrate(np.abs(phi0))
+    # the cell measure is common to all three sums
+    assert abs(np.sum(phiT) - np.sum(phi0)) <= 1e-10 * np.sum(np.abs(phi0))
 
 
 def test_step_period_positivity():

@@ -358,6 +358,11 @@ def test_cli_non_numeric_value_names_the_flag(argv, flag):
     (["speed", "--mu", "1 + y"], "--mu: variable 'y' is not available"),
     (["eig", "--n", "4"], "--n, --nt: grid needs at least 8 points per axis"),
     (["speed", "--A", "-1"], "--A: diffusion matrix is not uniformly elliptic"),
+    (["eig", "--lam", "nan"], "--lam: not a finite number ('nan')"),
+    (["speed", "--e", "nan"], "--e: not a finite number ('nan')"),
+    (["eig", "--L", "nan"], "--L: not a finite number ('nan')"),
+    (["eig", "--param", "a=nan"], "--param a: not a finite number ('nan')"),
+    (["eig", "--T", "inf"], "--T, --L: time period must be finite and strictly positive"),
 ])
 def test_cli_bad_input_is_one_line(argv, message):
     # SystemExit with a message: one line on stderr, no traceback

@@ -18,7 +18,6 @@ from kppspeed.speed import (
     shear_full_coefficients,
     shear_reduced_eigenvalue,
     shear_speed,
-    speed_x_independent,
     spreading_speed,
 )
 
@@ -54,29 +53,13 @@ def test_no_spreading_reported():
     cs = coeffs(mu="-1")
     with pytest.raises(NoSpreadingError):
         spreading_speed(cs, [1.0], build_grid(cs.geometry, 64))
-    with pytest.raises(NoSpreadingError):
-        speed_x_independent(cs, [1.0])
-
-
-def test_speed_x_independent_examples():
-    assert speed_x_independent(coeffs(), [1.0]).c_star == pytest.approx(2.0, abs=1e-12)
-    assert speed_x_independent(coeffs(q="1"), [1.0]).c_star == pytest.approx(3.0, abs=1e-12)
-    r = speed_x_independent(coeffs(A="2 + cos(2*pi*t)"), [1.0])
-    assert r.c_star == pytest.approx(2 * np.sqrt(2.0), abs=1e-10)
-    # k_x_independent reads the same time averages: k(lam*)/(lam*.e) is c*
-    cs = coeffs(A="2 + cos(2*pi*t)", q="0.3 + 0.2*sin(2*pi*t)", mu="1 + 0.5*cos(2*pi*t)")
-    r = speed_x_independent(cs, [1.0])
-    k = eigen.k_x_independent(cs, r.lam_star)
-    assert k / float(r.lam_star @ r.e) == pytest.approx(r.c_star, abs=1e-12)
-    with pytest.raises(SpeedError):
-        speed_x_independent(coeffs(mu="1 + 0.5*cos(2*pi*x)"), [1.0])
 
 
 def test_closed_form_agrees_with_floquet_ray_search():
+    # c* = 2 sqrt(<A> mu) for space-independent coefficients
     cs = coeffs(A="2 + cos(2*pi*t)")
-    closed = speed_x_independent(cs, [1.0])
     ray = spreading_speed(cs, [1.0], build_grid(cs.geometry, 32, 512), route="floquet")
-    assert abs(closed.c_star - ray.c_star) <= 1e-3
+    assert abs(ray.c_star - 2 * np.sqrt(2.0)) <= 1e-3
 
 
 def test_homogeneous_route_consistency():
@@ -84,9 +67,7 @@ def test_homogeneous_route_consistency():
     a, q0, mu0 = 1.3, 0.4, 0.9
     expected = 2 * np.sqrt(mu0 * a) + q0
     ray = spreading_speed(cs, [1.0], build_grid(cs.geometry, 128)).c_star
-    closed = speed_x_independent(cs, [1.0]).c_star
     assert ray == pytest.approx(expected, abs=1e-3)
-    assert closed == pytest.approx(expected, abs=1e-12)
 
 
 def test_growth_shift_speeds_up():
