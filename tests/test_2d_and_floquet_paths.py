@@ -55,11 +55,21 @@ def test_dk_db_floquet_pair_finite_difference():
     assert abs(d - fd) <= 1e-3 * abs(k0)
 
 
+def test_oblique_drift_closed_form():
+    # A = I, q = (0, 1), mu = 1, e = e1: minimize (2 + sin th)/cos th over
+    # the half-space; the minimum sqrt(3) sits at th = -pi/6
+    cs = CoefficientSet.from_expressions(A="1", q=("0", "1"), mu="1", L=(1.0, 1.0))
+    g = build_grid(cs.geometry, (16, 16))
+    r = spreading_speed(cs, [1.0, 0.0], g, refine=True)
+    assert r.c_star == pytest.approx(np.sqrt(3.0), abs=1e-10)
+    xi = -r.lam_star / np.linalg.norm(r.lam_star)
+    assert xi[0] == pytest.approx(np.cos(-np.pi / 6), abs=1e-6)
+    assert xi[1] == pytest.approx(np.sin(-np.pi / 6), abs=1e-6)
+
+
 def test_half_space_refinement_beats_axial_ray():
-    # A = I, q = (0, 1), mu = 1, e = e1: the axial ray gives (2 + 0)/1 = 2;
-    # minimizing (2 + sin th)/cos th over the half-space gives sqrt(3) at
-    # th = -pi/6, and the coordinate-descent refinement must find that
-    # minimum and its direction
+    # same medium: the axial ray gives (2 + 0)/1 = 2, the true half-space
+    # minimum is sqrt(3); the coordinate-descent refinement must find it
     cs = CoefficientSet.from_expressions(A="1", q=("0", "1"), mu="1", L=(1.0, 1.0))
     g = build_grid(cs.geometry, (16, 16))
     ray = spreading_speed(cs, [1.0, 0.0], g)
@@ -68,6 +78,3 @@ def test_half_space_refinement_beats_axial_ray():
     assert refined.c_star == pytest.approx(np.sqrt(3.0), abs=1e-6)
     assert refined.diagnostics["c_star_ray"] == pytest.approx(2.0, abs=1e-6)
     assert float(np.dot(refined.lam_star, [1.0, 0.0])) < 0
-    xi = -refined.lam_star / np.linalg.norm(refined.lam_star)
-    assert xi[0] == pytest.approx(np.cos(-np.pi / 6), abs=1e-6)
-    assert xi[1] == pytest.approx(np.sin(-np.pi / 6), abs=1e-6)
