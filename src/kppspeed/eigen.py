@@ -14,12 +14,18 @@ positive periodic eigenfunction of  L_lam psi = d_t psi - E_lam psi = k psi:
   drift, whose Gershgorin bound lies far above a, converges as fast as a
   weak one.  In 1D E_lam is a set of cyclic tridiagonal bands and sigma I -
   E_lam is factored by LAPACK (`kernels.CyclicFactor`); in 2D it is a CSR
-  matrix factored by sparse LU (`operators.SteadyAction`).
+  matrix factored by sparse LU with MMD_AT_PLUS_A ordering
+  (`operators.SteadyAction`).
 
 * Floquet (general space-time periodic coefficients): power iteration on the
   one-period Crank-Nicolson map P gives the principal multiplier rho > 0 and
   its positive fixed direction u; with k = -(1/T) ln rho the tilted levels
   psi(t_m) = e^{k t_m} u(t_m) close periodically and solve the eigenproblem.
+  The levels are those of the last power step, which the period sweep
+  stores anyway, so a solve makes exactly as many period maps as power
+  iterations.  In 2D the levels of the map share one sparsity pattern, are
+  assembled in one pass and their I - dt/2 E_m are factored by sparse LU
+  with MMD_AT_PLUS_A ordering (`operators.ActionFamily`).
 
 Both routes, and their adjoints, share one power-iteration loop
 (`_power_iterate`): the max-normalization, the relative-increment stopping
@@ -271,20 +277,26 @@ def _floquet_ratios(family: ActionFamily, psi: np.ndarray, adjoint: bool = False
 
 def _floquet_iterate(family: ActionFamily, v: np.ndarray, adjoint: bool = False):
     """Power iteration on the period map (adjoint: on its transpose), then
-    the periodic eigenfunction from the levels of its fixed direction.
+    the periodic eigenfunction from the levels of its last step, which
+    start at the last iterate before the converged one.
 
     Returns k (the ratio average), psi (max 1), the sandwich bounds, the
     log-multiplier -(1/T) ln rho, rho and the iteration count.
     """
     what = "transposed period-map power iteration" if adjoint else \
         "period-map power iteration"
-    rho, v, it = _power_iterate(
-        lambda u: family.step_period(u, transpose=adjoint), v,
-        lambda u, w, _: (float(np.dot(w, u) / np.dot(u, u)), True),
+    levels = None
+
+    def step(u):
+        nonlocal levels
+        levels = family.step_period(u, transpose=adjoint, store_levels=True)
+        return levels[0] if adjoint else levels[-1]
+
+    rho, _, it = _power_iterate(
+        step, v, lambda u, w, _: (float(np.dot(w, u) / np.dot(u, u)), True),
         tol=EIG_TOL, max_iter=MAX_ITER, what=what)
     if not np.isfinite(rho) or rho <= 0:
         raise EigenError("nonpositive principal multiplier: invalid discretization")
-    levels = family.step_period(v, transpose=adjoint, store_levels=True)
     grid = family.grid
     n_t = grid.n_t
     k_log = -np.log(rho) / grid.geometry.period

@@ -25,9 +25,13 @@ per coefficient set and grid, where A is checked to be uniformly elliptic.
 Callers sample at the boundary (`sample`), and since E_lam is a quadratic
 polynomial in lam, a ray search samples once and a new lam redoes only the
 lam algebra.  The stencil along each axis is written once (`_axis_stencil`);
-the 1D cyclic tridiagonal bands and the CSR matrix of every dimension are
-built from it, and the 2D mixed-derivative block of A_12 is the only part
-specific to 2D.  The face average (`_faces`) and the centred difference
+the 1D cyclic tridiagonal bands and the sparse matrices of every dimension
+are built from it, and the 2D mixed-derivative block of A_12 is the only
+part specific to 2D.  The sparse matrices of all time levels come from one
+vectorized pass over the level stack (`_sparse_levels`): one entry array
+(n_levels, nnz) on one CSC sparsity pattern that every level shares, with
+one finiteness check for the whole stack.  The CSR matrix of one level is
+its one-level slice.  The face average (`_faces`) and the centred difference
 (`_centred`) of samples are written once as well; the simulator and the
 variational routines use them too.
 
@@ -35,7 +39,10 @@ The steady eigen route takes E_lam as a `SteadyAction`: in 1D the cyclic
 tridiagonal bands, with LAPACK factors of sigma I - E_lam
 (`kernels.CyclicFactor`) and band products, and in 2D a CSR matrix with
 sparse LU.  `assemble_action` returns the CSR matrix of any dimension at
-t = 0.
+t = 0.  Every sparse LU (`_splu`) orders its columns by minimum degree on
+the structure of M + M^T (SuperLU's MMD_AT_PLUS_A; George & Liu, SIAM
+Review 31, 1989): the stencil matrices are structurally symmetric, and this
+ordering leaves less fill than COLAMD.
 
 Time stepping over one period is Crank-Nicolson,
 
@@ -44,7 +51,8 @@ Time stepping over one period is Crank-Nicolson,
 run by the one sweep `kernels.cn_period` in every dimension.  Only the linear
 algebra of a level depends on the dimension: 1D uses LAPACK cyclic
 tridiagonal factors and band products (see :mod:`kppspeed.kernels`), 2D
-sparse LU and CSR products.
+the sparse LU of I - dt/2 E_m and products with E_m and I + dt/2 E_m, all
+made from the one-pass entry array of the levels (`_cn_matrices`).
 """
 
 from __future__ import annotations
@@ -254,15 +262,20 @@ def _bands_1d(af, b, c0v, h: float):
     return dl, diag + c0v, du, corner0, corner1
 
 
-def _csr_matrix(stacked: dict, lev: int, grid: Grid) -> sp.csr_array:
-    """E_lam at level lev of a `CoefficientSamples.stencil` stack as a CSR
-    matrix, in any dimension: the axis stencils, the zeroth-order diagonal
-    and, in 2D, the mixed a12 block."""
+def _sparse_levels(stacked: dict, grid: Grid, lev=slice(None)):
+    """E_lam at the levels ``lev`` of a `CoefficientSamples.stencil` stack,
+    in any dimension, in one vectorized pass: the axis stencils, the
+    zeroth-order diagonal and, in 2D, the mixed a12 block.
+
+    Every level shares one CSC sparsity pattern.  Returns the entries
+    (n_levels, nnz) on it, its ``indices`` and ``indptr`` and the positions
+    of the diagonal among the entries.  Non-finite entries raise ValueError.
+    """
     idx = np.arange(grid.npoints).reshape(grid.n_space)
     cols, data = [], []
     diag = 0.0
     for d, (af, b, h) in enumerate(zip(stacked["a_faces"], stacked["b"], grid.h)):
-        lower, upper, diag_d = _axis_stencil(af[lev], b[lev], h, axis=d)
+        lower, upper, diag_d = _axis_stencil(af[lev], b[lev], h, axis=1 + d)
         cols += [np.roll(idx, 1, axis=d), np.roll(idx, -1, axis=d)]
         data += [lower, upper]
         diag = diag + diag_d
@@ -272,19 +285,51 @@ def _csr_matrix(stacked: dict, lev: int, grid: Grid) -> sp.csr_array:
         a12 = stacked["a12"][lev]
         # d_x(a12 d_y .) + d_y(a12 d_x .), centered-of-centered (symmetric)
         s = 1.0 / (4 * grid.h[0] * grid.h[1])
-        a_xp, a_xm = np.roll(a12, -1, axis=0), np.roll(a12, 1, axis=0)
-        a_yp, a_ym = np.roll(a12, -1, axis=1), np.roll(a12, 1, axis=1)
+        a_xp, a_xm = np.roll(a12, -1, axis=1), np.roll(a12, 1, axis=1)
+        a_yp, a_ym = np.roll(a12, -1, axis=2), np.roll(a12, 1, axis=2)
         ixp, ixm = np.roll(idx, -1, axis=0), np.roll(idx, 1, axis=0)
         cols += [np.roll(ixp, -1, axis=1), np.roll(ixp, 1, axis=1),
                  np.roll(ixm, -1, axis=1), np.roll(ixm, 1, axis=1)]
         data += [s * (a_xp + a_yp), -s * (a_xp + a_ym),
                  -s * (a_xm + a_yp), s * (a_xm + a_ym)]
     rows = np.tile(idx.ravel(), len(cols))
-    M = sp.csr_array((np.concatenate([v.ravel() for v in data]),
-                      (rows, np.concatenate([c.ravel() for c in cols]))),
-                     shape=(grid.npoints, grid.npoints))
+    cols = np.concatenate([c.ravel() for c in cols])
+    order = np.lexsort((rows, cols))  # by column, then by row
+    entries = np.stack(data, axis=1).reshape(data[-1].shape[0], -1)[:, order]
+    kernels._require_finite("E_lam entries", entries)
+    indptr = np.zeros(grid.npoints + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=grid.npoints), out=indptr[1:])
+    indices = rows[order].astype(np.int32)
+    return entries, indices, indptr, np.flatnonzero(indices == cols[order])
+
+
+def _csr_matrix(stacked: dict, lev: int, grid: Grid) -> sp.csr_array:
+    """E_lam at level lev of a `CoefficientSamples.stencil` stack as a CSR
+    matrix without stored zeros: the one-level slice of `_sparse_levels`."""
+    entries, indices, indptr, _ = _sparse_levels(stacked, grid, slice(lev, lev + 1))
+    n = grid.npoints
+    M = sp.csc_array((entries[0], indices, indptr), shape=(n, n)).tocsr()
     M.eliminate_zeros()
     return M
+
+
+def _cn_matrices(stacked: dict, grid: Grid, half: float):
+    """E, I - half E and I + half E at every level of a stencil stack, as
+    three lists of CSC matrices on the one pattern of `_sparse_levels`."""
+    entries, indices, indptr, diag = _sparse_levels(stacked, grid)
+    lhs, rhs = -half * entries, half * entries
+    lhs[:, diag] += 1.0
+    rhs[:, diag] += 1.0
+    n = grid.npoints
+    return [[sp.csc_array((e, indices, indptr), shape=(n, n)) for e in stack]
+            for stack in (entries, lhs, rhs)]
+
+
+def _splu(M):
+    """Sparse LU of the CSC matrix M, ordered by minimum degree on the
+    structure of M + M^T (George & Liu, SIAM Review 31, 1989), which suits
+    the structurally symmetric stencil matrices better than COLAMD."""
+    return splu(M, permc_spec="MMD_AT_PLUS_A")
 
 
 def _csr_matvec(M, v, trans: str = "N") -> np.ndarray:
@@ -343,7 +388,7 @@ class SteadyAction:
             dl, d, du, c0, c1 = self._bands
             return kernels.CyclicFactor(-dl, sigma - d, -du, -c0, -c1)
         M = self._matrix
-        return splu((sigma * sp.eye_array(M.shape[0], format="csc") - M).tocsc())
+        return _splu((sigma * sp.eye_array(M.shape[0], format="csc") - M).tocsc())
 
 
 class ActionFamily:
@@ -354,8 +399,10 @@ class ActionFamily:
     and the product with the right-hand matrix I + dt/2 E, and runs the
     monodromy (one-period) map and its exact transpose through
     `kernels.cn_period`.  1D levels come from `kernels.cn_levels`; other
-    dimensions use sparse LU and CSR products.  The grid and the levels are
-    those of ``samples``, the `CoefficientSamples` of the coefficients.
+    dimensions from `_cn_matrices`, one pass over all levels on one shared
+    sparsity pattern, with sparse LU (`_splu`) and sparse products.  The
+    grid and the levels are those of ``samples``, the `CoefficientSamples`
+    of the coefficients.
     """
 
     def __init__(self, samples: CoefficientSamples, lam):
@@ -370,11 +417,10 @@ class ActionFamily:
             action = kernels.band_products(*bands)
             lhs, rhs = kernels.cn_levels(*bands, half)
         else:
-            mats = [self.matrix(lev) for lev in range(samples.n_levels)]
-            eye = sp.eye_array(grid.npoints, format="csr")
-            action = [partial(_csr_matvec, M) for M in mats]
-            lhs = [splu((eye - half * M).tocsc()) for M in mats]
-            rhs = [partial(_csr_matvec, eye + half * M) for M in mats]
+            E, L, R = _cn_matrices(self._stacked, grid, half)
+            action = [partial(_csr_matvec, M) for M in E]
+            lhs = [_splu(M) for M in L]
+            rhs = [partial(_csr_matvec, M) for M in R]
         self._action = action
         levels = [self._level(m) for m in range(grid.n_t + 1)]
         self._lhs = [lhs[lev] for lev in levels]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,7 +79,8 @@ class _Section:
                                     f"{self.names[other]}: ambiguous keys, give one")
 
     def get(self, key: str, default=None, parse=str):
-        """parse(text) of the key, else the default; recorded either way."""
+        """parse(text) of the key, else the default; recorded either way.
+        A number parsed by float or _floats must be finite."""
         text = self.texts.get(key)
         try:
             value = default if text is None else parse(text)
@@ -86,6 +88,10 @@ class _Section:
             what = "an integer" if parse in (int, _ints) else "a number"
             raise ScenarioError(f"{self.where} {self.names[key]}: "
                                 f"not {what} ({text!r})") from None
+        if parse in (float, _floats) and text is not None:
+            if not all(map(math.isfinite, value if parse is _floats else [value])):
+                raise ScenarioError(f"{self.where} {self.names[key]}: "
+                                    f"not a finite number ({text!r})")
         self.read[key] = value
         return value
 

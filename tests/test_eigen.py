@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kppspeed.fields import CoefficientSet, NonEllipticError, PeriodicField
-from kppspeed.operators import CoefficientSamples, assemble_action, build_grid
+from kppspeed import eigen
+from kppspeed.operators import ActionFamily, CoefficientSamples, assemble_action, build_grid
 from kppspeed.eigen import (
     WIDTH_TARGET,
     EigenConvergenceError,
@@ -338,3 +339,41 @@ def test_positivity_of_returned_eigenfunctions():
     cs_t = coeffs(mu="1 + 0.5*sin(2*pi*t)*cos(2*pi*x)")
     rf = principal_eigen_floquet(cs_t, [0.5], build_grid(cs_t.geometry, 128, 128))
     assert np.min(rf.phi) > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_floquet_solve_makes_one_period_map_per_iteration(monkeypatch, dim):
+    # the eigenfunction comes from the levels of the last power step, so a
+    # solve makes no period map beyond its power iterations
+    if dim == 1:
+        cs = coeffs(A="1 + 0.3*cos(2*pi*x)", q="0.4*sin(2*pi*x)",
+                    mu="1 + 0.5*cos(2*pi*x)*(1 + 0.5*sin(2*pi*t))")
+        g, lam = build_grid(cs.geometry, 64, 16), [0.7]
+    else:
+        cs = coeffs(A={"11": "1", "22": "1 + 0.2*cos(2*pi*y)", "12": "0.1*cos(2*pi*(x - y))"},
+                    q=("0.3*sin(2*pi*y)", "0"), mu="1 + 0.4*cos(2*pi*t)*cos(2*pi*x)",
+                    L=(1.0, 1.0))
+        g, lam = build_grid(cs.geometry, (12, 12), 8), [0.5, -0.2]
+    calls = []
+    step_period = ActionFamily.step_period
+
+    def counted(self, phi0, transpose=False, store_levels=False):
+        calls.append(transpose)
+        return step_period(self, phi0, transpose, store_levels)
+
+    monkeypatch.setattr(ActionFamily, "step_period", counted)
+    res = principal_eigen_floquet(cs, lam, g)
+    assert res.iterations > 1 and calls == [False] * res.iterations
+
+    iterations = []
+    floquet_iterate = eigen._floquet_iterate
+
+    def recorded(*args, **kwargs):
+        out = floquet_iterate(*args, **kwargs)
+        iterations.append(out[-1])
+        return out
+
+    monkeypatch.setattr(eigen, "_floquet_iterate", recorded)
+    calls.clear()
+    adjoint_eigenpair(cs, lam, g)
+    assert calls == [False] * iterations[0] + [True] * iterations[1]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kppspeed.expressions import parse_expression
 from kppspeed.fields import CellGeometry, CoefficientSet, NonEllipticError, PeriodicField
@@ -8,8 +9,11 @@ from kppspeed.operators import (
     CoefficientSamples,
     GridError,
     SteadyAction,
+    _axis_stencil,
     _centred,
+    _cn_matrices,
     _faces,
+    _splu,
     assemble_action,
     build_grid,
     sample,
@@ -406,3 +410,107 @@ def test_sample_passes_samples_of_the_grid_through():
     for s, g in mismatched:
         with pytest.raises(ValueError, match="samples of another grid"):
             sample(s, g)
+
+
+def _per_level_csr(stacked, lev, grid):
+    """E_lam at one level as the per-level builder made it before the one-pass
+    assembly: COO triplets of the axis stencils, the diagonal and the a12
+    block, converted to CSR without stored zeros."""
+    idx = np.arange(grid.npoints).reshape(grid.n_space)
+    cols, data = [], []
+    diag = 0.0
+    for d, (af, b, h) in enumerate(zip(stacked["a_faces"], stacked["b"], grid.h)):
+        lower, upper, diag_d = _axis_stencil(af[lev], b[lev], h, axis=d)
+        cols += [np.roll(idx, 1, axis=d), np.roll(idx, -1, axis=d)]
+        data += [lower, upper]
+        diag = diag + diag_d
+    cols.append(idx)
+    data.append(diag + stacked["c0"][lev])
+    if stacked["a12"] is not None:
+        a12 = stacked["a12"][lev]
+        s = 1.0 / (4 * grid.h[0] * grid.h[1])
+        a_xp, a_xm = np.roll(a12, -1, axis=0), np.roll(a12, 1, axis=0)
+        a_yp, a_ym = np.roll(a12, -1, axis=1), np.roll(a12, 1, axis=1)
+        ixp, ixm = np.roll(idx, -1, axis=0), np.roll(idx, 1, axis=0)
+        cols += [np.roll(ixp, -1, axis=1), np.roll(ixp, 1, axis=1),
+                 np.roll(ixm, -1, axis=1), np.roll(ixm, 1, axis=1)]
+        data += [s * (a_xp + a_yp), -s * (a_xp + a_ym),
+                 -s * (a_xm + a_yp), s * (a_xm + a_ym)]
+    rows = np.tile(idx.ravel(), len(cols))
+    M = sp.csr_array((np.concatenate([v.ravel() for v in data]),
+                      (rows, np.concatenate([c.ravel() for c in cols]))),
+                     shape=(grid.npoints, grid.npoints))
+    M.eliminate_zeros()
+    return M
+
+
+def _same_csr(M, R):
+    return (M.format == R.format == "csr" and np.array_equal(M.indptr, R.indptr)
+            and np.array_equal(M.indices, R.indices) and np.array_equal(M.data, R.data))
+
+
+def test_assembled_matrices_are_those_of_the_per_level_builder():
+    # A = 1, q = (32, 0), lam = 0 on 16 x 16: the east coefficient
+    # 1/h^2 + b/(2h) is exactly 0, and the one-level slice drops those zeros
+    coeffs = make_coeffs(A="1", q=("32", "0"), mu="1", L=(1.0, 1.0))
+    grid = build_grid(coeffs.geometry, (16, 16), 16)
+    M = assemble_action(coeffs, [0.0, 0.0], grid)
+    R = _per_level_csr(CoefficientSamples(coeffs, grid).stencil([0.0, 0.0]), 0, grid)
+    assert M.nnz == 4 * grid.npoints
+    assert _same_csr(M, R) and _same_csr(M.T.tocsr(), R.T.tocsr())
+    # a12 and a time-dependent mu: every level of ActionFamily.matrix
+    coeffs = make_coeffs(**COEFFS_2D)
+    grid = build_grid(coeffs.geometry, (16, 12), 8)
+    lam = [0.8, -0.3]
+    samples = CoefficientSamples(coeffs, grid)
+    family = ActionFamily(samples, lam)
+    stacked = samples.stencil(lam)
+    for m in range(grid.n_t + 1):
+        assert _same_csr(family.matrix(m), _per_level_csr(stacked, m % grid.n_t, grid))
+    assert _same_csr(assemble_action(samples, lam, grid), _per_level_csr(stacked, 0, grid))
+
+
+@pytest.mark.parametrize("time_dependent", [False, True], ids=["one-level", "n_t-levels"])
+def test_one_pass_levels_are_the_crank_nicolson_matrices(time_dependent):
+    # E, I - dt/2 E and I + dt/2 E of every level share one sparsity pattern,
+    # equal the dense matrices of ActionFamily.matrix, and the MMD factors of
+    # I - dt/2 E solve as a dense solve does, in both orientations
+    spec = dict(COEFFS_2D)
+    if not time_dependent:
+        spec["mu"] = "1 + 0.5*cos(2*pi*x)*cos(2*pi*y)"
+    coeffs = make_coeffs(**spec)
+    grid = build_grid(coeffs.geometry, (16, 12), 8)
+    lam = [0.8, -0.3]
+    samples = CoefficientSamples(coeffs, grid)
+    family = ActionFamily(samples, lam)
+    half = 0.5 * grid.dt
+    E, L, R = _cn_matrices(samples.stencil(lam), grid, half)
+    assert len(E) == len(L) == len(R) == (grid.n_t if time_dependent else 1)
+    eye = np.eye(grid.npoints)
+    v = np.random.default_rng(8).standard_normal(grid.npoints)
+    for lev, (Em, Lm, Rm) in enumerate(zip(E, L, R)):
+        for M in (Em, Lm, Rm):
+            assert M.format == "csc"
+            assert np.array_equal(M.indptr, E[0].indptr)
+            assert np.array_equal(M.indices, E[0].indices)
+        dense = family.matrix(lev).toarray()
+        assert np.array_equal(Em.toarray(), dense)
+        assert np.array_equal(Lm.toarray(), eye - half * dense)
+        assert np.array_equal(Rm.toarray(), eye + half * dense)
+        for adjoint, trans in ((False, "N"), (True, "T")):
+            assert np.array_equal(family.apply_action(lev, v, adjoint),
+                                  (Em.T if adjoint else Em) @ v)
+            lhs = eye - half * dense
+            ref = np.linalg.solve(lhs.T if adjoint else lhs, v)
+            np.testing.assert_allclose(_splu(Lm).solve(v, trans), ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_non_finite_action_entries_raise():
+    coeffs = make_coeffs(**COEFFS_2D)
+    grid = build_grid(coeffs.geometry, (16, 12), 8)
+    samples = CoefficientSamples(coeffs, grid)
+    samples.mu = samples.mu.copy()
+    samples.mu[3, 2, 5] = np.nan
+    with pytest.raises(ValueError, match="E_lam entries must not contain infs or NaNs"):
+        ActionFamily(samples, [0.8, -0.3])

@@ -114,6 +114,33 @@ def test_non_numeric_value_names_file_section_and_key(tmp_path, section, key, va
     assert f"{path} [{section}] {key}:" in str(exc.value)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("geometry", "T", "nan"), ("geometry", "L", "1 inf"), ("parameters", "eps", "-inf"),
+    ("experiment", "margin_strict", "nan"), ("experiment", "e", "NaN"),
+    ("experiment", "kappa_grid", "1 2 -inf"),
+])
+def test_non_finite_number_names_file_section_and_key(tmp_path, section, key, value):
+    # every float the scenario reader parses is finite, as the CLI flags are
+    path = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError) as exc:
+        sc = load_scenario(path)
+        sc.opt_float("margin_strict", 1e-4)
+        sc.opt_floats("e", [1.0])
+        sc.opt_floats("kappa_grid", [1.0])
+    assert str(exc.value) == f"{path} [{section}] {key}: not a finite number ({value!r})"
+
+
+def test_cli_run_nan_experiment_number_exits_2_without_traceback(tmp_path):
+    path = _write(tmp_path, FAST_SCENARIO.replace("margin_strict = 1e-4", "margin_strict = nan"))
+    out_dir = tmp_path / "out"
+    proc = _run_module("run", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"kpp-speed run: {path} [experiment] margin_strict: not a finite number ('nan')"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("L, key", [("1", "a1"), ("1", "amp"), ("1", "a12"),
                                     ("1 1", "a13")])
 def test_malformed_matrix_key_named_in_error(tmp_path, L, key):
