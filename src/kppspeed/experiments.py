@@ -28,7 +28,7 @@ from .eigen import adjoint_eigenpair, dk_dB_at_zero, principal_eigen_steady, \
     principal_eigenvalue
 from .fields import (CoefficientSet, PeriodicField, combine_scalar_fields,
                      gradient_drift, spatial_average, temporal_average)
-from .operators import build_grid
+from .operators import GridError, build_grid
 from .scenario import ExperimentReport, Scenario, ScenarioError
 from .simulate import front_speed, smooth_bump, solve_cauchy
 from .speed import shear_full_coefficients, shear_reduced_eigenvalue, shear_speed, \
@@ -49,9 +49,24 @@ def _map_rows(rep: ExperimentReport, context: str, fn, points) -> list:
 
 
 def _direction(sc: Scenario, default=None):
-    """The [experiment] direction e, by default the first axis of the cell."""
-    first = [1.0] + [0.0] * (sc.geometry.dimension - 1)
-    return np.asarray(sc.opt_floats("e", default or first))
+    """The [experiment] direction e, by default the first axis of the cell,
+    with as many components as the default."""
+    default = default or [1.0] + [0.0] * (sc.geometry.dimension - 1)
+    e = sc.opt_floats("e", default)
+    if len(e) != len(default):
+        raise sc.opt_error("e", f"needs {len(default)} component(s), got {len(e)}")
+    if not any(e):
+        raise sc.opt_error("e", "direction must be nonzero")
+    return np.asarray(e)
+
+
+def _grid(sc: Scenario, key: str, geometry, n, n_t=None):
+    """build_grid(geometry, n, n_t) of values read from the [experiment]
+    key; a GridError is a ScenarioError naming it."""
+    try:
+        return build_grid(geometry, n, n_t)
+    except GridError as exc:
+        raise sc.opt_error(key, exc) from None
 
 
 def _check_increasing(rep: ExperimentReport, label: str, points, values, margin: float,
@@ -206,6 +221,8 @@ def run_derivative(sc: Scenario, rep: ExperimentReport) -> None:
     """dk/dB at B=0 equals -integral eta phi phi_tilde, checked against the
     centred quotient (k(h) - k(-h))/(2h) to tol_relative * |dk/dB| + FD_FLOOR."""
     h = sc.opt_float("fd_step", 1e-2)
+    if h == 0:
+        raise sc.opt_error("fd_step", "must be nonzero")
     tol_rel = sc.opt_float("tol_relative", 1e-3)
     lam_list = sc.opt_floats("lambda_probes", (0.0, 1.0))
     rep.columns = ["lambda", "dk_formula", "dk_fd", "k0", "abs_error"]
@@ -234,6 +251,8 @@ def run_diffusion_monotone(sc: Scenario, rep: ExperimentReport) -> None:
     plus k_{lambda e} <= k_0 for the probe lambdas."""
     margin = sc.opt_float("margin_strict", MARGIN_STRICT)
     kappa_grid = sc.opt_floats("kappa_grid", (0.25, 0.5, 1.0, 2.0, 4.0))
+    if any(kappa <= 0 for kappa in kappa_grid):
+        raise sc.opt_error("kappa_grid", "every kappa must be positive")
     lam_probes = sc.opt_floats("lambda_probes", (0.5, 1.0, 2.0))
     e = _direction(sc)
     rep.columns = ["case", "kappa", "lambda", "c_star", "k", "k0"]
@@ -283,11 +302,11 @@ def run_shear(sc: Scenario, rep: ExperimentReport) -> None:
 
     q1p = combine_scalar_fields([(probe_B, q1)])
     n_y = sc.opt_int("n_full", 64)
-    grid_y = build_grid(sc.geometry, n_y)
+    grid_y = _grid(sc, "n_full", sc.geometry, n_y)
     red = rep.record("shear:probe-reduced",
                      shear_reduced_eigenvalue(a, q1p, mu, e2, probe_lam, grid_y))
     full_cs = shear_full_coefficients(a, q1p, mu)
-    grid_full = build_grid(full_cs.geometry, (n_y, n_y))
+    grid_full = _grid(sc, "n_full", full_cs.geometry, (n_y, n_y))
     full = rep.record("shear:probe-full", principal_eigenvalue(
         full_cs, [probe_lam * e2[0], probe_lam * e2[1]], grid_full))
     rep.rows.append({"case": "probe", "B": probe_B, "c_star": "",
@@ -326,7 +345,10 @@ def run_potential_drift(sc: Scenario, rep: ExperimentReport) -> None:
         rep.rows.append({"case": "speed", "B": B, "lambda": "", "c_star": c,
                          "value_drift": "", "value_potential": ""})
         rep.check(f"c*(B={B:g}) <= 2 sqrt(mu0)", "le", c, cap, tol_cap)
-    tail = [B for B in b_grid if B >= sc.opt_float("ratio_from", 5.0)]
+    ratio_from = sc.opt_float("ratio_from", 5.0)
+    if ratio_from <= 0:  # c*(B)/B at B = 0
+        raise sc.opt_error("ratio_from", "must be positive")
+    tail = [B for B in b_grid if B >= ratio_from]
     ratios = {B: speeds[b_grid.index(B)] / B for B in tail}
     for b1, b2 in zip(tail, tail[1:]):
         rep.check(f"c*(B)/B decreasing {b1:g}->{b2:g}", "le", ratios[b2], ratios[b1], 0.0)
@@ -334,17 +356,14 @@ def run_potential_drift(sc: Scenario, rep: ExperimentReport) -> None:
     # transform identity: k(I, B grad Q, mu0) = k(I, 0, mu0 + (B/2) Lap Q
     # - (B^2/4)|grad Q|^2), both with dx-Richardson extrapolation
     n_fine = sc.opt_int("n_transform", 4096)
+    grids = [_grid(sc, "n_transform", geometry, n) for n in (n_fine // 2, n_fine)]
     lam_probes = sc.opt_floats("lambda_probes", (0.0, 0.5))
     b_probes = sc.opt_floats("b_probes", (1.0, 2.0))
     zero_q = PeriodicField.vector([0.0] * geometry.dimension, geometry)
 
     def k_extrapolated(cs, lam):
-        vals = []
-        for n in (n_fine // 2, n_fine):
-            g = build_grid(geometry, n)
-            res = principal_eigen_steady(cs, lam, g)
-            vals.append(res.k)
-        return (4.0 * vals[1] - vals[0]) / 3.0
+        coarse, fine = (principal_eigen_steady(cs, lam, g).k for g in grids)
+        return (4.0 * fine - coarse) / 3.0
 
     for B in b_probes:
         # the symbolic transform needs the scaled potential B*Q as an expression
@@ -400,8 +419,10 @@ def run_simulate_validate(sc: Scenario, rep: ExperimentReport) -> None:
     t_end = sc.opt_float("t_end", 40.0)
     n_prop = sc.opt_int("property_runs", 10)
     rep.columns = ["case", "c_star", "measured", "ratio", "fit_residual", "valid"]
-    sim_grid = build_grid(sc.geometry, sc.opt_int("points_per_cell", 64),
-                          sc.opt_int("steps_per_period", 100))
+    n = sc.opt_int("points_per_cell", 64)
+    _grid(sc, "points_per_cell", sc.geometry, n)
+    sim_grid = _grid(sc, "steps_per_period", sc.geometry, n,
+                     sc.opt_int("steps_per_period", 100))
     cases = {
         "homogeneous": CoefficientSet.from_expressions(
             A="1", mu="1", T=sc.geometry.period, L=sc.geometry.lengths[0]),

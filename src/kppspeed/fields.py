@@ -5,15 +5,20 @@ arguments into [0, T) x C before handing them to the underlying entry, so
 periodicity holds identically regardless of how the entry is defined.
 
 Entries can be parsed expressions, plain Python callables ``f(t, x[, y])``
-or constants.  Whatever the entry, a sample (``__call__`` or
-``eval_entry``) is a float64 array with the broadcast shape of
-``(t, *coords)``, shape ``()`` for scalar arguments; it may be a read-only
-broadcast view, so a caller that writes into it copies it first.  The
-discretization takes these samples and the derivatives it needs as centered
-differences of them, whatever the representation; only ``gradient_drift``
-differentiates an expression exactly.  A ``CoefficientSet`` bundles the
-diffusion matrix A, the drift q and the growth rate mu over a shared
-periodicity cell and checks uniform ellipticity of A by sampling.
+or constants.  Each entry says whether it depends on t: a constant does
+not, an expression does iff it reads ``t``, and a callable does unless the
+package code that makes it says otherwise (a user's callable always does).
+A field is time-independent iff none of its entries depends on t, which
+sends its eigenproblems to the steady route.  Whatever the entry, a sample
+(``__call__`` or ``eval_entry``) is a float64 array with the broadcast
+shape of ``(t, *coords)``, shape ``()`` for scalar arguments; it may be a
+read-only broadcast view, so a caller that writes into it copies it first.
+The discretization takes these samples and the derivatives it needs as
+centered differences of them, whatever the representation; only
+``gradient_drift`` differentiates an expression exactly.  A
+``CoefficientSet`` bundles the diffusion matrix A, the drift q and the
+growth rate mu over a shared periodicity cell and checks uniform
+ellipticity of A by sampling.
 """
 
 from __future__ import annotations
@@ -81,12 +86,15 @@ class CellGeometry:
 
 class _Entry:
     expression: Expression | None = None
+    time_dependent = True
 
     def eval(self, t, coords):  # pragma: no cover - interface
         raise NotImplementedError
 
 
 class _ConstantEntry(_Entry):
+    time_dependent = False
+
     def __init__(self, value: float):
         self.value = float(value)
 
@@ -99,6 +107,7 @@ class _ConstantEntry(_Entry):
 class _ExpressionEntry(_Entry):
     def __init__(self, expr: Expression):
         self.expression = expr
+        self.time_dependent = expr.depends_on("t")
 
     def eval(self, t, coords):
         x = coords[0]
@@ -107,8 +116,9 @@ class _ExpressionEntry(_Entry):
 
 
 class _CallableEntry(_Entry):
-    def __init__(self, fn: Callable):
+    def __init__(self, fn: Callable, time_dependent: bool = True):
         self.fn = fn
+        self.time_dependent = time_dependent
 
     def eval(self, t, coords):
         return self.fn(t, *coords)
@@ -133,21 +143,18 @@ def _as_entry(value, params=None, dimension=1) -> _Entry:
 class PeriodicField:
     """A scalar, vector, or symmetric-matrix valued (T, L)-periodic field.
 
-    `scalar`, `vector` and `matrix` derive the independence flags from the
-    entries.  Only the package's derived fields pass flags to this raw
-    constructor, inherited from the fields they are built from."""
+    ``time_independent`` holds iff no entry depends on t, so a field built
+    from another field's entries keeps its time independence."""
 
-    def __init__(self, kind: str, entries, geometry: CellGeometry,
-                 time_independent: bool | None = None,
-                 space_independent: bool | None = None):
+    def __init__(self, kind: str, entries, geometry: CellGeometry):
         if kind not in ("scalar", "vector", "matrix"):
             raise FieldError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.geometry = geometry
         self.entries = entries  # scalar: _Entry; vector: tuple; matrix: nested tuple
-        derived_t, derived_x = self._derived_flags()
-        self.time_independent = derived_t if time_independent is None else time_independent
-        self.space_independent = derived_x if space_independent is None else space_independent
+        flat = ([entries] if kind == "scalar" else entries if kind == "vector"
+                else [e for row in entries for e in row])
+        self.time_independent = not any(e.time_dependent for e in flat)
 
     # -- construction helpers
 
@@ -195,13 +202,6 @@ class PeriodicField:
             return self.entries[index[0]]
         return self.entries[index[0]][index[1]]
 
-    def _flat_entries(self):
-        if self.kind == "scalar":
-            return [self.entries]
-        if self.kind == "vector":
-            return list(self.entries)
-        return [self.entries[i][j] for i in range(len(self.entries)) for j in range(len(self.entries))]
-
     def _sample(self, entry: _Entry, t, coords) -> np.ndarray:
         if len(coords) != self.geometry.dimension:
             raise FieldError(
@@ -230,28 +230,13 @@ class PeriodicField:
         return self._sample(self._entry(*index), t, coords)
 
     def component(self, *index) -> "PeriodicField":
-        """Scalar view of one vector/matrix entry (shares flags)."""
+        """Scalar view of one vector/matrix entry."""
         if self.kind == "scalar":
             return self
-        return PeriodicField("scalar", self._entry(*index), self.geometry,
-                             time_independent=self.time_independent,
-                             space_independent=self.space_independent)
+        return PeriodicField("scalar", self._entry(*index), self.geometry)
 
     def entry_expression(self, *index) -> Expression | None:
         return self._entry(*index).expression
-
-    # -- flags
-
-    def _derived_flags(self):
-        entries = self._flat_entries()
-        if any(isinstance(e, _CallableEntry) for e in entries):
-            return False, False  # callables: unknown
-        t_indep = all(isinstance(e, _ConstantEntry) or not e.expression.depends_on("t")
-                      for e in entries)
-        x_indep = all(isinstance(e, _ConstantEntry)
-                      or not (e.expression.depends_on("x") or e.expression.depends_on("y"))
-                      for e in entries)
-        return t_indep, x_indep
 
     def check_symmetric(self):
         if self.kind != "matrix":
@@ -282,10 +267,8 @@ def combine_scalar_fields(terms: Sequence[tuple[float, PeriodicField]]) -> Perio
     def fn(t, *x):
         return sum(c * f(t, *x) for c, f in zip(coefs, fields))
 
-    return PeriodicField(
-        "scalar", _CallableEntry(fn), geometry,
-        time_independent=all(f.time_independent for f in fields),
-        space_independent=all(f.space_independent for f in fields))
+    return PeriodicField("scalar", _CallableEntry(
+        fn, not all(f.time_independent for f in fields)), geometry)
 
 
 # --- averages ---------------------------------------------------------------
@@ -296,7 +279,7 @@ def spatial_average(f: PeriodicField) -> PeriodicField:
 
     On a uniform periodic grid the composite trapezoid rule equals the
     rectangle rule, which is spectrally accurate for smooth periodic
-    integrands.  The result is flagged space-independent.
+    integrands.  The average depends on t iff f does.
     """
     if f.kind != "scalar":
         raise FieldError("spatial_average takes a scalar field")
@@ -311,9 +294,7 @@ def spatial_average(f: PeriodicField) -> PeriodicField:
         tt = np.broadcast_to(t, shape).reshape(-1)
         return f(tt[:, None], *(c[None, :] for c in flat)).mean(axis=1).reshape(shape)
 
-    return PeriodicField("scalar", _CallableEntry(fn), g,
-                         time_independent=f.time_independent,
-                         space_independent=True)
+    return PeriodicField("scalar", _CallableEntry(fn, not f.time_independent), g)
 
 
 def temporal_average(f: PeriodicField) -> PeriodicField:
@@ -328,9 +309,7 @@ def temporal_average(f: PeriodicField) -> PeriodicField:
         xs = [np.broadcast_to(np.asarray(c, dtype=float), shape).reshape(-1) for c in x]
         return f(tq[:, None], *(c[None, :] for c in xs)).mean(axis=0).reshape(shape)
 
-    return PeriodicField("scalar", _CallableEntry(fn), g,
-                         time_independent=True,
-                         space_independent=f.space_independent)
+    return PeriodicField("scalar", _CallableEntry(fn, False), g)
 
 
 def space_time_mean(f: PeriodicField) -> float:
@@ -371,8 +350,7 @@ def gradient_drift(Q: PeriodicField):
         grad_sq = sum(g(t=t, x=x[0], y=(x[1] if N > 1 else 0.0)) ** 2 for g in grads)
         return 0.5 * lap - 0.25 * grad_sq
 
-    V = PeriodicField("scalar", _CallableEntry(v_fn), geometry,
-                      time_independent=True, space_independent=Q.space_independent)
+    V = PeriodicField("scalar", _CallableEntry(v_fn, False), geometry)
 
     for i in range(N):
         mean = space_time_mean(q.component(i))
@@ -472,8 +450,7 @@ class CoefficientSet:
             return combine_scalar_fields([(c, f.component(*index))]).entries
 
         A = PeriodicField("matrix", tuple(tuple(scaled(kappa, self.A, i, j) for j in range(N))
-                                          for i in range(N)), self.geometry,
-                          self.A.time_independent, self.A.space_independent)
+                                          for i in range(N)), self.geometry)
         q = PeriodicField("vector", tuple(scaled(drift_B, self.q, i) for i in range(N)),
-                          self.geometry, self.q.time_independent, self.q.space_independent)
+                          self.geometry)
         return CoefficientSet(A, q, self.mu, self.geometry)

@@ -130,6 +130,10 @@ class Scenario:
     def opt_str(self, key: str, default: str) -> str:
         return self.options.get(key, str(default))
 
+    def opt_error(self, key: str, why) -> ScenarioError:
+        """The error of an [experiment] value the experiment cannot use."""
+        return ScenarioError(f"{self.options.where} {key}: {why}")
+
     def opt_field(self, key: str, default: str) -> PeriodicField:
         """The scalar field of an [experiment] expression; a bad one is a
         ScenarioError naming the key."""

@@ -85,25 +85,23 @@ def smooth_bump(center: float = 0.0, width: float = 1.0, height: float = 1.0) ->
     return u0
 
 
-def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, grid: Grid, periodic: bool):
+def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, grid: Grid):
     """Crank-Nicolson levels (`kernels.cn_levels`) of div(a grad .) - q d_x on
     the extended grid: the operator's 1D stencil at lam = 0 without the
     zeroth-order term, at t = 0 alone if A and q do not depend on time and at
     the n_t levels of a period otherwise.
 
-    Dirichlet: boundary rows, corners and the couplings of rows 1 and n-2
-    into the boundary columns are zeroed (the boundary values stay 0), which
+    Boundary rows, corners and the couplings of rows 1 and n-2 into the
+    boundary columns are zeroed (the Dirichlet boundary values stay 0), which
     keeps the bands symmetric when q = 0.
-    Periodic: the grid is a ring of cells and the wrap enters as corners.
     """
     time_dep = not (coeffs.A.time_independent and coeffs.q.time_independent)
     t = np.arange(grid.n_t if time_dep else 1)[:, None] * grid.dt
     a_faces = _faces(coeffs.A.eval_entry((0, 0), t, x), -1)
     q = coeffs.q.eval_entry(0, t, x)
     dl, dd, du, c0, c1 = _bands_1d(a_faces, -q, 0.0, grid.h[0])
-    if not periodic:
-        dl[:, 1] = dl[:, -1] = dd[:, 0] = dd[:, -1] = du[:, 0] = du[:, -2] = 0.0
-        c0[:] = c1[:] = 0.0
+    dl[:, 1] = dl[:, -1] = dd[:, 0] = dd[:, -1] = du[:, 0] = du[:, -2] = 0.0
+    c0[:] = c1[:] = 0.0
     return cn_levels(dl, dd, du, c0, c1, 0.5 * grid.dt)
 
 
@@ -117,21 +115,16 @@ def _logistic(u: np.ndarray, decay: np.ndarray) -> None:
 
 
 def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Grid,
-                 *, snapshot_dt: float = 0.5, span=None,
-                 boundary: str = "dirichlet") -> CauchyRun:
+                 *, snapshot_dt: float = 0.5, span=None) -> CauchyRun:
     """Strang-split solve with compactly supported data on `cells` repeated
-    cells; `grid` fixes the points per cell and dt = T/n_t.
+    cells between Dirichlet far boundaries; `grid` fixes the points per cell
+    and dt = T/n_t.
 
     `span` = (cells_left, cells_right) places the domain asymmetrically
-    around 0 (for drifting fronts); it overrides `cells`.  The `periodic`
-    boundary closes the cells into a ring (useful for equilibrium and
-    comparison checks; front tracking needs the default far-field Dirichlet).
+    around 0 (for drifting fronts); it overrides `cells`.
     """
     if grid.dimension != 1:
         raise NotImplementedError("the Cauchy validator is one-dimensional")
-    if boundary not in ("dirichlet", "periodic"):
-        raise ValueError("boundary must be 'dirichlet' or 'periodic'")
-    periodic = boundary == "periodic"
     L = coeffs.geometry.lengths[0]
     n_per_cell = grid.n_space[0]
     h = L / n_per_cell
@@ -141,8 +134,7 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
     else:
         left = cells // 2
         right = cells - left
-    n_pts = cells * n_per_cell + (0 if periodic else 1)
-    x = -left * L + np.arange(n_pts) * h
+    x = -left * L + np.arange(cells * n_per_cell + 1) * h
     dt = grid.dt
 
     u = np.asarray(u0(x) if callable(u0) else u0, dtype=float).copy()
@@ -152,12 +144,12 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
         raise SimulationError("initial data must be finite")
     if np.min(u) < 0:
         raise SimulationError("initial data must be nonnegative")
-    if not periodic and np.max(np.abs(u[[0, -1]])) > 0:
+    if np.max(np.abs(u[[0, -1]])) > 0:
         raise SimulationError("initial data must vanish at the far boundaries")
     cap = max(1.0, float(np.max(u)))
 
     # the levels depend on A and q only; mu enters through the reaction steps
-    lhs, rhs = _linear_bands(coeffs, x, grid, periodic)
+    lhs, rhs = _linear_bands(coeffs, x, grid)
 
     n_steps = int(round(t_end / dt))
     every = max(1, int(round(snapshot_dt / dt)))
@@ -198,8 +190,7 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
             snaps.append(u.copy())
 
     run = CauchyRun(np.asarray(times), np.asarray(snaps), x, True, diagnostics={"dt": dt})
-    if not periodic:
-        run.valid = _front_clear_of_boundary(run, L)
+    run.valid = _front_clear_of_boundary(run, L)
     return run
 
 

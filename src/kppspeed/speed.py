@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .eigen import EigenResult, principal_eigenvalue, richardson_in_time
-from .fields import (CellGeometry, CoefficientSet, PeriodicField,
+from .fields import (CellGeometry, CoefficientSet, PeriodicField, _CallableEntry,
                      combine_scalar_fields)
 from .operators import CoefficientSamples, Grid
 
@@ -381,10 +381,8 @@ def _reduced_mu(a: PeriodicField, q1: PeriodicField, mu: PeriodicField,
 def _reduced_coeffs(a, q1, mu, s, e1) -> CoefficientSet:
     geometry = a.geometry
     zero_q = PeriodicField.vector([0.0] * geometry.dimension, geometry)
-    A = PeriodicField("matrix", ((a.entries,),), geometry,
-                      time_independent=a.time_independent,
-                      space_independent=a.space_independent)
-    return CoefficientSet(A, zero_q, _reduced_mu(a, q1, mu, s, e1), geometry)
+    return CoefficientSet(PeriodicField.matrix(a.entries, geometry), zero_q,
+                          _reduced_mu(a, q1, mu, s, e1), geometry)
 
 
 def shear_reduced_eigenvalue(a: PeriodicField, q1: PeriodicField, mu: PeriodicField,
@@ -400,24 +398,17 @@ def shear_reduced_eigenvalue(a: PeriodicField, q1: PeriodicField, mu: PeriodicFi
 def shear_full_coefficients(a: PeriodicField, q1: PeriodicField, mu: PeriodicField
                             ) -> CoefficientSet:
     """Lift (t,y) shear components to the full 2D cell of x-length 1:
-    A = a I, q = (q1, 0).  Each lifted field keeps the time independence of
-    its (t, y) component and is not flagged space-independent."""
+    A = a I, q = (q1, 0).  A lifted entry depends on t iff its (t, y)
+    component does."""
     geo_y = a.geometry
     geo2 = CellGeometry(geo_y.period, (1.0, geo_y.lengths[0]))
 
     def lift(f):
-        def fn(t, x1, y):
-            return f(t, y) + 0.0 * x1
-        return fn
+        return _CallableEntry(lambda t, x1, y: f(t, y) + 0.0 * x1, not f.time_independent)
 
-    def flagged(f, lifted):
-        return PeriodicField(lifted.kind, lifted.entries, geo2,
-                             time_independent=f.time_independent, space_independent=False)
-
-    A2 = flagged(a, PeriodicField.matrix(lift(a), geo2))
-    q2 = flagged(q1, PeriodicField.vector([lift(q1), 0.0], geo2))
-    mu2 = flagged(mu, PeriodicField.scalar(lift(mu), geo2))
-    return CoefficientSet(A2, q2, mu2, geo2)
+    return CoefficientSet(PeriodicField.matrix(lift(a), geo2),
+                          PeriodicField.vector([lift(q1), 0.0], geo2),
+                          PeriodicField.scalar(lift(mu), geo2), geo2)
 
 
 def shear_speed(a: PeriodicField, q1: PeriodicField, mu: PeriodicField, e,

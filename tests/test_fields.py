@@ -58,7 +58,6 @@ def test_spatial_average_examples():
     # cosine has zero cell mean
     mu = PeriodicField.scalar("1 + 0.5*cos(2*pi*x)", GEO1)
     mubar = spatial_average(mu)
-    assert mubar.space_independent
     np.testing.assert_allclose(mubar(np.linspace(0, 1, 5), 0.3), 1.0, atol=1e-12)
     # averaging a space-constant is the identity
     mu_t = PeriodicField.scalar("1 + sin(2*pi*t)", GEO1)
@@ -162,34 +161,40 @@ def test_ellipticity_2d_off_diagonal():
 
 
 def _derived_fields():
-    """(field, (time_independent, space_independent)) of each derived
-    construction, with inputs chosen so that inheriting the flags differs
-    from deriving them (a callable entry derives both as False)."""
+    """(field, time_independent) of each derived construction, most of
+    them with callable entries whose time dependence their maker gives, and
+    of fields rebuilt from such entries, as the CLI and the reduced shear
+    problem build theirs; a user's callable is taken to depend on t."""
     x_only = PeriodicField.scalar("1 + 0.5*cos(2*pi*x)", GEO1)
     t_only = PeriodicField.scalar("1 + 0.5*sin(2*pi*t)", GEO1)
     const = PeriodicField.scalar("2", GEO1)
     scaled = CoefficientSet.from_expressions(A="1", q="sin(2*pi*t)", mu="1").with_scaled(
         kappa=2.0, drift_B=3.0)
     lifted = shear_full_coefficients(const, t_only, x_only)
+    combined = combine_scalar_fields([(2.0, x_only)])
+    user = PeriodicField.scalar(lambda t, x: 1.5 + 0.0 * x, GEO1)
     return {
-        "component": (PeriodicField.vector(["cos(2*pi*x)", "1"], GEO2).component(1),
-                      (True, False)),
-        "combine": (combine_scalar_fields([(2.0, x_only), (1.0, const)]), (True, False)),
-        "spatial-average": (spatial_average(x_only), (True, True)),
-        "temporal-average": (temporal_average(t_only), (True, True)),
-        "gradient-drift-V": (gradient_drift(const)[1], (True, True)),
-        "scaled-A": (scaled.A, (True, True)),
-        "scaled-q": (scaled.q, (False, True)),
-        "lifted-A": (lifted.A, (True, False)),
-        "lifted-q": (lifted.q, (False, False)),
-        "lifted-mu": (lifted.mu, (True, False)),
+        "component": (PeriodicField.vector(["cos(2*pi*x)", "1"], GEO2).component(1), True),
+        "combine": (combine_scalar_fields([(2.0, x_only), (1.0, const)]), True),
+        "spatial-average": (spatial_average(x_only), True),
+        "temporal-average": (temporal_average(t_only), True),
+        "gradient-drift-V": (gradient_drift(const)[1], True),
+        "scaled-A": (scaled.A, True),
+        "scaled-q": (scaled.q, False),
+        "lifted-A": (lifted.A, True),
+        "lifted-q": (lifted.q, False),
+        "lifted-mu": (lifted.mu, True),
+        "rebuilt-scalar": (PeriodicField("scalar", combined.entries, GEO1), True),
+        "rebuilt-matrix": (PeriodicField.matrix(combined.entries, GEO1), True),
+        "user-callable": (user, False),
+        "rebuilt-user-callable": (PeriodicField.matrix(user.entries, GEO1), False),
     }
 
 
 @pytest.mark.parametrize("name", list(_derived_fields()))
 def test_derived_fields_inherit_independence_flags(name):
     field, expected = _derived_fields()[name]
-    assert (field.time_independent, field.space_independent) == expected
+    assert field.time_independent is expected
 
 
 def test_with_scaled_samples_the_scaled_coefficients():
@@ -252,7 +257,7 @@ def test_matrix_mapping_mirrors_an_entry_given_on_one_side():
 def test_coefficient_set_construction_and_flags():
     cs = CoefficientSet.from_expressions(A="1", q="0", mu="1 + 0.5*cos(2*pi*x)",
                                          T=1.0, L=1.0)
-    assert cs.time_independent and not cs.mu.space_independent
+    assert cs.time_independent
     gamma, Gamma = cs.ellipticity()
     assert gamma == Gamma == 1.0
 
@@ -269,7 +274,7 @@ def test_combine_scalar_fields():
     t, x = 0.3, 0.7
     expected = 0.5 + 2 * math.cos(2 * math.pi * x) - math.sin(2 * math.pi * t)
     assert h(t, x) == pytest.approx(expected, rel=1e-14)
-    assert not h.time_independent and not h.space_independent
+    assert not h.time_independent
 
 
 @pytest.mark.parametrize("field", [

@@ -141,6 +141,36 @@ def test_cli_run_nan_experiment_number_exits_2_without_traceback(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("experiment, options, key, why", [
+    ("growth-monotone", "e = 0", "e", "direction must be nonzero"),
+    ("growth-monotone", "e = 1 0", "e", "needs 1 component(s), got 2"),
+    ("shear", "e = 1", "e", "needs 2 component(s), got 1"),
+    ("diffusion-monotone", "kappa_grid = 0 1", "kappa_grid", "every kappa must be positive"),
+    ("derivative", "fd_step = 0", "fd_step", "must be nonzero"),
+    ("shear", "b_grid = 0\nn_full = 4", "n_full", "grid needs at least 8 points per axis"),
+    ("simulate-validate", "points_per_cell = 4", "points_per_cell",
+     "grid needs at least 8 points per axis"),
+    ("simulate-validate", "steps_per_period = 4", "steps_per_period",
+     "need at least 8 time steps per period"),
+    ("potential-drift", "b_grid = 1\nn_transform = 8", "n_transform",
+     "grid needs at least 8 points per axis"),
+    ("potential-drift", "b_grid = 0\nratio_from = 0", "ratio_from", "must be positive"),
+], ids=["e-zero", "e-too-long", "e-too-short", "kappa-zero", "fd-step-zero", "n-full",
+        "points-per-cell", "steps-per-period", "n-transform", "ratio-from-zero"])
+def test_cli_run_unusable_experiment_value_exits_2_without_traceback(
+        tmp_path, experiment, options, key, why):
+    # exit 1 means a FAILed assertion, so a value the experiment cannot use
+    # is a scenario error like any other, named by file, section and key
+    path = _write(tmp_path, f"[scenario]\nexperiment = {experiment}\n[grid]\nn = 32\n"
+                            f"[experiment]\n{options}\n")
+    out_dir = tmp_path / "out"
+    proc = _run_module("run", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"kpp-speed run: {path} [experiment] {key}: {why}"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("L, key", [("1", "a1"), ("1", "amp"), ("1", "a12"),
                                     ("1 1", "a13")])
 def test_malformed_matrix_key_named_in_error(tmp_path, L, key):

@@ -20,44 +20,45 @@ GRID = build_grid(coeffs().geometry, 64, 100)  # h = 1/64, dt = 0.01
 
 def test_zero_data_stays_zero():
     run = solve_cauchy(coeffs(), lambda x: np.zeros_like(x), cells=16, t_end=2.0,
-                       grid=GRID, boundary="periodic")
+                       grid=GRID)
     assert np.max(np.abs(run.snapshots[-1])) == 0.0
 
 
-def test_one_is_equilibrium_for_any_periodic_coefficients():
-    mu = "1 + 0.5*cos(2*pi*t)*cos(2*pi*x)"
-    for A, q in [("1 + 0.5*cos(2*pi*x)", "0.3*sin(2*pi*x)"),
-                 ("1 + 0.5*cos(2*pi*(x - t))", "0.3*sin(2*pi*(x + 2*t))")]:
-        cs = CoefficientSet.from_expressions(A=A, q=q, mu=mu)
-        run = solve_cauchy(cs, lambda x: np.ones_like(x), cells=10, t_end=1.5,
-                           grid=GRID, boundary="periodic")
-        np.testing.assert_allclose(run.snapshots[-1], 1.0, atol=1e-12)
-
-
-def test_time_dependent_steps_match_dense_crank_nicolson():
-    # Strang steps on a ring of 2 cells against dense matrices built here;
-    # 13 steps with n_t = 8 run past the end of a period of levels
-    cs = CoefficientSet.from_expressions(A="1 + 0.4*cos(2*pi*(x - t))",
-                                         q="0.7*sin(2*pi*(x + t))",
-                                         mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)")
-    grid = build_grid(cs.geometry, 8, 8)
+@pytest.mark.parametrize("A, q, mu, n_t", [
+    ("1 + 0.4*cos(2*pi*x)", "0", "1 + 0.5*cos(2*pi*x)", 64),
+    ("1 + 0.4*cos(2*pi*x)", "0.7*sin(2*pi*x)", "1 + 0.5*cos(2*pi*x)", 64),
+    ("1 + 0.4*cos(2*pi*(x - t))", "0.7*sin(2*pi*(x + t))",
+     "1 + 0.5*cos(2*pi*t)*cos(2*pi*x)", 8),
+], ids=["0", "0.7*sin(2*pi*x)", "time-dependent"])
+def test_dirichlet_steps_match_dense_crank_nicolson(A, q, mu, n_t):
+    # Strang steps against dense matrices built here from the same formulas.
+    # Time-independent A and q: one factored level, a step of one solve and,
+    # for q = 0, the symmetric positive definite path.  Time-dependent: 13
+    # steps with n_t = 8 run past the end of a period of levels.  The dense
+    # reference keeps the couplings into the boundary columns and identity
+    # boundary rows.
+    cs = CoefficientSet.from_expressions(A=A, q=q, mu=mu)
+    grid = build_grid(cs.geometry, 8, n_t)
     dt, h = grid.dt, grid.h[0]
-    run = solve_cauchy(cs, lambda x: 0.5 + 0.3 * np.sin(np.pi * x), cells=2,
-                       t_end=13 * dt, grid=grid, boundary="periodic", snapshot_dt=dt)
+    run = solve_cauchy(cs, lambda x: 0.6 * (1.0 - x ** 2), cells=2, t_end=13 * dt,
+                       grid=grid, snapshot_dt=dt)
     x = run.x
-    eye = np.eye(x.size)
+    n = x.size
+    eye = np.eye(n)
 
     def E(t):
-        a = 1 + 0.4 * np.cos(2 * np.pi * (x - t))
-        q = 0.7 * np.sin(2 * np.pi * (x + t))
-        af = 0.5 * (a + np.roll(a, -1))  # face i, i+1
-        up = np.roll(eye, 1, axis=1)  # (up @ u)[i] = u[i+1]
-        return ((np.diag(af) @ (up - eye) - np.diag(np.roll(af, 1)) @ (eye - up.T)) / h**2
-                - np.diag(q) @ (up - up.T) / (2 * h))
+        a = cs.A.eval_entry((0, 0), t, x)
+        af = 0.5 * (a[:-1] + a[1:])  # face i, i+1
+        drift = cs.q.eval_entry(0, t, x)
+        M = np.zeros((n, n))
+        for i in range(1, n - 1):
+            M[i, i - 1] = af[i - 1] / h**2 + drift[i] / (2 * h)
+            M[i, i + 1] = af[i] / h**2 - drift[i] / (2 * h)
+            M[i, i] = -(af[i - 1] + af[i]) / h**2
+        return M
 
     def reaction(u, t):
-        decay = np.exp(-0.5 * dt * (1 + 0.5 * np.cos(2 * np.pi * t) * np.cos(2 * np.pi * x)))
-        return u / (u + (1 - u) * decay)
+        return u / (u + (1 - u) * np.exp(-0.5 * dt * cs.mu(t, x)))
 
     u = run.snapshots[0]
     for step in range(13):
@@ -66,50 +67,14 @@ def test_time_dependent_steps_match_dense_crank_nicolson():
         u = np.linalg.solve(eye - 0.5 * dt * E(t + dt), (eye + 0.5 * dt * E(t)) @ u)
         u = reaction(np.maximum(u, 0.0), t + 0.75 * dt)
         np.testing.assert_allclose(run.snapshots[step + 1], u, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("q", ["0", "0.7*sin(2*pi*x)"])
-def test_dirichlet_steps_match_dense_crank_nicolson(q):
-    # time-independent A and q: one factored level, a step of one solve and,
-    # for q = 0, the symmetric positive definite path; the dense reference
-    # keeps the couplings into the boundary columns and identity boundary rows
-    cs = CoefficientSet.from_expressions(A="1 + 0.4*cos(2*pi*x)", q=q,
-                                         mu="1 + 0.5*cos(2*pi*x)")
-    grid = build_grid(cs.geometry, 8, 64)
-    dt, h = grid.dt, grid.h[0]
-    run = solve_cauchy(cs, lambda x: 0.6 * (1.0 - x ** 2), cells=2, t_end=13 * dt,
-                       grid=grid, snapshot_dt=dt)
-    x = run.x
-    n = x.size
-    a = 1 + 0.4 * np.cos(2 * np.pi * x)
-    af = 0.5 * (a[:-1] + a[1:])  # face i, i+1
-    drift = 0.7 * np.sin(2 * np.pi * x) if q != "0" else np.zeros(n)
-    E = np.zeros((n, n))
-    for i in range(1, n - 1):
-        E[i, i - 1] = af[i - 1] / h**2 + drift[i] / (2 * h)
-        E[i, i + 1] = af[i] / h**2 - drift[i] / (2 * h)
-        E[i, i] = -(af[i - 1] + af[i]) / h**2
-    eye = np.eye(n)
-    decay = np.exp(-0.5 * dt * (1 + 0.5 * np.cos(2 * np.pi * x)))
-
-    def reaction(u):
-        return u / (u + (1 - u) * decay)
-
-    u = run.snapshots[0]
-    for step in range(13):
-        u = np.linalg.solve(eye - 0.5 * dt * E, (eye + 0.5 * dt * E) @ reaction(u))
-        u = reaction(np.maximum(u, 0.0))
-        assert u[0] == u[-1] == 0.0
-        np.testing.assert_allclose(run.snapshots[step + 1], u, rtol=0, atol=1e-12)
     assert run.snapshots[:, [0, -1]].max() == 0.0
 
 
-@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-def test_merged_reaction_steps_match_split_steps(boundary):
+def test_merged_reaction_steps_match_split_steps():
     # between snapshots the two logistic half steps of a time-independent mu
     # merge into one; with a snapshot at every step none merge
     cs = coeffs(A="1 + 0.3*cos(2*pi*x)", q="0.4*sin(2*pi*x)", mu="1 + 0.5*cos(2*pi*x)")
-    kw = dict(cells=16, t_end=2.0, grid=GRID, boundary=boundary)
+    kw = dict(cells=16, t_end=2.0, grid=GRID)
     merged = solve_cauchy(cs, smooth_bump(0.0, 1.0, 1.0), **kw)
     split = solve_cauchy(cs, smooth_bump(0.0, 1.0, 1.0), snapshot_dt=GRID.dt, **kw)
     every = int(round(0.5 / GRID.dt))
@@ -206,10 +171,9 @@ def test_rejects_bad_initial_data():
         solve_cauchy(coeffs(), nan_inside, cells=16, t_end=1.0, grid=GRID)
 
 
-@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-def test_nan_during_run_raises(boundary):
+def test_nan_during_run_raises():
     # exp(-mu dt/2) overflows, and the logistic flow of u = 1 is inf * 0 = NaN
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SimulationError, match="instability"):
         solve_cauchy(coeffs(mu="-1e6"), lambda x: np.where(np.abs(x) < 1.5, 1.0, 0.0),
-                     cells=4, t_end=0.5, grid=GRID, boundary=boundary)
+                     cells=4, t_end=0.5, grid=GRID)
