@@ -8,9 +8,11 @@
 
 The run subcommand executes the scenario's named experiment, writes the
 report, prints the verdict summary, and exits 1 iff any assertion FAILed.
-A bad scenario is one line on stderr and exit code 2, with no report; a bad
-flag of eig or speed is one line that names the flag, and an eigensolve or
-speed search that fails is one line that names the command.
+A bad scenario is one line on stderr and exit code 2, with no report, and
+so is a scenario whose eigensolve, speed search, grid or simulation fails
+(one line that names the file); a bad flag of eig or speed is one line that
+names the flag, and an eigensolve or speed search that fails is one line
+that names the command.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .expressions import ExpressionError
 from .fields import CellGeometry, CoefficientSet, FieldError, PeriodicField
 from .operators import GridError, build_grid
 from .scenario import ScenarioError, load_scenario, write_report
+from .simulate import SimulationError
 from .speed import SpeedError, spreading_speed
 
 
@@ -154,6 +157,9 @@ def _cmd_run(args) -> int:
         report = run_experiment(sc)
     except ScenarioError as exc:
         print(f"kpp-speed run: {exc}", file=sys.stderr)
+        return 2
+    except (EigenError, GridError, SimulationError, SpeedError) as exc:
+        print(f"kpp-speed run: {args.scenario}: {exc}", file=sys.stderr)
         return 2
     paths = write_report(report, sc.output_format, sc.output_dir)
     for line in report.summary_lines():

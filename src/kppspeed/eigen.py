@@ -14,8 +14,8 @@ positive periodic eigenfunction of  L_lam psi = d_t psi - E_lam psi = k psi:
   drift, whose Gershgorin bound lies far above a, converges as fast as a
   weak one.  In 1D E_lam is a set of cyclic tridiagonal bands and sigma I -
   E_lam is factored by LAPACK (`kernels.CyclicFactor`); in 2D it is a CSR
-  matrix factored by sparse LU with MMD_AT_PLUS_A ordering
-  (`operators.SteadyAction`).
+  matrix factored by sparse LU with MMD_AT_PLUS_A ordering and unrelaxed
+  supernodes (`operators.SteadyAction`).
 
 * Floquet (general space-time periodic coefficients): power iteration on the
   one-period Crank-Nicolson map P gives the principal multiplier rho > 0 and
@@ -25,7 +25,10 @@ positive periodic eigenfunction of  L_lam psi = d_t psi - E_lam psi = k psi:
   stores anyway, so a solve makes exactly as many period maps as power
   iterations.  In 2D the levels of the map share one sparsity pattern, are
   assembled in one pass and their I - dt/2 E_m are factored by sparse LU
-  with MMD_AT_PLUS_A ordering (`operators.ActionFamily`).
+  with unrelaxed supernodes on one MMD_AT_PLUS_A column ordering, computed
+  once per pattern (`operators.ActionFamily`): on a 32 x 32 shear flow
+  this takes about half the time of one ordering per level with SuperLU's
+  default supernodes (the measured times are in `operators`).
 
 Both routes, and their adjoints, share one power-iteration loop
 (`_power_iterate`): the max-normalization, the relative-increment stopping

@@ -335,12 +335,13 @@ def run_potential_drift(sc: Scenario, rep: ExperimentReport) -> None:
     A_I = PeriodicField.matrix("1", geometry)
     mu_field = PeriodicField.scalar(str(mu0), geometry)
     base = CoefficientSet(A_I, q, mu_field, geometry)
-    cap = 2.0 * float(np.sqrt(mu0))
 
     def one(B):
         return spreading_speed(base.with_scaled(drift_B=B), e, sc.grid)
 
+    # mu0 <= 0 has no spreading regime: the speeds raise before the cap is taken
     speeds = [r.c_star for r in _map_rows(rep, "potential-drift:B={:g}", one, b_grid)]
+    cap = 2.0 * float(np.sqrt(mu0))
     for B, c in zip(b_grid, speeds):
         rep.rows.append({"case": "speed", "B": B, "lambda": "", "c_star": c,
                          "value_drift": "", "value_potential": ""})

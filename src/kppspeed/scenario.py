@@ -122,7 +122,10 @@ class Scenario:
         return self.options.get(key, float(default), float)
 
     def opt_floats(self, key: str, default) -> list[float]:
-        return list(self.options.get(key, list(default), _floats))
+        values = list(self.options.get(key, list(default), _floats))
+        if not values:  # an empty sweep would check nothing and PASS
+            raise self.opt_error(key, "empty list")
+        return values
 
     def opt_int(self, key: str, default: int) -> int:
         return self.options.get(key, int(default), int)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from kppspeed import operators
 from kppspeed.expressions import parse_expression
 from kppspeed.fields import CellGeometry, CoefficientSet, NonEllipticError, PeriodicField
 from kppspeed.operators import (
@@ -18,6 +20,7 @@ from kppspeed.operators import (
     build_grid,
     sample,
 )
+from kppspeed.speed import shear_full_coefficients
 
 GEO1 = CellGeometry(1.0, (1.0,))
 
@@ -514,3 +517,76 @@ def test_non_finite_action_entries_raise():
     samples.mu[3, 2, 5] = np.nan
     with pytest.raises(ValueError, match="E_lam entries must not contain infs or NaNs"):
         ActionFamily(samples, [0.8, -0.3])
+
+
+def _factor_case(pattern, time_dependent=True):
+    """(coeffs, lam) of a 2D sparsity pattern: the 5-point stencil of a
+    shear flow lifted by `shear_full_coefficients`, or the 9-point stencil
+    of COEFFS_2D with its mixed term a12."""
+    if pattern == "shear-5pt":
+        t_part = "*(1 + 0.4*sin(2*pi*t))" if time_dependent else ""
+        a, q1, mu = (PeriodicField.scalar(text, GEO1) for text in (
+            "1 + 0.2*cos(2*pi*x + 1)", "cos(2*pi*x + 0.5)" + t_part,
+            "1 + 0.5*cos(2*pi*x + 2)" + t_part))
+        return shear_full_coefficients(a, q1, mu), [-0.6, 0.5]
+    spec = dict(COEFFS_2D)
+    if not time_dependent:
+        spec["mu"] = "1 + 0.5*cos(2*pi*x)*cos(2*pi*y)"
+    return make_coeffs(**spec), [0.8, -0.3]
+
+
+@pytest.mark.parametrize("pattern", ["shear-5pt", "a12-9pt"])
+def test_family_level_factors_solve_as_dense(pattern):
+    # each level's factor of I - dt/2 E_m, made on the one column ordering of
+    # the family, solves as a dense solve does, in both orientations, on a
+    # grid that is not square
+    coeffs, lam = _factor_case(pattern)
+    grid = build_grid(coeffs.geometry, (12, 10), 8)
+    family = ActionFamily(CoefficientSamples(coeffs, grid), lam)
+    assert (family.matrix(0).nnz == 9 * grid.npoints) is (pattern == "a12-9pt")
+    eye = np.eye(grid.npoints)
+    rng = np.random.default_rng(11)
+    for m in range(1, grid.n_t + 1):
+        lhs = eye - 0.5 * grid.dt * family.matrix(m).toarray()
+        for trans, M in (("N", lhs), ("T", lhs.T)):
+            b = rng.standard_normal(grid.npoints)
+            ref = np.linalg.solve(M, b)
+            np.testing.assert_allclose(family._lhs[m].solve(b, trans), ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_family_computes_one_column_ordering(monkeypatch):
+    # one MMD_AT_PLUS_A ordering per family, every level factored in NATURAL
+    # order on it, all with the module's SuperLU settings
+    calls = []
+
+    def counting_splu(M, permc_spec, **kw):
+        calls.append((permc_spec, kw))
+        return splu(M, permc_spec=permc_spec, **kw)
+
+    monkeypatch.setattr(operators, "splu", counting_splu)
+    for pattern in ("shear-5pt", "a12-9pt"):
+        coeffs, lam = _factor_case(pattern)
+        grid = build_grid(coeffs.geometry, (12, 10), 8)
+        calls.clear()
+        ActionFamily(CoefficientSamples(coeffs, grid), lam)
+        orderings = [spec for spec, _ in calls]
+        assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * grid.n_t
+        assert all(kw == {"relax": operators.SUPERLU_RELAX,
+                          "panel_size": operators.SUPERLU_PANEL_SIZE} for _, kw in calls)
+
+
+@pytest.mark.parametrize("pattern", ["shear-5pt", "a12-9pt"])
+def test_steady_factor_2d_solves_as_dense(pattern):
+    coeffs, lam = _factor_case(pattern, time_dependent=False)
+    grid = build_grid(coeffs.geometry, (12, 10))
+    op = SteadyAction(CoefficientSamples(coeffs, grid), lam)
+    sigma = op.gershgorin + 0.5
+    shifted = sigma * np.eye(grid.npoints) - assemble_action(coeffs, lam, grid).toarray()
+    factor = op.factor(sigma)
+    rng = np.random.default_rng(12)
+    for trans, M in (("N", shifted), ("T", shifted.T)):
+        b = rng.standard_normal(grid.npoints)
+        ref = np.linalg.solve(M, b)
+        np.testing.assert_allclose(factor.solve(b, trans), ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))

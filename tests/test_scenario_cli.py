@@ -7,14 +7,16 @@ from pathlib import Path
 import pytest
 
 import kppspeed
+from kppspeed import experiments
 from kppspeed.cli import main
-from kppspeed.eigen import dk_dB_at_zero, principal_eigen_steady
+from kppspeed.eigen import EigenError, dk_dB_at_zero, principal_eigen_steady
 from kppspeed.experiments import run_experiment
 from kppspeed.fields import CoefficientSet
-from kppspeed.operators import build_grid
+from kppspeed.operators import GridError, build_grid
 from kppspeed.scenario import (Assertion, ExperimentReport, ScenarioError, load_scenario,
                                write_report)
-from kppspeed.speed import spreading_speed
+from kppspeed.simulate import SimulationError
+from kppspeed.speed import SpeedError, spreading_speed
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -155,8 +157,11 @@ def test_cli_run_nan_experiment_number_exits_2_without_traceback(tmp_path):
     ("potential-drift", "b_grid = 1\nn_transform = 8", "n_transform",
      "grid needs at least 8 points per axis"),
     ("potential-drift", "b_grid = 0\nratio_from = 0", "ratio_from", "must be positive"),
+    ("diffusion-monotone", "kappa_grid = ", "kappa_grid", "empty list"),
+    ("amplitude", "b_grid =", "b_grid", "empty list"),
 ], ids=["e-zero", "e-too-long", "e-too-short", "kappa-zero", "fd-step-zero", "n-full",
-        "points-per-cell", "steps-per-period", "n-transform", "ratio-from-zero"])
+        "points-per-cell", "steps-per-period", "n-transform", "ratio-from-zero",
+        "kappa-grid-empty", "b-grid-empty"])
 def test_cli_run_unusable_experiment_value_exits_2_without_traceback(
         tmp_path, experiment, options, key, why):
     # exit 1 means a FAILed assertion, so a value the experiment cannot use
@@ -169,6 +174,36 @@ def test_cli_run_unusable_experiment_value_exits_2_without_traceback(
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [f"kpp-speed run: {path} [experiment] {key}: {why}"]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("experiment, options, why", [
+    ("simulate-validate", "t_end = 1", "level 0.5 never developed a trackable front"),
+    ("potential-drift", "mu0 = -1", "k_0 = 1 >= 0: outside the spreading regime"),
+], ids=["no-front", "no-spreading"])
+def test_cli_run_failed_solve_exits_2_without_traceback(tmp_path, experiment, options, why):
+    # values that no solve can use are a bad scenario too: one line naming the
+    # file, exit 2, no report, and not a traceback with the FAIL code 1
+    path = _write(tmp_path, f"[scenario]\nexperiment = {experiment}\n[grid]\nn = 32\n"
+                            f"[experiment]\n{options}\n")
+    out_dir = tmp_path / "out"
+    proc = _run_module("run", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"kpp-speed run: {path}: {why}"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("error", [EigenError, GridError, SimulationError, SpeedError])
+def test_cli_run_reports_each_solve_error_in_one_line(tmp_path, capsys, monkeypatch, error):
+    def failing_run(sc):
+        raise error("cannot solve")
+
+    monkeypatch.setattr(experiments, "run_experiment", failing_run)
+    path = _write(tmp_path, FAST_SCENARIO)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kpp-speed run: {path}: cannot solve\n"
 
 
 @pytest.mark.parametrize("L, key", [("1", "a1"), ("1", "amp"), ("1", "a12"),
