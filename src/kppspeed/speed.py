@@ -3,13 +3,17 @@
 The speed in direction e is  c*_e = min over lam.e < 0 of k_lam / (lam.e).
 The default search restricts lam to the ray lam = -s e, s > 0, where the
 objective g(s) = -k_{-s e}/s is unimodal (k is concave along rays and
-g(0+) = g(inf) = +infinity), found by doubling/halving bracketing and
-Brent's method inside the bracket: parabolic steps through the three best
-points, golden-section steps where the parabola is not trusted.  The
-bracket starts at sqrt(-k_0 / <e.A.e>), the minimizer for coefficients
-replaced by their means, which lies near the true one unless the
-coefficients vary strongly.  `spreading_speed` samples once for all its
-solves, `shear_speed`, whose reduced growth rate changes with s, per solve.
+g(0+) = g(inf) = +infinity).  A safeguarded parabolic search minimizes it:
+it starts at sqrt(-k_0 / <e.A.e>), the minimizer for coefficients replaced
+by their means, which lies near the true one unless the coefficients vary
+strongly, steps outward until the least point is bracketed, then takes
+parabolic steps through the three best points (bisection where the parabola
+is not trusted).  It stops once the parabola predicts a drop in g below
+G_RESOLUTION = EIG_TOL / 100 relative, where differences in g are the
+eigensolver's roundoff, or a vertex within tol of the best point, so its
+number of solves does not follow roundoff in k.  `spreading_speed` samples
+once for all its solves, `shear_speed`, whose reduced growth rate changes
+with s, per solve.
 An optional 2D refinement runs coordinate descent over the ray direction
 inside the half-space lam.e < 0.
 
@@ -34,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigen import EigenResult, principal_eigenvalue, richardson_in_time
+from .eigen import EIG_TOL, EigenResult, principal_eigenvalue, richardson_in_time
 from .fields import (CellGeometry, CoefficientSet, PeriodicField, _CallableEntry,
                      combine_scalar_fields)
 from .operators import CoefficientSamples, Grid
@@ -44,8 +48,11 @@ __all__ = ["SpeedResult", "SpeedError", "NoSpreadingError", "UnimodalityError",
            "shear_reduced_eigenvalue"]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-CGOLD = 1.0 - GOLDEN  # golden-section step into the larger part of a bracket
 S_MIN, S_MAX = 1e-4, 1e4  # the ray search brackets its minimizer inside [S_MIN, S_MAX]
+# The relative change of the ray objective that the search still resolves:
+# k stops on a relative increment of EIG_TOL and scatters by about 2.5e-13
+# relative between warm-started solves near the minimizer.
+G_RESOLUTION = EIG_TOL / 100
 
 
 class SpeedError(RuntimeError):
@@ -61,8 +68,8 @@ class NoSpreadingError(SpeedError):
 
 
 class UnimodalityError(SpeedError):
-    """The sampled ray profile is not unimodal, which the bracket and Brent's
-    method assume."""
+    """The sampled ray profile is not unimodal, which the ray search
+    assumes."""
 
 
 @dataclass
@@ -124,89 +131,53 @@ def _golden_min(g: Callable[[float], float], a: float, b: float, tol: float):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _brent_min(g: Callable[[float], float], a: float, b: float, c: float,
-               fb: float, tol: float):
-    """Brent's minimization of g on the bracket a < b < c with g(b) = fb at
-    most g(a) and g(c) (Brent 1973, Algorithms for Minimization without
-    Derivatives, ch. 5).
+def _parabolic_min(g: Callable[[float], float], s0: float, tol: float):
+    """Minimize a unimodal g over [S_MIN, S_MAX] from s0; returns the least
+    point evaluated and its value.
 
-    Each step takes the vertex of the parabola through the three best points
-    so far when it falls inside the bracket and moves less than half the
-    step before last; otherwise it takes a golden-section step into the
-    larger part.  It stops when the least point x is within
-    tol * max(1, |x|) of both ends of the bracket, and returns x with g(x),
-    the least value evaluated.
+    It evaluates s0, then s0 (1 -/+ 0.05), and steps outward, doubling the
+    step in log s, while an end point is lowest.  Then it takes the vertex of
+    the parabola through the three best points when that parabola is convex
+    and its vertex lies inside the bracket, and otherwise bisects the larger
+    part of the bracket; it never evaluates within tol * max(1, x) of a
+    point it has, x being the best point.  It stops when the vertex is within
+    tol * max(1, x) of x or the parabola predicts a drop below
+    G_RESOLUTION * |g(x)|, where differences in g are roundoff.
     """
-    x = w = v = b
-    fx = fw = fv = fb
-    d = e = 0.0  # the last step and the one before it
+    pts: dict[float, float] = {}
+    s0 = min(max(s0, S_MIN / 0.95), S_MAX / 1.05)
+    for s in (s0, 0.95 * s0, 1.05 * s0):
+        pts[s] = g(s)
     while True:
-        m = 0.5 * (a + c)
-        tol1 = 0.5 * tol * max(1.0, abs(x))
-        if abs(x - m) <= 2.0 * tol1 - 0.5 * (c - a):
-            return x, fx
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (c - x):
-                e, d = d, p / q
-                golden = False
-                if min(x + d - a, c - x - d) < 2.0 * tol1:
-                    d = math.copysign(tol1, m - x)
-        if golden:
-            e = (a if x >= m else c) - x
-            d = CGOLD * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = g(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                c = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                c = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
-def _bracket_and_minimize(g: Callable[[float], float], s_init: float, tol: float):
-    a = max(s_init, S_MIN)
-    fa = g(a)
-    b = min(2 * a, S_MAX)
-    fb = g(b)
-    if fb <= fa:
-        while True:
-            c = 2 * b
-            if c > S_MAX:
-                raise SpeedError(f"no bracket below s={S_MAX:g}")
-            fc = g(c)
-            if fc >= fb:
-                break
-            a, fa, b, fb = b, fb, c, fc
-    else:
-        c, fc = b, fb
-        b, fb = a, fa
-        while True:
-            a = b / 2
-            if a < S_MIN:
-                raise SpeedError(f"no bracket above s={S_MIN:g}")
-            fa = g(a)
-            if fa >= fb:
-                break
-            c, fc, b, fb = b, fb, a, fa
-    return _brent_min(g, a, b, c, fb, tol)
+        xs = sorted(pts)
+        i = xs.index(min(xs, key=pts.get))
+        if 0 < i < len(xs) - 1:
+            break
+        end, inner = xs[i], xs[1 if i == 0 else -2]
+        if end in (S_MIN, S_MAX):
+            raise SpeedError(f"no bracket {'above' if i == 0 else 'below'} s={end:g}")
+        s = min(max(end * (end / inner) ** 2, S_MIN), S_MAX)
+        pts[s] = g(s)
+    while True:
+        xs = sorted(pts)
+        x = min(xs, key=pts.get)
+        a, c = xs[xs.index(x) - 1], xs[xs.index(x) + 1]
+        fx, h = pts[x], tol * max(1.0, abs(x))
+        w, v = sorted(pts, key=pts.get)[1:3]
+        d1 = (pts[w] - fx) / (w - x)
+        half_curv = ((pts[v] - fx) / (v - x) - d1) / (v - w)  # p''/2
+        u = 0.5 * (x + w) - 0.5 * d1 / half_curv if half_curv > 0 else math.nan
+        if a < u < c:
+            if abs(u - x) <= h or half_curv * (u - x) ** 2 <= G_RESOLUTION * abs(fx):
+                return x, fx
+            if min(u - a, c - u) < h:  # step off the bracket end, toward x
+                end = a if u - a < c - u else c
+                u = end + math.copysign(h, x - end)
+        if not a < u < c or min(u - a, abs(u - x), c - u) < h:
+            if max(x - a, c - x) < 2 * h:
+                return x, fx
+            u = 0.5 * (x + (a if x - a > c - x else c))
+        pts[u] = g(u)
 
 
 def _unit(e, dim):
@@ -268,11 +239,12 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
     Every solve takes ``eigen_route`` in `principal_eigenvalue`; with
     ``richardson`` on the Floquet route the search runs on the coarse
     eigenvalues and `richardson_in_time` extrapolates k_0 and the eigenvalue
-    at the minimizer.  Checks k_0 < 0 (extrapolated), brackets and minimizes
-    along the ray xi = e from the minimizer sqrt(-k_0 / <e.A.e>) of the
-    homogeneous problem with ``mean_diffusion`` = <e.A.e>, checks that the searched profile is unimodal, that the
-    search kept its least value and that this value is k_lam/(lam.e) at the
-    reported minimizer, and optionally refines the direction (2D).
+    at the minimizer.  Checks k_0 < 0 (extrapolated), minimizes along the
+    ray xi = e with `_parabolic_min` from the minimizer sqrt(-k_0 / <e.A.e>)
+    of the homogeneous problem with ``mean_diffusion`` = <e.A.e>, checks that
+    the searched profile is unimodal, that the search kept its least value
+    and that this value is k_lam/(lam.e) at the reported minimizer, and
+    optionally refines the direction (2D).
     """
     solves = 0
 
@@ -294,8 +266,8 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
         raise NoSpreadingError(k0)
 
     obj = _RayObjective(solve, e)
-    s_star, c_search = _bracket_and_minimize(lambda s: obj.value_for(s, e),
-                                             math.sqrt(-k0 / mean_diffusion), tol)
+    s_star, c_search = _parabolic_min(lambda s: obj.value_for(s, e),
+                                      math.sqrt(-k0 / mean_diffusion), tol)
     profile = obj.ray_profile(e)
     _check_unimodal(profile)
     _check_minimum(profile, c_search)
@@ -312,7 +284,7 @@ def _ray_speed(problem, grid: Grid, e: np.ndarray, route: str, *,
             return math.cos(th) * e + math.sin(th) * perp
 
         for _ in range(3):
-            s_cur, val = _bracket_and_minimize(
+            s_cur, val = _parabolic_min(
                 lambda s: obj.value_for(s, xi_of(theta)), s_cur, tol)
             theta, val = _golden_min(
                 lambda th: obj.value_for(s_cur, xi_of(th)),
@@ -345,8 +317,9 @@ def spreading_speed(coeffs: CoefficientSet, e, grid: Grid, *, route: str = "auto
 
     Verifies k_0 < 0 first (no spreading regime otherwise).  The search
     brackets the minimizer along the ray, from the homogeneous estimate
-    sqrt(-k_0 / <e.A.e>), and closes in on it with
-    Brent's method; it samples the coefficients once.  With
+    sqrt(-k_0 / <e.A.e>), and closes in on it with parabolic steps until the
+    predicted gain in c is roundoff (`_parabolic_min`); it samples the
+    coefficients once.  With
     ``richardson=True`` (Floquet route) it searches on the n_t eigenvalues
     and reports the Richardson-extrapolated speed at their
     minimizer, from one more solve at 2 n_t; ``diagnostics`` then holds the

@@ -12,9 +12,9 @@ from kppspeed.speed import (
     NoSpreadingError,
     SpeedError,
     UnimodalityError,
-    _brent_min,
     _check_unimodal,
     _golden_min,
+    _parabolic_min,
     shear_full_coefficients,
     shear_reduced_eigenvalue,
     shear_speed,
@@ -89,7 +89,7 @@ def test_search_returning_a_non_minimum_raises(monkeypatch):
         samples = [(s, g(s)) for s in (0.5, 1.0, 2.0)]
         return max(samples, key=lambda p: p[1])
 
-    monkeypatch.setattr(speed, "_bracket_and_minimize", not_the_minimum)
+    monkeypatch.setattr(speed, "_parabolic_min", not_the_minimum)
     cs = coeffs()
     with pytest.raises(SpeedError, match="above the value"):
         spreading_speed(cs, [1.0], build_grid(cs.geometry, 32))
@@ -100,7 +100,10 @@ def test_search_returning_a_non_minimum_raises(monkeypatch):
     (lambda s: s * s / 8.0 - math.log(s), 0.5, 1.0, 8.0, 2.0),
     (lambda s: math.exp(s) - 3.0 * s, 0.1, 0.2, 3.0, math.log(3.0)),
 ], ids=["s+1/s", "skewed-log", "skewed-exp"])
-def test_brent_finds_the_minimizer_in_fewer_points_than_golden_section(f, a, b, c, s_min):
+def test_parabolic_search_finds_the_minimizer_in_fewer_points_than_golden_section(
+        f, a, b, c, s_min):
+    # the search starts at b and brackets by itself; golden section gets the
+    # bracket [a, c] for free
     tol = 1e-6
     seen = []
 
@@ -108,13 +111,41 @@ def test_brent_finds_the_minimizer_in_fewer_points_than_golden_section(f, a, b, 
         seen.append((s, f(s)))
         return seen[-1][1]
 
-    x, fx = _brent_min(g, a, b, c, f(b), tol)
+    x, fx = _parabolic_min(g, b, tol)
+    assert seen[0][0] == b
     assert abs(x - s_min) <= tol * max(1.0, s_min)
-    assert fx == min([f(b)] + [v for _, v in seen])
-    brent_points = len(seen)
+    assert fx == min(v for _, v in seen)
+    search_points = len(seen)
     seen.clear()
     _golden_min(g, a, c, tol)
-    assert brent_points < len(seen)
+    assert search_points < len(seen)
+
+
+@pytest.mark.parametrize("richardson", [False, True], ids=["steady", "floquet-richardson"])
+def test_search_solve_count_ignores_roundoff_in_k(monkeypatch, richardson):
+    # k scaled by 1 -/+ 1e-12 relative, below what the objective resolves,
+    # must not change how many eigensolves a search makes
+    if richardson:
+        cs = coeffs(mu="1 + 0.5*cos(2*pi*(x - t))")
+        grid = build_grid(cs.geometry, 64, 16)
+    else:
+        cs = coeffs(mu="1 + 0.5*cos(2*pi*x)", q="0.3*sin(2*pi*x)")
+        grid = build_grid(cs.geometry, 128)
+    solve = speed.principal_eigenvalue
+
+    def search(scale):
+        def scaled(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.k *= scale
+            return res
+
+        monkeypatch.setattr(speed, "principal_eigenvalue", scaled)
+        return spreading_speed(cs, [1.0], grid, richardson=richardson)
+
+    runs = [search(scale) for scale in (1.0, 1.0 - 1e-12, 1.0 + 1e-12)]
+    assert runs[0].eigen.route == ("floquet" if richardson else "steady")
+    assert len({r.diagnostics["solves"] for r in runs}) == 1
+    assert max(abs(r.c_star - runs[0].c_star) for r in runs) <= 1e-10 * runs[0].c_star
 
 
 def _per_point_richardson_speed(cs, grid, tol):

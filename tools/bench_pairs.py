@@ -15,7 +15,9 @@ as median [q1, q3], so that a bimodal run shows as one.  Each end-to-end
 metric of PARENT's BENCHMARK.json gets a verdict (see `verdict`), with the
 pairs the change won, the parent's spread and the metric's bound.  The file
 is written to ``BENCH_<tag>.json`` in the current directory unless ``--out``
-is given, and rewritten after each workload.
+is given, and rewritten after each workload.  After the pairs of a
+workload, one ``--trace 1`` run per side records the per-layer metrics
+(work counts such as ``speed.solves_per_speed``) under ``traced``.
 Standard library only.
 """
 
@@ -117,10 +119,11 @@ def dump(report: dict) -> str:
     return re.sub(r"\[[^\[\]{}]*\]", lambda m: json.dumps(json.loads(m[0])), text) + "\n"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.exit(f"bench_pairs: run.py failed in {checkout}:\n{proc.stderr}")
@@ -160,6 +163,10 @@ def main(argv=None) -> int:
             / entry["parent"]["summary"]["metrics"][name]["median"] - 1.0
             for name in entry["parent"]["summary"]["metrics"]}
         entry["verdicts"] = verdicts(runs, end_to_end)
+        entry["traced"] = {}
+        for side, checkout in zip(SIDES, (args.parent, args.change)):
+            traced = run_once(checkout.resolve(), workload, args.seed, args.seconds, trace=1)
+            entry["traced"][side] = {name: m["value"] for name, m in traced["metrics"].items()}
         report["workloads"][workload] = entry
         out.write_text(dump(report))  # after each workload
     return 0
