@@ -100,10 +100,11 @@ def test_search_returning_a_non_minimum_raises(monkeypatch):
     (lambda s: s * s / 8.0 - math.log(s), 0.5, 1.0, 8.0, 2.0),
     (lambda s: math.exp(s) - 3.0 * s, 0.1, 0.2, 3.0, math.log(3.0)),
 ], ids=["s+1/s", "skewed-log", "skewed-exp"])
-def test_parabolic_search_finds_the_minimizer_in_fewer_points_than_golden_section(
+def test_brent_finds_the_minimizer_in_fewer_points_than_golden_section(
         f, a, b, c, s_min):
-    # the search starts at b and brackets by itself; golden section gets the
-    # bracket [a, c] for free
+    # _parabolic_min is a Brent-style search (parabolic steps, safeguarded by
+    # bisection); it starts at b and brackets by itself, while golden section
+    # gets the bracket [a, c] for free
     tol = 1e-6
     seen = []
 
