@@ -271,11 +271,8 @@ def _floquet_ratios(family: ActionFamily, psi: np.ndarray, adjoint: bool = False
     """Pointwise ratios (L psi)/psi over (n_t, npoints) levels, the time
     derivative by centered differences (adjoint: of L*, with -d_t)."""
     dpsi = _centred(psi, family.grid.dt, 0)
-    r = np.empty(psi.shape)
-    for m in range(psi.shape[0]):
-        Epsi = family.apply_action(m, psi[m], adjoint=adjoint)
-        r[m] = ((-dpsi[m] - Epsi) if adjoint else (dpsi[m] - Epsi)) / psi[m]
-    return r
+    Epsi = family.actions(psi, adjoint)
+    return ((-dpsi - Epsi) if adjoint else (dpsi - Epsi)) / psi
 
 
 def _floquet_iterate(family: ActionFamily, v: np.ndarray, adjoint: bool = False):

@@ -54,21 +54,21 @@ pattern then factors in 0.96 ms at 32 x 32 and 6.1 ms at 64 x 64 (2.3 and
 factors in 1.3 and 8.5 ms (1.8 and 10.1 ms) and solves in 77 and 438 us
 (81 and 443 us).
 
-Time stepping over one period is Crank-Nicolson,
+Time stepping over one period is Crank-Nicolson, with L_m = I - dt/2 E_m,
 
-    (I - dt/2 E_{m+1}) phi^{m+1} = (I + dt/2 E_m) phi^m,
+    L_{m+1} phi^{m+1} = (2I - L_m) phi^m,   as I + dt/2 E_m = 2I - L_m,
 
-run by the one sweep `kernels.cn_period` in every dimension.  Only the linear
-algebra of a level depends on the dimension: 1D uses LAPACK cyclic
-tridiagonal factors and band products (see :mod:`kppspeed.kernels`), 2D
-the sparse LU of I - dt/2 E_m and products with E_m and I + dt/2 E_m, all
-made from the one-pass entry array of the levels (`_cn_matrices`).
+so a level is the one matrix L_m, run by the one sweep `kernels.cn_period`
+in every dimension.  Only the linear algebra of a level depends on the
+dimension: 1D factors the L_m of all levels in one LAPACK call (see
+:mod:`kppspeed.kernels`), 2D takes the sparse LU of each L_m (`_cn_matrices`).
+The products with E_m of all levels are one sparse product (`actions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -272,24 +272,45 @@ def _bands_1d(af, b, c0v, h: float):
     return dl, diag + c0v, du, corner0, corner1
 
 
+@lru_cache(maxsize=8)
+def _pattern(n_space: tuple, mixed: bool):
+    """The CSC pattern that every level of E_lam shares on a grid of n_space
+    points (in 2D with the mixed block when ``mixed``), made once per grid:
+    the order that takes the terms of `_sparse_levels` (by term, then by
+    row) to it, read-only ``indices``, ``indptr`` and diagonal positions."""
+    idx = np.arange(int(np.prod(n_space))).reshape(n_space)
+    cols = [np.roll(idx, s, axis=d) for d in range(len(n_space)) for s in (1, -1)] + [idx]
+    if mixed:
+        ixp, ixm = np.roll(idx, -1, axis=0), np.roll(idx, 1, axis=0)
+        cols += [np.roll(ixp, -1, axis=1), np.roll(ixp, 1, axis=1),
+                 np.roll(ixm, -1, axis=1), np.roll(ixm, 1, axis=1)]
+    rows = np.tile(idx.ravel(), len(cols))
+    indptr = np.arange(0, rows.size + 1, len(cols), dtype=np.int32)  # len(cols) per column
+    cols = np.concatenate([c.ravel() for c in cols])
+    order = np.lexsort((rows, cols))  # by column, then by row
+    indices = rows[order].astype(np.int32)
+    pattern = (order, indices, indptr, np.flatnonzero(indices == cols[order]))
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
+
+
 def _sparse_levels(stacked: dict, grid: Grid, lev=slice(None)):
     """E_lam at the levels ``lev`` of a `CoefficientSamples.stencil` stack,
     in any dimension, in one vectorized pass: the axis stencils, the
     zeroth-order diagonal and, in 2D, the mixed a12 block.
 
-    Every level shares one CSC sparsity pattern.  Returns the entries
-    (n_levels, nnz) on it, its ``indices`` and ``indptr`` and the positions
-    of the diagonal among the entries.  Non-finite entries raise ValueError.
+    Every level shares one CSC sparsity pattern (`_pattern`).  Returns the
+    entries (n_levels, nnz) on it, C-contiguous, its ``indices`` and
+    ``indptr`` and the positions of the diagonal among the entries.
+    Non-finite entries raise ValueError.
     """
-    idx = np.arange(grid.npoints).reshape(grid.n_space)
-    cols, data = [], []
+    data = []
     diag = 0.0
     for d, (af, b, h) in enumerate(zip(stacked["a_faces"], stacked["b"], grid.h)):
         lower, upper, diag_d = _axis_stencil(af[lev], b[lev], h, axis=1 + d)
-        cols += [np.roll(idx, 1, axis=d), np.roll(idx, -1, axis=d)]
         data += [lower, upper]
         diag = diag + diag_d
-    cols.append(idx)
     data.append(diag + stacked["c0"][lev])
     if stacked["a12"] is not None:
         a12 = stacked["a12"][lev]
@@ -297,20 +318,12 @@ def _sparse_levels(stacked: dict, grid: Grid, lev=slice(None)):
         s = 1.0 / (4 * grid.h[0] * grid.h[1])
         a_xp, a_xm = np.roll(a12, -1, axis=1), np.roll(a12, 1, axis=1)
         a_yp, a_ym = np.roll(a12, -1, axis=2), np.roll(a12, 1, axis=2)
-        ixp, ixm = np.roll(idx, -1, axis=0), np.roll(idx, 1, axis=0)
-        cols += [np.roll(ixp, -1, axis=1), np.roll(ixp, 1, axis=1),
-                 np.roll(ixm, -1, axis=1), np.roll(ixm, 1, axis=1)]
         data += [s * (a_xp + a_yp), -s * (a_xp + a_ym),
                  -s * (a_xm + a_yp), s * (a_xm + a_ym)]
-    rows = np.tile(idx.ravel(), len(cols))
-    cols = np.concatenate([c.ravel() for c in cols])
-    order = np.lexsort((rows, cols))  # by column, then by row
-    entries = np.stack(data, axis=1).reshape(data[-1].shape[0], -1)[:, order]
+    order, indices, indptr, diag = _pattern(grid.n_space, stacked["a12"] is not None)
+    entries = np.stack(data, axis=1).reshape(data[-1].shape[0], -1).take(order, axis=1)
     kernels._require_finite("E_lam entries", entries)
-    indptr = np.zeros(grid.npoints + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=grid.npoints), out=indptr[1:])
-    indices = rows[order].astype(np.int32)
-    return entries, indices, indptr, np.flatnonzero(indices == cols[order])
+    return entries, indices, indptr, diag
 
 
 def _csr_matrix(stacked: dict, lev: int, grid: Grid) -> sp.csr_array:
@@ -323,16 +336,15 @@ def _csr_matrix(stacked: dict, lev: int, grid: Grid) -> sp.csr_array:
     return M
 
 
-def _cn_matrices(stacked: dict, grid: Grid, half: float):
-    """E, I - half E and I + half E at every level of a stencil stack, as
-    three lists of CSC matrices on the one pattern of `_sparse_levels`."""
-    entries, indices, indptr, diag = _sparse_levels(stacked, grid)
-    lhs, rhs = -half * entries, half * entries
-    lhs[:, diag] += 1.0
-    rhs[:, diag] += 1.0
-    n = grid.npoints
-    return [[sp.csc_array((e, indices, indptr), shape=(n, n)) for e in stack]
-            for stack in (entries, lhs, rhs)]
+def _cn_matrices(entries, indices, indptr, diag, half: float) -> list:
+    """I - half E at every level of a `_sparse_levels` stack, as CSC
+    matrices on its one pattern, each on an entry array of its own (scipy
+    copies a row view of a larger array)."""
+    lhs = [-half * e for e in entries]
+    n = indptr.size - 1
+    for e in lhs:
+        e[diag] += 1.0
+    return [sp.csc_array((e, indices, indptr), shape=(n, n)) for e in lhs]
 
 
 # SuperLU settings of every sparse LU in this module.  relax=1 leaves the
@@ -458,15 +470,14 @@ class ActionFamily:
     """E_lam sampled at the Crank-Nicolson time levels of one period.
 
     For each distinct level (one if the coefficients do not depend on time)
-    it builds the product with E, the factored left-hand matrix I - dt/2 E
-    and the product with the right-hand matrix I + dt/2 E, and runs the
-    monodromy (one-period) map and its exact transpose through
-    `kernels.cn_period`.  1D levels come from `kernels.cn_levels`; other
-    dimensions from `_cn_matrices`, one pass over all levels on one shared
-    sparsity pattern, with sparse products and sparse LU on one column
-    ordering for all levels (`_level_factors`).  The
-    grid and the levels are those of ``samples``, the `CoefficientSamples`
-    of the coefficients.
+    it builds the factored matrix L_m = I - dt/2 E_m and the product with
+    it, and runs the monodromy (one-period) map and its exact transpose
+    through `kernels.cn_period`, whose right-hand matrix is 2I - L_m.  1D
+    levels come from `kernels.cn_levels`, all factored in one LAPACK call;
+    other dimensions from `_cn_matrices`, with sparse LU on one column
+    ordering for all levels (`_level_factors`).  Every dimension takes the
+    products with E_m from the entries of `_sparse_levels` (`actions`).  The
+    grid and the levels are those of ``samples``, its `CoefficientSamples`.
     """
 
     def __init__(self, samples: CoefficientSamples, lam):
@@ -475,20 +486,18 @@ class ActionFamily:
         self.time_independent = samples.n_levels == 1
         self._stacked = samples.stencil(self.lam)
         half = 0.5 * grid.dt
+        self._sparse = _sparse_levels(self._stacked, grid)
         if grid.dimension == 1:
-            bands = _bands_1d(self._stacked["a_faces"][0], self._stacked["b"][0],
-                              self._stacked["c0"], grid.h[0])
-            action = kernels.band_products(*bands)
-            lhs, rhs = kernels.cn_levels(*bands, half)
+            solves, products = kernels.cn_levels(*_bands_1d(
+                self._stacked["a_faces"][0], self._stacked["b"][0],
+                self._stacked["c0"], grid.h[0]), half)
         else:
-            E, L, R = _cn_matrices(self._stacked, grid, half)
-            action = [partial(_csr_matvec, M) for M in E]
-            lhs = _level_factors(L)
-            rhs = [partial(_csr_matvec, M) for M in R]
-        self._action = action
+            lhs = _cn_matrices(*self._sparse, half)
+            solves = [lu.solve for lu in _level_factors(lhs)]
+            products = [partial(_csr_matvec, M) for M in lhs]
         levels = [self._level(m) for m in range(grid.n_t + 1)]
-        self._lhs = [lhs[lev] for lev in levels]
-        self._rhs = [rhs[lev] for lev in levels]
+        self._solves = [solves[lev] for lev in levels]
+        self._products = [products[lev] for lev in levels]
 
     def _level(self, m: int) -> int:
         return 0 if self.time_independent else m % self.grid.n_t
@@ -497,10 +506,18 @@ class ActionFamily:
         """E_lam(t_m) as a CSR matrix."""
         return _csr_matrix(self._stacked, self._level(m), self.grid)
 
-    def apply_action(self, m: int, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """E_lam(t_m) @ v (adjoint: E^T @ v)."""
-        return self._action[self._level(m)](np.asarray(v, dtype=float),
-                                            "T" if adjoint else "N")
+    def actions(self, psi: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """E_lam(t_m) @ psi[m] (adjoint: E^T @ psi[m]) at every level
+        m = 0..n_t-1 of psi (n_t, npoints), as one product with the
+        block-diagonal matrix of the levels, which sums the terms of each
+        entry in the order of a product with the level's own CSC matrix."""
+        entries, indices, _, _ = self._sparse
+        (n_t, n), nnz = psi.shape, indices.size
+        E = sp.csc_array((np.broadcast_to(entries, (n_t, nnz)).ravel(),
+                          (indices + n * np.arange(n_t, dtype=np.int32)[:, None]).ravel(),
+                          np.arange(0, n_t * nnz + 1, nnz // n, dtype=np.int32)),
+                         shape=(n_t * n, n_t * n))
+        return ((E.T if adjoint else E) @ psi.ravel()).reshape(n_t, n)
 
     def step_period(self, phi0: np.ndarray, transpose: bool = False,
                     store_levels: bool = False):
@@ -514,8 +531,7 @@ class ActionFamily:
             raise ValueError("initial grid function has wrong length")
         if not np.all(np.isfinite(phi0)):
             raise ValueError("initial grid function must be finite")
-        levels = kernels.cn_period(self._lhs, self._rhs, phi0, transpose=transpose)
+        levels = kernels.cn_period(self._solves, self._products, phi0, transpose=transpose)
         if store_levels:
             return levels
         return levels[0] if transpose else levels[-1]
-

@@ -12,8 +12,9 @@ boundaries, by Strang splitting:
   taken and after the last step;
 * full linear Crank-Nicolson transport-diffusion step on `kernels.cn_levels`,
   factored once per run (once per level of a period when A or q depend on t).
-  With one level the step is u -> 2 (I - dt/2 E)^{-1} u - u, since
-  I + dt/2 E = 2I - (I - dt/2 E): one solve and no band product.  The
+  With L_m = I - dt/2 E_m the right-hand matrix I + dt/2 E_m is 2I - L_m, so a
+  step is u -> L_{m+1}^{-1} (2u - L_m u), with one level u -> 2 L^{-1} u - u:
+  one solve and no band product.  The
   Dirichlet boundary values stay 0, so the couplings into them are dropped as
   well; without drift the left-hand matrix is then symmetric positive
   definite and `kernels.CyclicFactor` solves it with LAPACK ``dpttrs``.
@@ -149,7 +150,7 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
     cap = max(1.0, float(np.max(u)))
 
     # the levels depend on A and q only; mu enters through the reaction steps
-    lhs, rhs = _linear_bands(coeffs, x, grid)
+    solves, products = _linear_bands(coeffs, x, grid)
 
     n_steps = int(round(t_end / dt))
     every = max(1, int(round(snapshot_dt / dt)))
@@ -170,13 +171,13 @@ def solve_cauchy(coeffs: CoefficientSet, u0, cells: int, t_end: float, grid: Gri
         t = step * dt
         if not merged:
             _logistic(u, decay(t + 0.25 * dt, 0.5 * dt))
-        if len(lhs) == 1:
-            v = lhs[0].solve(u)
+        if len(solves) == 1:
+            v = solves[0](u)
             v *= 2.0
             v -= u
             u = v
         else:
-            u = lhs[(step + 1) % len(lhs)].solve(rhs[step % len(rhs)](u))
+            u = solves[(step + 1) % len(solves)](2.0 * u - products[step % len(solves)](u))
         # written so that a NaN fails it
         if not (INSTABILITY_LOW <= u.min() and u.max() <= cap + INSTABILITY_HIGH):
             raise SimulationError(

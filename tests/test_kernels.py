@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from kppspeed.kernels import (
     CyclicFactor,
     band_storage,
-    band_products,
     cn_levels,
     cn_period,
     cyclic_matvec,
@@ -84,7 +83,7 @@ def test_symmetric_positive_definite_bands_solve_by_dpttrs(n, trans):
     for _ in range(4):
         bands = random_symmetric(rng, n)
         factor = CyclicFactor(*bands, 0.0, 0.0)
-        assert factor._ldl is not None  # the L D L^T path ran
+        assert factor._ldl  # the L D L^T path ran
         b = rng.standard_normal(n)
         x = factor.solve(b, trans=trans)
         M = dense(*bands)  # symmetric: M^T = M
@@ -98,7 +97,7 @@ def test_symmetric_indefinite_bands_fall_back_to_dgttrf(trans):
     bands = random_symmetric(rng, 40, signs=(-1.0, 1.0))
     assert np.any(bands[1] < 0)
     factor = CyclicFactor(*bands, 0.0, 0.0)
-    assert factor._ldl is None  # dpttrf found a non-positive pivot
+    assert not factor._ldl  # dpttrf found a non-positive pivot
     b = rng.standard_normal(40)
     x = factor.solve(b, trans=trans)
     np.testing.assert_allclose(x, np.linalg.solve(dense(*bands), b), rtol=1e-12, atol=1e-12)
@@ -140,54 +139,110 @@ def test_cyclic_matvec_matches_dense(trans):
     np.testing.assert_allclose(out, (M if trans == "N" else M.T) @ v, rtol=1e-14, atol=1e-14)
 
 
-def cyclic_product(bands):
-    return partial(cyclic_matvec, band_storage(*bands[:3]), bands[3], bands[4])
+def stacked(bands):
+    """Bands (n_levels, n) and corners (n_levels,) of a list of (dl, d, du, c0, c1)."""
+    return tuple(np.array([b[i] for b in bands]) for i in range(5))
 
 
-def check_cn_period_against_dense(lhs, rhs, L, R, v0):
+def check_cn_period_against_dense(solves, products, L, v0):
+    # the right-hand matrix of a level is 2I - L_m
     n_t = len(L) - 1
+    eye = np.eye(v0.size)
     ref = v0
     for m in range(n_t):
-        ref = np.linalg.solve(L[m + 1], R[m] @ ref)
-    levels = cn_period(lhs, rhs, v0)
+        ref = np.linalg.solve(L[m + 1], (2 * eye - L[m]) @ ref)
+    levels = cn_period(solves, products, v0)
     assert levels.shape == (n_t + 1, v0.size)
     np.testing.assert_allclose(levels[n_t], ref, rtol=1e-12, atol=1e-12)
     ref = v0
     for m in range(n_t - 1, -1, -1):
-        ref = R[m].T @ np.linalg.solve(L[m + 1].T, ref)
-    np.testing.assert_allclose(cn_period(lhs, rhs, v0, transpose=True)[0], ref,
+        ref = (2 * eye - L[m]).T @ np.linalg.solve(L[m + 1].T, ref)
+    np.testing.assert_allclose(cn_period(solves, products, v0, transpose=True)[0], ref,
                                rtol=1e-12, atol=1e-12)
 
 
+def dirichlet(bands):
+    """The bands without corners and with zero boundary rows and boundary
+    couplings, as the simulator makes them, and a unit diagonal at the ends."""
+    dl, d, du = (np.array(b) for b in bands[:3])
+    dl[1] = dl[-1] = du[0] = du[-2] = 0.0
+    d[0] = d[-1] = 1.0
+    return dl, d, du, 0.0, 0.0
+
+
 def test_cn_period_matches_dense_stepping():
+    # one stack of levels L_m, cyclic, Dirichlet and symmetric positive
+    # definite (solved by dpttrs), solved and multiplied as cn_levels makes
+    # them, against dense stepping with L^{-1} (2I - L)
     rng = np.random.default_rng(3)
     n, n_t = 7, 4
-    lhs_bands = [random_cyclic(rng, n) for _ in range(n_t + 1)]
-    rhs_bands = [random_cyclic(rng, n) for _ in range(n_t + 1)]
-    check_cn_period_against_dense(
-        [CyclicFactor(*b) for b in lhs_bands], [cyclic_product(b) for b in rhs_bands],
-        [dense(*b) for b in lhs_bands], [dense(*b) for b in rhs_bands],
-        rng.standard_normal(n))
+    cyclic = [random_cyclic(rng, n) for _ in range(n_t + 1)]
+    spd = [random_symmetric(rng, n) + (0.0, 0.0) for _ in range(n_t + 1)]
+    for bands in (cyclic, [dirichlet(b) for b in cyclic], spd):
+        dl, d, du, c0, c1 = stacked(bands)
+        # cn_levels of E = (I - L)/half gives back L, up to roundoff
+        half = 0.125
+        solves, products = cn_levels(-dl / half, (1.0 - d) / half, -du / half,
+                                     -c0 / half, -c1 / half, half)
+        L = [dense(*b) for b in bands]
+        check_cn_period_against_dense(solves, products, L, rng.standard_normal(n))
 
 
 @pytest.mark.parametrize("trans", ["N", "T"])
-def test_cn_levels_and_band_products_match_dense(trans):
+def test_cn_levels_match_dense(trans):
     rng = np.random.default_rng(8)
     stack = [random_cyclic(rng, 9) for _ in range(3)]
-    dl, d, du = (np.array([b[i] for b in stack]) for i in range(3))
-    c0, c1 = (np.array([b[i] for b in stack]) for i in (3, 4))
     half = 0.05
-    lhs, rhs = cn_levels(dl, d, du, c0, c1, half)
+    solves, products = cn_levels(*stacked(stack), half)
     v = rng.standard_normal(9)
     eye = np.eye(9)
-    for bands, action, factor, product in zip(stack, band_products(dl, d, du, c0, c1),
-                                              lhs, rhs):
+    for bands, solve, product in zip(stack, solves, products):
         E = dense(*bands) if trans == "N" else dense(*bands).T
-        np.testing.assert_allclose(action(v, trans), E @ v, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(product(v, trans), (eye + half * E) @ v,
+        np.testing.assert_allclose(product(v, trans), (eye - half * E) @ v,
                                    rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(factor.solve(v, trans), np.linalg.solve(eye - half * E, v),
+        np.testing.assert_allclose(solve(v, trans), np.linalg.solve(eye - half * E, v),
                                    rtol=1e-12, atol=1e-12)
+
+
+def test_stacked_factors_equal_per_level_calls():
+    # one dgttrf (dpttrf) on the block-diagonal stack gives each level the
+    # factors, pivots included, and the solves of a call on that level alone
+    rng = np.random.default_rng(10)
+    n = 12
+    levels = [random_cyclic(rng, n)[:3] for _ in range(3)]
+    # an indefinite level with small diagonal entries pivots
+    dl, d, du = levels[1]
+    levels[1] = (dl, 0.01 * d, du)
+    b = rng.standard_normal(n)
+    factor = CyclicFactor(*stacked([lev + (0.0, 0.0) for lev in levels]))
+    assert not factor._ldl
+    pivots = 0
+    for lev, (dl, d, du) in enumerate(levels):
+        *own, info = dgttrf(dl[1:], d, du[:-1])
+        assert info == 0
+        pivots += np.sum(own[4] != np.arange(1, n + 1))
+        for mine, theirs in zip(factor._levels[lev], own):
+            assert np.array_equal(mine, theirs)
+        for trans in ("N", "T"):
+            assert np.array_equal(factor.solve(b, trans, lev), dgttrs(*own, b, trans=trans)[0])
+    assert pivots > 0
+    spd = [random_symmetric(rng, n) for _ in range(3)]
+    factor = CyclicFactor(*stacked([lev + (0.0, 0.0) for lev in spd]))
+    assert factor._ldl
+    for lev, (_, d, du) in enumerate(spd):
+        *own, info = dpttrf(d, du[:-1])
+        assert info == 0
+        for mine, theirs in zip(factor._levels[lev], own):
+            assert np.array_equal(mine, theirs)
+        assert np.array_equal(factor.solve(b, "N", lev), dpttrs(*own, b)[0])
+    # cyclic levels: the Sherman-Morrison vectors of one stacked dgttrs give
+    # the solves of a factor of that level alone
+    cyclic = [random_cyclic(rng, n) for _ in range(3)]
+    factor = CyclicFactor(*stacked(cyclic))
+    for lev, bands in enumerate(cyclic):
+        for trans in ("N", "T"):
+            assert np.array_equal(factor.solve(b, trans, lev),
+                                  CyclicFactor(*bands).solve(b, trans))
 
 
 def test_cn_period_runs_sparse_lu_and_csr_products():
@@ -199,10 +254,9 @@ def test_cn_period_runs_sparse_lu_and_csr_products():
         return M + np.diag(rng.uniform(3.0, 4.0, n) * rng.choice([-1.0, 1.0], n))
 
     L = [random_sparse() for _ in range(n_t + 1)]
-    R = [random_sparse() for _ in range(n_t + 1)]
     check_cn_period_against_dense(
-        [splu(sp.csc_array(M)) for M in L], [partial(_csr_matvec, sp.csr_array(M)) for M in R],
-        L, R, rng.standard_normal(n))
+        [splu(sp.csc_array(M)).solve for M in L],
+        [partial(_csr_matvec, sp.csr_array(M)) for M in L], L, rng.standard_normal(n))
 
 
 def test_tridiag_solve_matches_dense():
@@ -237,10 +291,9 @@ def test_non_finite_right_hand_side_and_levels_raise():
     b[2] = np.inf
     with pytest.raises(ValueError, match="infs or NaNs"):
         tridiag_solve(dl, d, du, b)
-    lhs = [CyclicFactor(dl, d, du, c0, c1)] * 3
-    rhs = [cyclic_product((dl, d, du, c0, c1))] * 3
+    solves, products = cn_levels(*stacked([(dl, d, du, c0, c1)] * 3), 0.1)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        cn_period(lhs, rhs, b)
+        cn_period(solves, products, b)
 
 
 def test_singular_matrices_raise():

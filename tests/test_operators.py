@@ -15,6 +15,7 @@ from kppspeed.operators import (
     _centred,
     _cn_matrices,
     _faces,
+    _sparse_levels,
     _splu,
     assemble_action,
     build_grid,
@@ -221,18 +222,18 @@ def test_y_independent_2d_operator_reproduces_1d():
     n, n_y, n_t, lam = 32, 8, 16, 0.6
     grid1 = build_grid(GEO1, n, n_t)
     grid2 = build_grid(coeffs2.geometry, (n, n_y), n_t)
-    v = np.random.default_rng(7).standard_normal(n)
+    psi = np.random.default_rng(7).standard_normal((n_t, n))
+    v = psi[0]
 
     def check(w1, w2, rtol):
-        err = np.max(np.abs(w2.reshape(n, n_y) - w1[:, None]))
+        err = np.max(np.abs(w2.reshape(w1.shape + (n_y,)) - w1[..., None]))
         assert err <= rtol * np.max(np.abs(w1))
 
     fam1 = ActionFamily(CoefficientSamples(coeffs1, grid1), [lam])
     fam2 = ActionFamily(CoefficientSamples(coeffs2, grid2), [lam, 0.0])
     for adjoint in (False, True):
-        for m in (0, 5):
-            check(fam1.apply_action(m, v, adjoint),
-                  fam2.apply_action(m, np.repeat(v, n_y), adjoint), 1e-14)
+        check(fam1.actions(psi, adjoint), fam2.actions(np.repeat(psi, n_y, axis=1), adjoint),
+              1e-14)
         check(fam1.step_period(v, transpose=adjoint),
               fam2.step_period(np.repeat(v, n_y), transpose=adjoint), 1e-12)
 
@@ -475,9 +476,10 @@ def test_assembled_matrices_are_those_of_the_per_level_builder():
 
 @pytest.mark.parametrize("time_dependent", [False, True], ids=["one-level", "n_t-levels"])
 def test_one_pass_levels_are_the_crank_nicolson_matrices(time_dependent):
-    # E, I - dt/2 E and I + dt/2 E of every level share one sparsity pattern,
-    # equal the dense matrices of ActionFamily.matrix, and the MMD factors of
-    # I - dt/2 E solve as a dense solve does, in both orientations
+    # I - dt/2 E of every level shares the one sparsity pattern of the entry
+    # array, equals the dense matrix made from ActionFamily.matrix, and its
+    # MMD factor solves as a dense solve does, in both orientations; the
+    # all-level product equals the product of each level's CSC matrix
     spec = dict(COEFFS_2D)
     if not time_dependent:
         spec["mu"] = "1 + 0.5*cos(2*pi*x)*cos(2*pi*y)"
@@ -487,26 +489,62 @@ def test_one_pass_levels_are_the_crank_nicolson_matrices(time_dependent):
     samples = CoefficientSamples(coeffs, grid)
     family = ActionFamily(samples, lam)
     half = 0.5 * grid.dt
-    E, L, R = _cn_matrices(samples.stencil(lam), grid, half)
-    assert len(E) == len(L) == len(R) == (grid.n_t if time_dependent else 1)
-    eye = np.eye(grid.npoints)
-    v = np.random.default_rng(8).standard_normal(grid.npoints)
-    for lev, (Em, Lm, Rm) in enumerate(zip(E, L, R)):
-        for M in (Em, Lm, Rm):
-            assert M.format == "csc"
-            assert np.array_equal(M.indptr, E[0].indptr)
-            assert np.array_equal(M.indices, E[0].indices)
+    entries, indices, indptr, diag = _sparse_levels(samples.stencil(lam), grid)
+    L = _cn_matrices(entries, indices, indptr, diag, half)
+    assert len(L) == (grid.n_t if time_dependent else 1)
+    n = grid.npoints
+    eye = np.eye(n)
+    psi = np.random.default_rng(8).standard_normal((grid.n_t, n))
+    for adjoint in (False, True):
+        Epsi = family.actions(psi, adjoint)
+        for m in range(grid.n_t):
+            E = sp.csc_array((entries[family._level(m)], indices, indptr), shape=(n, n))
+            assert np.array_equal(Epsi[m], (E.T if adjoint else E) @ psi[m])
+    for lev, Lm in enumerate(L):
+        assert Lm.format == "csc"
+        assert np.array_equal(Lm.indptr, indptr) and np.array_equal(Lm.indices, indices)
         dense = family.matrix(lev).toarray()
-        assert np.array_equal(Em.toarray(), dense)
         assert np.array_equal(Lm.toarray(), eye - half * dense)
-        assert np.array_equal(Rm.toarray(), eye + half * dense)
-        for adjoint, trans in ((False, "N"), (True, "T")):
-            assert np.array_equal(family.apply_action(lev, v, adjoint),
-                                  (Em.T if adjoint else Em) @ v)
+        for trans in ("N", "T"):
             lhs = eye - half * dense
-            ref = np.linalg.solve(lhs.T if adjoint else lhs, v)
-            np.testing.assert_allclose(_splu(Lm).solve(v, trans), ref, rtol=0,
+            ref = np.linalg.solve(lhs.T if trans == "T" else lhs, psi[lev])
+            np.testing.assert_allclose(_splu(Lm).solve(psi[lev], trans), ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-corners", "2d-a12"])
+def test_all_level_products_match_dense_products(dim):
+    # one vectorized pass gives E_m psi_m and E_m^T psi_m at every level, as
+    # per-level dense products do: 1D with its periodic corners, 2D with
+    # its mixed term A_12 != 0
+    coeffs, grid, lam = case(dim, dict(A="1 + 0.5*cos(2*pi*x)", q="0.3*sin(2*pi*x)",
+                                       mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)"), 16, 8, 0.7)
+    if dim == 2:
+        grid = build_grid(coeffs.geometry, (12, 10), 8)
+    family = ActionFamily(CoefficientSamples(coeffs, grid), lam)
+    if dim == 1:
+        corners = family.matrix(3).toarray()[[0, -1], [-1, 0]]
+        assert np.all(corners != 0)
+    else:
+        assert family.matrix(0).nnz == 9 * grid.npoints
+    psi = np.random.default_rng(9).standard_normal((grid.n_t, grid.npoints))
+    for adjoint in (False, True):
+        Epsi = family.actions(psi, adjoint)
+        for m in range(grid.n_t):
+            E = family.matrix(m).toarray()
+            ref = (E.T if adjoint else E) @ psi[m]
+            np.testing.assert_allclose(Epsi[m], ref, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(E)) * np.max(np.abs(psi[m])))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sparse_level_entries_are_c_contiguous(dim):
+    # the entries of every level are one C-contiguous (n_levels, nnz) array
+    coeffs, grid, lam = case(dim, dict(mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)"), 16, 8, 0.7)
+    entries, indices, _, _ = _sparse_levels(
+        CoefficientSamples(coeffs, grid).stencil(lam), grid)
+    assert entries.shape == (grid.n_t, indices.size)
+    assert entries.flags.c_contiguous
 
 
 def test_non_finite_action_entries_raise():
@@ -551,7 +589,7 @@ def test_family_level_factors_solve_as_dense(pattern):
         for trans, M in (("N", lhs), ("T", lhs.T)):
             b = rng.standard_normal(grid.npoints)
             ref = np.linalg.solve(M, b)
-            np.testing.assert_allclose(family._lhs[m].solve(b, trans), ref, rtol=0,
+            np.testing.assert_allclose(family._solves[m](b, trans), ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
 
 
