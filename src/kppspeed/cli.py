@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from .eigen import EigenError, adjoint_eigenpair, principal_eigenvalue
-from .expressions import ExpressionError
+from .expressions import BUILTINS, ExpressionError
 from .fields import CellGeometry, CoefficientSet, FieldError, PeriodicField
-from .operators import GridError, build_grid
+from .operators import GridError, NonFiniteActionError, build_grid
 from .scenario import ScenarioError, load_scenario, write_report
 from .simulate import SimulationError
 from .speed import SpeedError, spreading_speed
@@ -60,6 +60,8 @@ def _parse_params(tokens) -> dict:
         name, _, value = tok.partition("=")
         if not _:
             raise SystemExit(f"--param expects name=value, got {tok!r}")
+        if name in BUILTINS:
+            raise SystemExit(f"--param {name}: parameter name shadows a builtin")
         out[name] = _number(float, value, f"--param {name}")
     return out
 
@@ -158,7 +160,7 @@ def _cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"kpp-speed run: {exc}", file=sys.stderr)
         return 2
-    except (EigenError, GridError, SimulationError, SpeedError) as exc:
+    except (EigenError, GridError, NonFiniteActionError, SimulationError, SpeedError) as exc:
         print(f"kpp-speed run: {args.scenario}: {exc}", file=sys.stderr)
         return 2
     paths = write_report(report, sc.output_format, sc.output_dir)
@@ -213,7 +215,7 @@ def main(argv=None) -> int:
     command = {"eig": _cmd_eig, "speed": _cmd_speed}[args.command]
     try:
         return command(args)
-    except (EigenError, SpeedError) as exc:
+    except (EigenError, NonFiniteActionError, SpeedError) as exc:
         raise SystemExit(f"kpp-speed {args.command}: {exc}") from None
 
 

@@ -40,6 +40,7 @@ __all__ = [
 VARIABLES = ("t", "x", "y")
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi}
+BUILTINS = frozenset(VARIABLES) | frozenset(FUNCTIONS) | frozenset(CONSTANTS)
 
 _FUNC_IMPL = {
     "sin": np.sin,
@@ -442,7 +443,7 @@ def parse_expression(text: str, params: Mapping[str, float] | None = None) -> Ex
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 1)
     params = dict(params or {})
-    clashes = set(params) & (set(VARIABLES) | set(FUNCTIONS) | set(CONSTANTS))
+    clashes = set(params) & BUILTINS
     if clashes:
         raise ExpressionError(f"parameter names shadow builtins: {sorted(clashes)}")
     return Expression(_Parser(_tokenize(text), params).parse())

@@ -14,9 +14,10 @@ without corners (the simulator's Dirichlet systems without drift) is
 factored with ``dpttrf`` instead, and its solves take ``dpttrs``, about half
 the time of ``dgttrs``.  Products with L_m are applied with BLAS ``dgbmv``.
 
-Band convention for an n x n cyclic tridiagonal matrix M:
-  M[i, i] = d[i],  M[i, i-1] = dl[i] (dl[0] unused),  M[i, i+1] = du[i]
-  (du[n-1] unused),  M[0, n-1] = c0,  M[n-1, 0] = c1.
+Band convention for an n x n cyclic tridiagonal matrix M, the wrap-around
+form of the stencil terms (`operators.CoefficientSamples.stencil`):
+  M[i, i] = d[i],  M[i, i-1 mod n] = dl[i],  M[i, i+1 mod n] = du[i],
+so the corners are M[0, n-1] = dl[0] and M[n-1, 0] = du[n-1], 0 if not cyclic.
 
 Non-finite bands raise ValueError and singular systems raise LinAlgError.
 """
@@ -41,21 +42,25 @@ def _require_finite(what: str, *arrays) -> None:
 
 
 def band_storage(dl, d, du) -> np.ndarray:
-    """LAPACK band storage (..., 3, n) of bands (..., n), stacked over leading
-    axes; each (3, n) matrix is Fortran-ordered, as dgbmv takes it."""
-    ab = np.zeros(d.shape + (3,))
+    """LAPACK band storage (..., 3, n) of cyclic bands (..., n), stacked over
+    leading axes; each (3, n) matrix is Fortran-ordered, as dgbmv takes it.
+    The corners go to the two slots that dgbmv never reads: M[n-1, 0] = du[-1]
+    to ab[0, 0] and M[0, n-1] = dl[0] to ab[2, n-1]."""
+    ab = np.empty(d.shape + (3,))
+    ab[..., 0, 0] = du[..., -1]
     ab[..., 1:, 0] = du[..., :-1]
     ab[..., 1] = d
     ab[..., :-1, 2] = dl[..., 1:]
+    ab[..., -1, 2] = dl[..., 0]
     return np.swapaxes(ab, -1, -2)
 
 
-def cyclic_matvec(ab, c0: float, c1: float, v, trans: str = "N") -> np.ndarray:
-    """M @ v (trans='T': M.T @ v) for band storage ``ab`` and corners c0, c1."""
+def cyclic_matvec(ab, v, trans: str = "N") -> np.ndarray:
+    """M @ v (trans='T': M.T @ v) for the band storage ``ab`` of M."""
     n = v.shape[0]
     out = dgbmv(n, n, 1, 1, 1.0, ab, v, trans=int(trans == "T"))
-    if trans == "T":
-        c0, c1 = c1, c0
+    # the corners M[0, n-1] and M[n-1, 0], and those of M.T
+    c0, c1 = (ab[0, 0], ab[2, -1]) if trans == "T" else (ab[2, -1], ab[0, 0])
     out[0] += c0 * v[-1]
     out[-1] += c1 * v[0]
     return out
@@ -63,8 +68,8 @@ def cyclic_matvec(ab, c0: float, c1: float, v, trans: str = "N") -> np.ndarray:
 
 class CyclicFactor:
     """Factors of a stack of cyclic tridiagonal matrices M_l, bands
-    (n_levels, n) and corners (n_levels,) or one matrix as a stack of one,
-    for solves with M_l or M_l^T.
+    (n_levels, n) or one matrix as a stack of one, for solves with M_l or
+    M_l^T; the corners are c0 = M[0, n-1] = dl[:, 0] and c1 = M[n-1, 0] = du[:, -1].
 
     Sherman-Morrison: M = T + u v^T with u = gamma e_0 + c1 e_{n-1} and
     v = e_0 + (c0/gamma) e_{n-1}, where T is tridiagonal with d[0] - gamma and
@@ -83,13 +88,13 @@ class CyclicFactor:
     (by 7e-12 in the c* of the simulate-validate scenario, through k_0).
     """
 
-    def __init__(self, dl, d, du, c0, c1):
+    def __init__(self, dl, d, du):
         bands = np.array((dl, d, du), dtype=float).reshape(3, -1, np.shape(d)[-1])
         dl, d, du = bands
         m, n = self._shape = d.shape
-        dl[:, 0] = du[:, -1] = 0.0  # the couplings between levels
         # floats, not arrays: on so few levels numpy calls cost more than the arithmetic
-        c0, c1 = np.array((c0, c1), dtype=float).reshape(2, m).tolist()
+        c0, c1 = dl[:, 0].tolist(), du[:, -1].tolist()
+        dl[:, 0] = du[:, -1] = 0.0  # in the stack, the couplings between levels
         self._cyclic = any(c0) or any(c1)
         if self._cyclic:
             gamma = [-x if x != 0.0 else -1.0 for x in d[:, 0].tolist()]
@@ -98,7 +103,7 @@ class CyclicFactor:
             # orientation -> (u, v) as their entries at indices 0 and n-1
             one, ratio = [1.0] * m, [a / g for a, g in zip(c0, gamma)]
             self._uv = {"N": ((gamma, c1), (one, ratio)), "T": ((one, ratio), (gamma, c1))}
-        # a non-finite d[0], c0 or c1 leaves d[0] or d[-1] of its level non-finite
+        # a non-finite d[0] or corner leaves d[0] or d[-1] of its level non-finite
         _require_finite("cyclic tridiagonal bands", bands)
         dl, d, du = dl.ravel()[1:], d.ravel(), du.ravel()[:-1]
         self._ldl, self._z = False, {}
@@ -142,15 +147,14 @@ class CyclicFactor:
         return y
 
 
-def cn_levels(dl, d, du, c0, c1, half: float):
+def cn_levels(dl, d, du, half: float):
     """Crank-Nicolson levels of the cyclic tridiagonal matrices E whose
-    bands (n_levels, n) and corners (n_levels,) are stacked over levels:
-    the solves with L = I - half E and the products with L, one per level,
-    as `cn_period` takes them.  All levels are factored in one call."""
-    bands = (-half * dl, 1.0 - half * d, -half * du, -half * c0, -half * c1)
+    bands (n_levels, n) are stacked over levels: the solves with
+    L = I - half E and the products with L, one per level, as `cn_period`
+    takes them.  All levels are factored in one call."""
+    bands = (-half * dl, 1.0 - half * d, -half * du)
     factor = CyclicFactor(*bands)
-    products = [partial(cyclic_matvec, *args) for args in zip(
-        band_storage(*bands[:3]), bands[3].tolist(), bands[4].tolist())]
+    products = [partial(cyclic_matvec, ab) for ab in band_storage(*bands)]
     return [partial(factor.solve, level=lev) for lev in range(len(products))], products
 
 

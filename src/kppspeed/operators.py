@@ -24,19 +24,19 @@ The operators read A, q and mu only from `CoefficientSamples`, made once
 per coefficient set and grid, where A is checked to be uniformly elliptic.
 Callers sample at the boundary (`sample`), and since E_lam is a quadratic
 polynomial in lam, a ray search samples once and a new lam redoes only the
-lam algebra.  The stencil along each axis is written once (`_axis_stencil`);
-the 1D cyclic tridiagonal bands and the sparse matrices of every dimension
-are built from it, and the 2D mixed-derivative block of A_12 is the only
-part specific to 2D.  The sparse matrices of all time levels come from one
-vectorized pass over the level stack (`_sparse_levels`): one entry array
-(n_levels, nnz) on one CSC sparsity pattern that every level shares, with
-one finiteness check for the whole stack.  The CSR matrix of one level is
-its one-level slice.  The face average (`_faces`) and the centred difference
-(`_centred`) of samples are written once as well; the simulator and the
-variational routines use them too.
+lam algebra: one pass (`CoefficientSamples.stencil`) makes the terms of
+E_lam at every level, and checks once that they are finite.  The stencil
+along each axis is written once (`_axis_stencil`), and the 2D mixed block of
+A_12 is the only part specific to 2D.  In 1D the terms are the cyclic
+tridiagonal bands in the wrap-around form that `kernels` takes as it is;
+in every dimension `_sparse_levels` gathers them onto the one CSC sparsity
+pattern that every level shares, one entry array (n_levels, nnz), and the
+CSR matrix of a level is a row of it.  The face average (`_faces`) and the
+centred difference (`_centred`) of samples are written once as well; the
+simulator and the variational routines use them too.
 
-The steady eigen route takes E_lam as a `SteadyAction`: in 1D the cyclic
-tridiagonal bands, with LAPACK factors of sigma I - E_lam
+The steady eigen route takes E_lam as a `SteadyAction`: in 1D its terms as
+cyclic tridiagonal bands, with LAPACK factors of sigma I - E_lam
 (`kernels.CyclicFactor`) and band products, and in 2D a CSR matrix with
 sparse LU.  `assemble_action` returns the CSR matrix of any dimension at
 t = 0.  Every sparse LU (`_splu`) orders its columns by minimum degree on
@@ -77,8 +77,8 @@ from scipy.sparse.linalg import splu
 from . import kernels
 from .fields import CellGeometry, CoefficientSet
 
-__all__ = ["Grid", "GridError", "build_grid", "CoefficientSamples", "sample",
-           "assemble_action", "SteadyAction", "ActionFamily"]
+__all__ = ["Grid", "GridError", "NonFiniteActionError", "build_grid", "CoefficientSamples",
+           "sample", "assemble_action", "SteadyAction", "ActionFamily"]
 
 DEFAULT_CAP = 2**20
 MIN_POINTS = 8
@@ -86,6 +86,10 @@ MIN_POINTS = 8
 
 class GridError(ValueError):
     pass
+
+
+class NonFiniteActionError(ValueError):
+    """E_lam has an inf or NaN entry: a coefficient sample, or lam, is too large."""
 
 
 @dataclass(frozen=True)
@@ -206,12 +210,14 @@ class CoefficientSamples:
             form = form + 2.0 * e[0] * e[1] * self.a12
         return float(np.mean(form))
 
-    def stencil(self, lam) -> dict:
-        """Stencil arrays of E_lam at the sampled levels: the face values of
-        the diagonal of A and the samples of A_12 (the same for every lam),
-        the first-order coefficients b = 2 A lam - q per axis and the
-        zeroth-order term c0.  div(A lam) is the centered difference of the
-        sampled A lam, whatever the representation of A.
+    def stencil(self, lam) -> list:
+        """The terms of E_lam at the sampled levels, each (n_levels, *n_space),
+        in `_pattern`'s order: per axis the coefficients on the neighbours
+        i-1 and i+1 (`_axis_stencil` with b = 2 A lam - q), the diagonal with
+        the zeroth-order term, and in 2D with A_12 the four mixed terms; in 1D
+        the cyclic bands (dl, du, d) of `kernels`.  div(A lam) is the centered
+        difference of the sampled A lam, whatever the representation of A.
+        An inf or NaN term raises NonFiniteActionError, naming the cause.
         """
         grid = self.grid
         N = grid.dimension
@@ -230,7 +236,27 @@ class CoefficientSamples:
         lam_a_lam = sum(alam[d] * lam[d] for d in range(N))
         q_dot_lam = sum(self.q[d] * lam[d] for d in range(N))
         c0 = lam_a_lam + div_alam + self.mu - q_dot_lam
-        return {"a_faces": self.a_faces, "a12": self.a12, "b": b, "c0": c0}
+        terms, diag = [], 0.0
+        for d in range(N):
+            lower, upper, diag_d = _axis_stencil(self.a_faces[d], b[d], grid.h[d], axis=1 + d)
+            terms += [lower, upper]
+            diag = diag + diag_d
+        terms.append(diag + c0)
+        if self.a12 is not None:
+            # d_x(a12 d_y .) + d_y(a12 d_x .), centered-of-centered (symmetric)
+            s = 1.0 / (4 * grid.h[0] * grid.h[1])
+            a_xp, a_xm = np.roll(self.a12, -1, axis=1), np.roll(self.a12, 1, axis=1)
+            a_yp, a_ym = np.roll(self.a12, -1, axis=2), np.roll(self.a12, 1, axis=2)
+            terms += [s * (a_xp + a_yp), -s * (a_xp + a_ym),
+                      -s * (a_xm + a_yp), s * (a_xm + a_ym)]
+        if not all(np.isfinite(t).all() for t in terms):
+            named = {"A": self.a_diag + [self.a12], "q": self.q, "mu": [self.mu]}
+            bad = [k for k, v in named.items() if not all(np.isfinite(a).all() for a in v
+                                                          if a is not None)]
+            raise NonFiniteActionError("E_lam entries must not contain infs or NaNs: " + (
+                f"the samples of {', '.join(bad)} are not finite" if bad
+                else f"lam = {lam.tolist()} is too large for these coefficients"))
+        return terms
 
 
 def sample(coeffs, grid: Grid) -> CoefficientSamples:
@@ -257,27 +283,12 @@ def _axis_stencil(af, b, h: float, axis: int = -1):
     return lower, upper, -(af + afm) / h2
 
 
-def _bands_1d(af, b, c0v, h: float):
-    """Cyclic tridiagonal bands (dl, d, du, c0, c1) of the 1D action
-    (af d_x .)_x + b d_x . + c0v on a ring of spacing h.
-
-    Arrays stacked over time levels on a leading axis give bands and corners
-    stacked the same way.
-    """
-    dl, du, diag = _axis_stencil(af, b, h)
-    corner0 = dl[..., 0].copy()   # row 0, col n-1
-    corner1 = du[..., -1].copy()  # row n-1, col 0
-    dl[..., 0] = 0.0
-    du[..., -1] = 0.0
-    return dl, diag + c0v, du, corner0, corner1
-
-
 @lru_cache(maxsize=8)
 def _pattern(n_space: tuple, mixed: bool):
     """The CSC pattern that every level of E_lam shares on a grid of n_space
     points (in 2D with the mixed block when ``mixed``), made once per grid:
-    the order that takes the terms of `_sparse_levels` (by term, then by
-    row) to it, read-only ``indices``, ``indptr`` and diagonal positions."""
+    the order that takes the `CoefficientSamples.stencil` terms (by term,
+    then by row) to it, read-only ``indices``, ``indptr`` and diagonal positions."""
     idx = np.arange(int(np.prod(n_space))).reshape(n_space)
     cols = [np.roll(idx, s, axis=d) for d in range(len(n_space)) for s in (1, -1)] + [idx]
     if mixed:
@@ -295,43 +306,23 @@ def _pattern(n_space: tuple, mixed: bool):
     return pattern
 
 
-def _sparse_levels(stacked: dict, grid: Grid, lev=slice(None)):
-    """E_lam at the levels ``lev`` of a `CoefficientSamples.stencil` stack,
-    in any dimension, in one vectorized pass: the axis stencils, the
-    zeroth-order diagonal and, in 2D, the mixed a12 block.
-
-    Every level shares one CSC sparsity pattern (`_pattern`).  Returns the
-    entries (n_levels, nnz) on it, C-contiguous, its ``indices`` and
-    ``indptr`` and the positions of the diagonal among the entries.
-    Non-finite entries raise ValueError.
-    """
-    data = []
-    diag = 0.0
-    for d, (af, b, h) in enumerate(zip(stacked["a_faces"], stacked["b"], grid.h)):
-        lower, upper, diag_d = _axis_stencil(af[lev], b[lev], h, axis=1 + d)
-        data += [lower, upper]
-        diag = diag + diag_d
-    data.append(diag + stacked["c0"][lev])
-    if stacked["a12"] is not None:
-        a12 = stacked["a12"][lev]
-        # d_x(a12 d_y .) + d_y(a12 d_x .), centered-of-centered (symmetric)
-        s = 1.0 / (4 * grid.h[0] * grid.h[1])
-        a_xp, a_xm = np.roll(a12, -1, axis=1), np.roll(a12, 1, axis=1)
-        a_yp, a_ym = np.roll(a12, -1, axis=2), np.roll(a12, 1, axis=2)
-        data += [s * (a_xp + a_yp), -s * (a_xp + a_ym),
-                 -s * (a_xm + a_yp), s * (a_xm + a_ym)]
-    order, indices, indptr, diag = _pattern(grid.n_space, stacked["a12"] is not None)
-    entries = np.stack(data, axis=1).reshape(data[-1].shape[0], -1).take(order, axis=1)
-    kernels._require_finite("E_lam entries", entries)
+def _sparse_levels(terms: list, grid: Grid):
+    """The `CoefficientSamples.stencil` terms of E_lam gathered onto the one
+    CSC sparsity pattern that every level shares (`_pattern`), in any
+    dimension.  Returns the entries (n_levels, nnz) on it, C-contiguous, its
+    ``indices`` and ``indptr`` and the positions of the diagonal among the
+    entries."""
+    order, indices, indptr, diag = _pattern(grid.n_space, len(terms) > 2 * grid.dimension + 1)
+    entries = np.stack(terms, axis=1).reshape(terms[0].shape[0], -1).take(order, axis=1)
     return entries, indices, indptr, diag
 
 
-def _csr_matrix(stacked: dict, lev: int, grid: Grid) -> sp.csr_array:
-    """E_lam at level lev of a `CoefficientSamples.stencil` stack as a CSR
-    matrix without stored zeros: the one-level slice of `_sparse_levels`."""
-    entries, indices, indptr, _ = _sparse_levels(stacked, grid, slice(lev, lev + 1))
-    n = grid.npoints
-    M = sp.csc_array((entries[0], indices, indptr), shape=(n, n)).tocsr()
+def _csr_matrix(sparse, lev: int) -> sp.csr_array:
+    """E_lam at level lev of a `_sparse_levels` stack, a row of its entries,
+    as a CSR matrix without stored zeros."""
+    entries, indices, indptr, _ = sparse
+    n = indptr.size - 1
+    M = sp.csc_array((entries[lev], indices, indptr), shape=(n, n)).tocsr()
     M.eliminate_zeros()
     return M
 
@@ -416,7 +407,8 @@ def assemble_action(coeffs: CoefficientSet | CoefficientSamples, lam,
                     grid: Grid) -> sp.csr_array:
     """E_lam at t = 0 as a CSR matrix; ``coeffs`` is a `CoefficientSet` or
     its samples on grid (`sample`).  Its transpose ``.T`` is the adjoint."""
-    return _csr_matrix(sample(coeffs, grid).stencil(lam), 0, grid)
+    terms = sample(coeffs, grid).stencil(lam)
+    return _csr_matrix(_sparse_levels([t[:1] for t in terms], grid), 0)
 
 
 class SteadyAction:
@@ -435,33 +427,30 @@ class SteadyAction:
             raise ValueError("a steady action needs samples at one time level")
         self.grid = grid = samples.grid
         self.lam = np.asarray(lam, dtype=float).reshape(-1)
-        stacked = samples.stencil(self.lam)
+        terms = samples.stencil(self.lam)
         self._bands = self._matrix = None
         if grid.dimension == 1:
-            dl, d, du, c0, c1 = (x[0] for x in _bands_1d(
-                stacked["a_faces"][0], stacked["b"][0], stacked["c0"], grid.h[0]))
-            c0, c1 = float(c0), float(c1)
-            self._bands = (dl, d, du, c0, c1)
-            self.matvec = partial(kernels.cyclic_matvec, kernels.band_storage(dl, d, du),
-                                  c0, c1)
-            rows = d + np.abs(dl) + np.abs(du)  # dl[0] = du[-1] = 0
-            rows[0] += abs(c0)
-            rows[-1] += abs(c1)
-            off = np.concatenate([dl, du, [c0, c1]])
+            dl, du, d = (t[0] for t in terms)
+            self._bands = (dl, d, du)
+            self.matvec = partial(kernels.cyclic_matvec, kernels.band_storage(dl, d, du))
+            rows = d + np.abs(dl) + np.abs(du)
+            rows[0] = d[0] + abs(du[0]) + abs(dl[0])  # the corners dl[0], du[-1] last
+            rows[-1] = d[-1] + abs(dl[-1]) + abs(du[-1])
+            self.metzler = bool(dl.min() >= 0.0 and du.min() >= 0.0)
         else:
-            M = self._matrix = _csr_matrix(stacked, 0, grid)
+            M = self._matrix = _csr_matrix(_sparse_levels(terms, grid), 0)
             self.matvec = partial(_csr_matvec, M)
             diag = M.diagonal()
             rows = diag + np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
             off = M.data[M.indices != np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))]
+            self.metzler = bool(np.all(off >= 0))
         self.gershgorin = float(np.max(rows))
-        self.metzler = bool(np.all(off >= 0))
 
     def factor(self, sigma: float):
         """Factors of sigma I - E_lam with ``.solve(b, trans)``."""
         if self._bands is not None:
-            dl, d, du, c0, c1 = self._bands
-            return kernels.CyclicFactor(-dl, sigma - d, -du, -c0, -c1)
+            dl, d, du = self._bands
+            return kernels.CyclicFactor(-dl, sigma - d, -du)
         M = self._matrix
         return _splu((sigma * sp.eye_array(M.shape[0], format="csc") - M).tocsc())
 
@@ -472,25 +461,25 @@ class ActionFamily:
     For each distinct level (one if the coefficients do not depend on time)
     it builds the factored matrix L_m = I - dt/2 E_m and the product with
     it, and runs the monodromy (one-period) map and its exact transpose
-    through `kernels.cn_period`, whose right-hand matrix is 2I - L_m.  1D
-    levels come from `kernels.cn_levels`, all factored in one LAPACK call;
-    other dimensions from `_cn_matrices`, with sparse LU on one column
-    ordering for all levels (`_level_factors`).  Every dimension takes the
-    products with E_m from the entries of `_sparse_levels` (`actions`).  The
-    grid and the levels are those of ``samples``, its `CoefficientSamples`.
+    through `kernels.cn_period`, whose right-hand matrix is 2I - L_m.  One
+    stencil pass makes the terms of every level: 1D levels take them as
+    bands to `kernels.cn_levels`, all factored in one LAPACK call; other
+    dimensions from `_cn_matrices`, with sparse LU on one column ordering
+    for all levels (`_level_factors`).  Every dimension takes the products
+    with E_m from the entries of `_sparse_levels` (`actions`).  The grid and
+    the levels are those of ``samples``, its `CoefficientSamples`.
     """
 
     def __init__(self, samples: CoefficientSamples, lam):
         self.grid = grid = samples.grid
         self.lam = np.asarray(lam, dtype=float).reshape(-1)
         self.time_independent = samples.n_levels == 1
-        self._stacked = samples.stencil(self.lam)
+        terms = samples.stencil(self.lam)
         half = 0.5 * grid.dt
-        self._sparse = _sparse_levels(self._stacked, grid)
+        self._sparse = _sparse_levels(terms, grid)
         if grid.dimension == 1:
-            solves, products = kernels.cn_levels(*_bands_1d(
-                self._stacked["a_faces"][0], self._stacked["b"][0],
-                self._stacked["c0"], grid.h[0]), half)
+            lower, upper, diag = terms
+            solves, products = kernels.cn_levels(lower, diag, upper, half)
         else:
             lhs = _cn_matrices(*self._sparse, half)
             solves = [lu.solve for lu in _level_factors(lhs)]
@@ -504,7 +493,7 @@ class ActionFamily:
 
     def matrix(self, m: int) -> sp.csr_array:
         """E_lam(t_m) as a CSR matrix."""
-        return _csr_matrix(self._stacked, self._level(m), self.grid)
+        return _csr_matrix(self._sparse, self._level(m))
 
     def actions(self, psi: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """E_lam(t_m) @ psi[m] (adjoint: E^T @ psi[m]) at every level

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .eigen import EigenResult
-from .expressions import ExpressionError
+from .expressions import BUILTINS, ExpressionError
 from .fields import CellGeometry, CoefficientSet, FieldError, PeriodicField
 from .operators import DEFAULT_CAP, Grid, GridError, build_grid
 
@@ -172,6 +172,9 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path} [geometry]: {exc}") from exc
 
     par = _Section(cp, path, "parameters")
+    for key in par.texts:
+        if key in BUILTINS:
+            raise ScenarioError(f"{par.where} {key}: parameter name shadows a builtin")
     params = {key: par.get(key, parse=float) for key in par.texts}
 
     N = geometry.dimension

@@ -14,10 +14,10 @@ boundaries, by Strang splitting:
   factored once per run (once per level of a period when A or q depend on t).
   With L_m = I - dt/2 E_m the right-hand matrix I + dt/2 E_m is 2I - L_m, so a
   step is u -> L_{m+1}^{-1} (2u - L_m u), with one level u -> 2 L^{-1} u - u:
-  one solve and no band product.  The
-  Dirichlet boundary values stay 0, so the couplings into them are dropped as
-  well; without drift the left-hand matrix is then symmetric positive
-  definite and `kernels.CyclicFactor` solves it with LAPACK ``dpttrs``.
+  one solve and no band product.  The Dirichlet boundary values stay 0, so
+  the boundary rows of the axis stencil, corners included, and the couplings
+  into them are zeroed; without drift the left-hand matrix is then symmetric
+  positive definite and `kernels.CyclicFactor` solves it with LAPACK ``dpttrs``.
 
 Ahead of the front the true solution is far below machine precision, and the
 linear solves inject roundoff of either sign which the reaction half-steps
@@ -39,7 +39,7 @@ import numpy as np
 
 from .kernels import cn_levels
 from .fields import CoefficientSet
-from .operators import Grid, _bands_1d, _faces
+from .operators import Grid, _axis_stencil, _faces
 
 __all__ = ["CauchyRun", "FrontEstimate", "SimulationError", "solve_cauchy",
            "front_speed", "smooth_bump"]
@@ -88,22 +88,21 @@ def smooth_bump(center: float = 0.0, width: float = 1.0, height: float = 1.0) ->
 
 def _linear_bands(coeffs: CoefficientSet, x: np.ndarray, grid: Grid):
     """Crank-Nicolson levels (`kernels.cn_levels`) of div(a grad .) - q d_x on
-    the extended grid: the operator's 1D stencil at lam = 0 without the
-    zeroth-order term, at t = 0 alone if A and q do not depend on time and at
-    the n_t levels of a period otherwise.
+    the extended grid: the operator's axis stencil (`_axis_stencil`) at
+    lam = 0, without the zeroth-order term, at t = 0 alone if A and q do not
+    depend on time and at the n_t levels of a period otherwise.
 
-    Boundary rows, corners and the couplings of rows 1 and n-2 into the
-    boundary columns are zeroed (the Dirichlet boundary values stay 0), which
-    keeps the bands symmetric when q = 0.
+    The boundary rows, with their wrap-around corners, and the couplings of
+    rows 1 and n-2 into the boundary columns are zeroed (the Dirichlet
+    boundary values stay 0), which keeps the bands symmetric when q = 0.
     """
     time_dep = not (coeffs.A.time_independent and coeffs.q.time_independent)
     t = np.arange(grid.n_t if time_dep else 1)[:, None] * grid.dt
     a_faces = _faces(coeffs.A.eval_entry((0, 0), t, x), -1)
     q = coeffs.q.eval_entry(0, t, x)
-    dl, dd, du, c0, c1 = _bands_1d(a_faces, -q, 0.0, grid.h[0])
-    dl[:, 1] = dl[:, -1] = dd[:, 0] = dd[:, -1] = du[:, 0] = du[:, -2] = 0.0
-    c0[:] = c1[:] = 0.0
-    return cn_levels(dl, dd, du, c0, c1, 0.5 * grid.dt)
+    dl, du, dd = _axis_stencil(a_faces, -q, grid.h[0])
+    dl[:, [0, 1, -1]] = du[:, [0, -2, -1]] = dd[:, [0, -1]] = 0.0
+    return cn_levels(dl, dd, du, 0.5 * grid.dt)
 
 
 def _logistic(u: np.ndarray, decay: np.ndarray) -> None:

@@ -293,13 +293,11 @@ def test_representation_does_not_change_the_operator(dim):
     ref = CoefficientSamples(expr, grid).stencil(lam_arr)
     ref_family = ActionFamily(CoefficientSamples(expr, grid), lam)
     assert not ref_family.time_independent
+    assert len(ref) == (3 if dim == 1 else 9)  # 2D: with the four mixed terms of A_12
     for coeffs in forms[1:]:
         got = CoefficientSamples(coeffs, grid).stencil(lam_arr)
-        for key in ("a_faces", "b"):
-            assert all(np.array_equal(u, v) for u, v in zip(got[key], ref[key]))
-        assert np.array_equal(got["c0"], ref["c0"])
-        if dim == 2:
-            assert np.array_equal(got["a12"], ref["a12"])
+        assert len(got) == len(ref)
+        assert all(np.array_equal(u, v) for u, v in zip(got, ref))
         family = ActionFamily(CoefficientSamples(coeffs, grid), lam)
         for m in range(grid.n_t):
             assert (family.matrix(m) != ref_family.matrix(m)).nnz == 0
@@ -310,9 +308,18 @@ def test_representation_does_not_change_the_operator(dim):
                 ref_family.step_period(v, transpose=transpose, store_levels=True))
 
 
+def _mixed_terms(a12, h, axes=(1, 2)):
+    """The four terms of d_x(a12 d_y .) + d_y(a12 d_x .) on the neighbours
+    (i+1, j+1), (i+1, j-1), (i-1, j+1), (i-1, j-1) along the given axes."""
+    s = 1.0 / (4 * h[0] * h[1])
+    a_xp, a_xm = np.roll(a12, -1, axis=axes[0]), np.roll(a12, 1, axis=axes[0])
+    a_yp, a_ym = np.roll(a12, -1, axis=axes[1]), np.roll(a12, 1, axis=axes[1])
+    return [s * (a_xp + a_yp), -s * (a_xp + a_ym), -s * (a_xm + a_yp), s * (a_xm + a_ym)]
+
+
 def _reference_stencil(coeffs, lam, grid, times):
-    """Stencil arrays of E_lam sampled afresh for one lam: the one-pass
-    builder that `CoefficientSamples` split into sampling and lam algebra."""
+    """The terms of E_lam sampled afresh for one lam: the one-pass builder
+    that `CoefficientSamples` split into sampling and lam algebra."""
     N = grid.dimension
     mesh = grid.meshgrid()
     t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * N)
@@ -327,8 +334,14 @@ def _reference_stencil(coeffs, lam, grid, times):
     div_alam = sum(_centred(alam[d], grid.h[d], 1 + d) for d in range(N))
     c0 = (sum(alam[d] * lam[d] for d in range(N)) + div_alam + coeffs.mu(t, *mesh)
           - sum(q[d] * lam[d] for d in range(N)))
-    return {"a_faces": [_faces(a, 1 + d) for d, a in enumerate(a_diag)], "a12": a12,
-            "b": b, "c0": c0}
+    terms, diag = [], 0.0
+    for d in range(N):
+        lower, upper, diag_d = _axis_stencil(_faces(a_diag[d], 1 + d), b[d], grid.h[d],
+                                             axis=1 + d)
+        terms += [lower, upper]
+        diag = diag + diag_d
+    terms.append(diag + c0)
+    return terms + ([] if a12 is None else _mixed_terms(a12, grid.h))
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
@@ -359,13 +372,9 @@ def test_samples_give_the_fresh_stencil_at_every_lam(dim, time_dependent):
     for lam in lams:
         got = samples.stencil(lam)
         ref = _reference_stencil(coeffs, np.asarray(lam), grid, times)
-        for key in ("a_faces", "b"):
-            assert all(np.array_equal(u, v) for u, v in zip(got[key], ref[key]))
-        assert np.array_equal(got["c0"], ref["c0"])
-        assert (got["a12"] is None) is (dim == 1)
-        if dim == 2:
-            assert np.array_equal(got["a12"], ref["a12"])
-        for a in kept + got["b"] + [got["c0"]]:
+        assert len(got) == len(ref) == (3 if dim == 1 else 9)
+        assert all(np.array_equal(u, v) for u, v in zip(got, ref))
+        for a in kept + got:
             assert a.flags.c_contiguous and a.shape == (times.size,) + grid.n_space
 
 
@@ -416,30 +425,19 @@ def test_sample_passes_samples_of_the_grid_through():
             sample(s, g)
 
 
-def _per_level_csr(stacked, lev, grid):
-    """E_lam at one level as the per-level builder made it before the one-pass
-    assembly: COO triplets of the axis stencils, the diagonal and the a12
-    block, converted to CSR without stored zeros."""
+def _per_level_csr(terms, lev, grid):
+    """E_lam at one level of the `CoefficientSamples.stencil` terms as the
+    per-level builder made it before the one-pass assembly: COO triplets of
+    the axis stencils, the diagonal and the a12 block, each on the column of
+    its neighbour, converted to CSR without stored zeros."""
     idx = np.arange(grid.npoints).reshape(grid.n_space)
-    cols, data = [], []
-    diag = 0.0
-    for d, (af, b, h) in enumerate(zip(stacked["a_faces"], stacked["b"], grid.h)):
-        lower, upper, diag_d = _axis_stencil(af[lev], b[lev], h, axis=d)
-        cols += [np.roll(idx, 1, axis=d), np.roll(idx, -1, axis=d)]
-        data += [lower, upper]
-        diag = diag + diag_d
-    cols.append(idx)
-    data.append(diag + stacked["c0"][lev])
-    if stacked["a12"] is not None:
-        a12 = stacked["a12"][lev]
-        s = 1.0 / (4 * grid.h[0] * grid.h[1])
-        a_xp, a_xm = np.roll(a12, -1, axis=0), np.roll(a12, 1, axis=0)
-        a_yp, a_ym = np.roll(a12, -1, axis=1), np.roll(a12, 1, axis=1)
+    cols = [np.roll(idx, s, axis=d) for d in range(grid.dimension) for s in (1, -1)] + [idx]
+    if len(terms) > len(cols):
         ixp, ixm = np.roll(idx, -1, axis=0), np.roll(idx, 1, axis=0)
         cols += [np.roll(ixp, -1, axis=1), np.roll(ixp, 1, axis=1),
                  np.roll(ixm, -1, axis=1), np.roll(ixm, 1, axis=1)]
-        data += [s * (a_xp + a_yp), -s * (a_xp + a_ym),
-                 -s * (a_xm + a_yp), s * (a_xm + a_ym)]
+    assert len(cols) == len(terms)
+    data = [t[lev] for t in terms]
     rows = np.tile(idx.ravel(), len(cols))
     M = sp.csr_array((np.concatenate([v.ravel() for v in data]),
                       (rows, np.concatenate([c.ravel() for c in cols]))),
@@ -468,10 +466,13 @@ def test_assembled_matrices_are_those_of_the_per_level_builder():
     lam = [0.8, -0.3]
     samples = CoefficientSamples(coeffs, grid)
     family = ActionFamily(samples, lam)
-    stacked = samples.stencil(lam)
+    terms = samples.stencil(lam)
+    # the mixed terms, as the per-level builder made them from a12 at one level
+    for term, ref in zip(terms[5:], _mixed_terms(samples.a12[2], grid.h, axes=(0, 1))):
+        assert np.array_equal(term[2], ref)
     for m in range(grid.n_t + 1):
-        assert _same_csr(family.matrix(m), _per_level_csr(stacked, m % grid.n_t, grid))
-    assert _same_csr(assemble_action(samples, lam, grid), _per_level_csr(stacked, 0, grid))
+        assert _same_csr(family.matrix(m), _per_level_csr(terms, m % grid.n_t, grid))
+    assert _same_csr(assemble_action(samples, lam, grid), _per_level_csr(terms, 0, grid))
 
 
 @pytest.mark.parametrize("time_dependent", [False, True], ids=["one-level", "n_t-levels"])
@@ -555,6 +556,16 @@ def test_non_finite_action_entries_raise():
     samples.mu[3, 2, 5] = np.nan
     with pytest.raises(ValueError, match="E_lam entries must not contain infs or NaNs"):
         ActionFamily(samples, [0.8, -0.3])
+    # the one check in the term pass covers the 1D steady route too, and
+    # its typed error names the cause
+    grid = build_grid(GEO1, 16)
+    with pytest.raises(operators.NonFiniteActionError,
+                       match=r"lam = \[1e\+308\] is too large for these coefficients"):
+        SteadyAction(CoefficientSamples(make_coeffs(), grid), [1e308])
+    samples = CoefficientSamples(make_coeffs(), grid)
+    samples.mu = np.full_like(samples.mu, np.inf)
+    with pytest.raises(operators.NonFiniteActionError, match="the samples of mu are not finite"):
+        SteadyAction(samples, [0.5])
 
 
 def _factor_case(pattern, time_dependent=True):
@@ -612,6 +623,24 @@ def test_family_computes_one_column_ordering(monkeypatch):
         assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * grid.n_t
         assert all(kw == {"relax": operators.SUPERLU_RELAX,
                           "panel_size": operators.SUPERLU_PANEL_SIZE} for _, kw in calls)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_family_build_makes_one_stencil_pass(monkeypatch, dim):
+    # one pass over the axis stencils per family: the 1D factors and the
+    # sparse entries read the same terms
+    coeffs, grid, lam = case(dim, dict(A="1 + 0.5*cos(2*pi*x)", q="0.3*sin(2*pi*x)",
+                                       mu="1 + 0.5*cos(2*pi*t)*cos(2*pi*x)"), 32, 8, 0.7)
+    samples = CoefficientSamples(coeffs, grid)
+    calls = []
+
+    def counting_stencil(*args, **kw):
+        calls.append(kw.get("axis"))
+        return _axis_stencil(*args, **kw)
+
+    monkeypatch.setattr(operators, "_axis_stencil", counting_stencil)
+    ActionFamily(samples, lam)
+    assert len(calls) == dim
 
 
 @pytest.mark.parametrize("pattern", ["shear-5pt", "a12-9pt"])

@@ -206,6 +206,28 @@ def test_cli_run_reports_each_solve_error_in_one_line(tmp_path, capsys, monkeypa
     assert captured.err == f"kpp-speed run: {path}: cannot solve\n"
 
 
+def test_parameter_shadowing_a_builtin_names_the_parameter(tmp_path):
+    path = _write(tmp_path, MINIMAL + "\n[parameters]\neps = 0.2\npi = 3\n")
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == f"{path} [parameters] pi: parameter name shadows a builtin"
+
+
+def test_cli_run_non_finite_operator_exits_2_in_one_line(tmp_path):
+    # mu = exp(800) overflows when sampled; numpy's overflow warning may come
+    # first on stderr, the error itself is one line and no traceback
+    path = _write(tmp_path, FAST_SCENARIO.replace("mu = 1 + eps*sin(2*pi*x)",
+                                                  "mu = exp(800)"))
+    out_dir = tmp_path / "out"
+    proc = _run_module("run", str(path), "--out", str(out_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        f"kpp-speed run: {path}: E_lam entries must not contain infs or NaNs: "
+        "the samples of mu are not finite")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("L, key", [("1", "a1"), ("1", "amp"), ("1", "a12"),
                                     ("1 1", "a13")])
 def test_malformed_matrix_key_named_in_error(tmp_path, L, key):
@@ -455,6 +477,7 @@ def test_cli_non_numeric_value_names_the_flag(argv, flag):
     (["eig", "--L", "nan"], "--L: not a finite number ('nan')"),
     (["eig", "--param", "a=nan"], "--param a: not a finite number ('nan')"),
     (["eig", "--T", "inf"], "--T, --L: time period must be finite and strictly positive"),
+    (["eig", "--param", "sin=2"], "--param sin: parameter name shadows a builtin"),
 ])
 def test_cli_bad_input_is_one_line(argv, message):
     # SystemExit with a message: one line on stderr, no traceback
@@ -486,6 +509,19 @@ def test_cli_failure_below_the_flags_is_one_line(argv, message):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lam", "1e308"], "lam = [1e+308] is too large for these coefficients"),
+    (["--mu", "exp(800)"], "the samples of mu are not finite"),
+], ids=["huge-lam", "huge-mu"])
+def test_cli_eig_non_finite_operator_is_one_line(argv, message):
+    # numpy's overflow warning may come first on stderr; the error is one line
+    proc = _run_module("eig", "--n", "16", *argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"kpp-speed eig: E_lam entries must not contain infs or NaNs: {message}")
 
 
 def test_cli_eig_one_shot(capsys):
